@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .qcore import (
     QPoly, QRational, QLaurent, PowerParam,
     NotDivisible, NotPolynomial, ZeroDenominator, LowerParamPole,
-    poly_arith, poly_exact_div, rational_reduce,
+    poly_exact_div,
     pochhammer, gauss_binomial, phi_eval, qpow, neg_qpow,
 )
 from .efun import (

@@ -1,133 +1,25 @@
-"""Census kernels for the finite-field sweeps.
+"""The census kernel for the finite-field sweeps.
 
 A census walks every skew form on F_p^n (all p^(n(n-1)/2) strict
 upper-triangle fillings) and tallies them by (rank, pairing-with-alpha == 0).
-Two interchangeable backends:
-
-  * "numba": a @njit per-form loop (Gaussian elimination mod p);
-  * "numpy": batched evaluation of the Pfaffians of all principal minors,
-    which determines the rank of a skew matrix without elimination.
-
-Select with PFES_BACKEND=numba|numpy; the default prefers numba and falls
-back to numpy when numba is unavailable.  Both backends return the same
-int64 array of shape (n+1, 2); sweeps are batched, so partial tallies
+The rank of a skew matrix is the largest size of a principal minor with a
+nonzero Pfaffian, so the kernel evaluates the Pfaffians of all principal
+minors with numpy, for one batch of forms at a time, and needs no
+elimination.  The tallies form an int64 array of shape (n+1, 2); batches
 combine by addition.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import combinations
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap
 
 
 def pair_index(n: int) -> list[tuple[int, int]]:
     """Row-major order of the strict upper triangle: (0,1), (0,2), ..."""
     return [(r, c) for r in range(n) for c in range(r + 1, n)]
 
-
-def active_backend() -> str:
-    choice = os.environ.get("PFES_BACKEND", "").strip().lower()
-    if choice in ("numba", "numpy"):
-        if choice == "numba" and not HAVE_NUMBA:
-            raise RuntimeError("PFES_BACKEND=numba but numba is not importable")
-        return choice
-    if choice:
-        raise RuntimeError(f"unknown PFES_BACKEND {choice!r} (use numba or numpy)")
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def census(p: int, n: int, alpha: tuple[int, ...]) -> np.ndarray:
-    """Tally all skew forms by (rank, <form, alpha> == 0 mod p)."""
-    if active_backend() == "numba":
-        return _census_numba(p, n, alpha)
-    return _census_numpy(p, n, alpha)
-
-
-# ---------------------------------------------------------------------------
-# numba backend: one Gaussian elimination per form
-
-@njit(cache=True)
-def _census_loop(p, n, m, alpha, inv, counts):  # pragma: no cover - compiled
-    digits = np.zeros(m, np.int64)
-    mat = np.zeros((n, n), np.int64)
-    while True:
-        pairing = 0
-        for t in range(m):
-            pairing += digits[t] * alpha[t]
-        pz = 1 if pairing % p == 0 else 0
-
-        for r in range(n):
-            for c in range(n):
-                mat[r, c] = 0
-        e = 0
-        for r in range(n):
-            for c in range(r + 1, n):
-                v = digits[e]
-                e += 1
-                mat[r, c] = v
-                if v:
-                    mat[c, r] = p - v
-
-        rank = 0
-        for col in range(n):
-            piv = -1
-            for r in range(rank, n):
-                if mat[r, col] != 0:
-                    piv = r
-                    break
-            if piv < 0:
-                continue
-            if piv != rank:
-                for c in range(col, n):
-                    tmp = mat[rank, c]
-                    mat[rank, c] = mat[piv, c]
-                    mat[piv, c] = tmp
-            scale = inv[mat[rank, col]]
-            for c in range(col, n):
-                mat[rank, c] = (mat[rank, c] * scale) % p
-            for r in range(rank + 1, n):
-                f = mat[r, col]
-                if f:
-                    for c in range(col, n):
-                        mat[r, c] = (mat[r, c] - f * mat[rank, c]) % p
-            rank += 1
-        counts[rank, pz] += 1
-
-        t = 0
-        while t < m and digits[t] == p - 1:
-            digits[t] = 0
-            t += 1
-        if t == m:
-            break
-        digits[t] += 1
-
-
-def _census_numba(p: int, n: int, alpha: tuple[int, ...]) -> np.ndarray:
-    m = n * (n - 1) // 2
-    inv = np.zeros(p, np.int64)
-    for x in range(1, p):
-        inv[x] = pow(x, -1, p)
-    counts = np.zeros((n + 1, 2), np.int64)
-    _census_loop(p, n, m, np.array(alpha, np.int64), inv, counts)
-    return counts
-
-
-# ---------------------------------------------------------------------------
-# numpy backend: rank via Pfaffians of principal minors
 
 def _pfaffian_matchings(size: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
     """Signed perfect matchings of {0..size-1}; the Pfaffian is their sum."""
@@ -138,7 +30,6 @@ def _pfaffian_matchings(size: int) -> list[tuple[int, tuple[tuple[int, int], ...
     for t, partner in enumerate(rest):
         sign = -1 if t % 2 else 1
         remaining = [x for x in rest if x != partner]
-        relabel = {x: j for j, x in enumerate(remaining)}
         for sub_sign, sub_pairs in _pfaffian_matchings(size - 2):
             pairs = ((0, partner),) + tuple(
                 (remaining[a], remaining[b]) for a, b in sub_pairs)
@@ -163,8 +54,9 @@ def _minor_terms(n: int):
     return levels
 
 
-def _census_numpy(p: int, n: int, alpha: tuple[int, ...],
-                  batch: int = 1 << 16) -> np.ndarray:
+def census(p: int, n: int, alpha: tuple[int, ...],
+           batch: int = 1 << 16) -> np.ndarray:
+    """Tally all skew forms by (rank, <form, alpha> == 0 mod p)."""
     m = n * (n - 1) // 2
     total = p ** m
     levels = _minor_terms(n)

@@ -19,28 +19,18 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Callable
 
-from . import __version__
+from . import __version__, suites
 from .qcore import (
     QPoly, QRational, LowerParamPole, NotDivisible, NotPolynomial,
-    ZeroDenominator, gauss_binomial, monomial,
+    ZeroDenominator, gauss_binomial,
 )
 from .efun import (
-    PfaffianParams, RangeError, _rank_locus_weight, discrepancy,
-    grassmannian_E, local_contribution, nondeg_skew_E, pf_stringy_closed,
-    pf_stringy_recursive, pf_stringy_rodland, projective_E, rank_stratum_E,
-    stringy_degree,
+    PfaffianParams, RangeError, discrepancy, grassmannian_E,
+    local_contribution, nondeg_skew_E, pf_stringy_closed, rank_stratum_E,
 )
-from .identities import (
-    CutParams, f_circ, f_closed, isotropic_E, solve_newcor,
-    verify_AC_BD, verify_hj, verify_newrec, verify_phi_reductions,
-)
-from .mirror import (
-    even_anomaly_check, even_fiber_E, fiber_E_odd,
-    main_coefficient_check, main_main_check,
-)
+from .identities import CutParams, f_circ, f_closed, isotropic_E
+from .mirror import even_fiber_E, fiber_E_odd
 from .fq_oracle import SkewFormFp, TooLarge, count_cut_stratum, count_isotropic, count_rank_stratum
 from .caching import load_cache_dir, save_cache_dir
 
@@ -174,197 +164,10 @@ def cmd_compute(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify suites
-
-def _row(name: str, passed: bool, skipped: bool = False, note: str = "") -> dict:
-    return {"name": name, "passed": bool(passed), "skipped": bool(skipped),
-            "note": note}
-
-
-def _report_row(report) -> dict:
-    point = ",".join(str(x) for x in report.parameter_point)
-    return _row(f"{report.identity_name}({point})", report.passed,
-                report.skipped, report.note)
-
-
-def _odd_range(max_n: int):
-    return [n for n in range(5, max_n + 1) if n % 2 == 1]
-
-
-def _grid_relg(b):
-    return [(i, r) for r in range(0, b["max_r"] + 1) for i in range(0, r + 1)]
-
-def _run_relg(point):
-    i, r = point
-    lhs = grassmannian_E(2 * i, 2 * r) * (monomial(2 * r + 1) - 1)
-    rhs = grassmannian_E(2 * i, 2 * r + 1) * (monomial(2 * r - 2 * i + 1) - 1)
-    return [_row(f"relg(i={i},r={r})", lhs == rhs)]
-
-
-def _grid_oddeven(b):
-    return [(r,) for r in range(1, b["max_r"] + 1)]
-
-def _run_oddeven(point):
-    (r,) = point
-    even = sum((nondeg_skew_E(i) * grassmannian_E(2 * i, 2 * r)
-                for i in range(1, r + 1)), start=QPoly())
-    odd = sum((nondeg_skew_E(i) * grassmannian_E(2 * i, 2 * r + 1)
-               for i in range(1, r + 1)), start=QPoly())
-    return [
-        _row(f"oddeven-even(r={r})", even == projective_E(r * (2 * r - 1) - 1)),
-        _row(f"oddeven-odd(r={r})", odd == projective_E(r * (2 * r + 1) - 1)),
-    ]
-
-
-def _grid_sum(b):
-    return [(r,) for r in range(1, b["max_r"] + 1)]
-
-def _run_sum(point):
-    (r,) = point
-    lhs = QPoly()
-    for i in range(1, r):
-        weight = QPoly([1 if t % 2 == 0 else 0 for t in range(2 * (r - i) - 1)])
-        lhs = lhs + weight * nondeg_skew_E(i) * grassmannian_E(2 * i, 2 * r + 1)
-    if r == 1:
-        rhs = QPoly()
-    else:
-        rhs = pf_stringy_rodland(r)
-    return [_row(f"sum(r={r})", lhs == rhs)]
-
-
-def _grid_technical(b):
-    return [(n, k) for n in _odd_range(b["max_n"])
-            for k in range(1, (n - 3) // 2 + 1)]
-
-def _run_technical(point):
-    n, k = point
-    lhs = QPoly()
-    for i in range(1, (n - 1) // 2 + 1):
-        lhs = lhs + rank_stratum_E(i, n) * _rank_locus_weight(i, k, n)
-    rhs = pf_stringy_closed(PfaffianParams(n, k))
-    return [_row(f"technical(n={n},k={k})", lhs == rhs)]
-
-
-def _grid_stpf(b):
-    return [(n,) for n in _odd_range(b["max_n"])]
-
-def _run_stpf(point):
-    (n,) = point
-    rows = []
-    if n == 5:
-        rows.append(_row("stpf-base(r=2)",
-                         pf_stringy_rodland(2) == grassmannian_E(2, 5)))
-    got = pf_stringy_closed(PfaffianParams(n, (n - 3) // 2))
-    rows.append(_row(f"stpf(n={n})", got == pf_stringy_rodland((n - 1) // 2)))
-    return rows
-
-
-def _grid_pfst2k(b):
-    return [(n, k) for n in _odd_range(b["max_n"])
-            for k in range(1, (n - 1) // 2 + 1)]
-
-def _run_pfst2k(point):
-    n, k = point
-    params = PfaffianParams(n, k)
-    closed = pf_stringy_closed(params)
-    ok = (closed == pf_stringy_recursive(params)
-          and closed.is_palindromic
-          and closed.degree == stringy_degree(n, k))
-    return [_row(f"pfst2k(n={n},k={k})", ok)]
-
-
-def _grid_cut(b):
-    return [(n, k, i) for n in _odd_range(b["max_n"])
-            for k in range(1, (n - 1) // 2 + 1)
-            for i in range(1, (n - 1) // 2 + 1)]
-
-def _run_newrec(point):
-    n, k, i = point
-    return [_report_row(verify_newrec(CutParams(n, k, i)))]
-
-def _run_acbd(point):
-    n, k, i = point
-    return [_report_row(r) for r in verify_AC_BD(CutParams(n, k, i))]
-
-def _run_phi(point):
-    n, k, i = point
-    return [_report_row(r) for r in verify_phi_reductions(CutParams(n, k, i))]
-
-
-def _grid_newcor(b):
-    return [(n, i) for n in _odd_range(b["max_n"])
-            for i in range(1, (n - 1) // 2 + 1)]
-
-def _run_newcor(point):
-    n, i = point
-    half = (n - 1) // 2
-    solved = solve_newcor(half, i, n)
-    return [_row(f"newcor(k={k},i={i},n={n})",
-                 solved[k - 1] == f_closed(CutParams(n, k, i)))
-            for k in range(1, half + 1)]
-
-
-def _grid_hj(b):
-    return [(a, bb) for bb in range(0, b["max_b"] + 1) for a in range(0, bb + 1)]
-
-def _run_hj(point):
-    a, bb = point
-    return [_report_row(verify_hj(a, bb))]
-
-
-def _grid_main_coeff(b):
-    return [(k,) for k in range(2, b["max_k"] + 1)]
-
-def _run_main_coeff(point):
-    (k,) = point
-    return [_report_row(main_coefficient_check(k))]
-
-
-def _grid_main_main(b):
-    return [(n, k) for n in _odd_range(b["max_n"])
-            for k in range(1, (n - 3) // 2 + 1)]
-
-def _run_main_main(point):
-    n, k = point
-    report = main_main_check(n, k)
-    return [_row(f"main-main(n={n},k={k})", report.overall and report.duality_ok)]
-
-
-def _grid_even_anomaly(b):
-    return [()]
-
-def _run_even_anomaly(point):
-    report = even_anomaly_check()
-    return [_row("even-anomaly", report.passed, note=report.note)]
-
-
-@dataclass(frozen=True)
-class Suite:
-    grid: Callable
-    runner: Callable
-    defaults: dict
-
-
-SUITES: dict[str, Suite] = {
-    "relg": Suite(_grid_relg, _run_relg, {"max_r": 8}),
-    "oddeven": Suite(_grid_oddeven, _run_oddeven, {"max_r": 8}),
-    "sum": Suite(_grid_sum, _run_sum, {"max_r": 8}),
-    "technical": Suite(_grid_technical, _run_technical, {"max_n": 17}),
-    "stpf": Suite(_grid_stpf, _run_stpf, {"max_n": 15}),
-    "pfst2k": Suite(_grid_pfst2k, _run_pfst2k, {"max_n": 17}),
-    "newrec": Suite(_grid_cut, _run_newrec, {"max_n": 13}),
-    "newcor": Suite(_grid_newcor, _run_newcor, {"max_n": 13}),
-    "hj": Suite(_grid_hj, _run_hj, {"max_b": 8}),
-    "ac-bd": Suite(_grid_cut, _run_acbd, {"max_n": 11}),
-    "phi": Suite(_grid_cut, _run_phi, {"max_n": 11}),
-    "main-coeff": Suite(_grid_main_coeff, _run_main_coeff, {"max_k": 10}),
-    "main-main": Suite(_grid_main_main, _run_main_main, {"max_n": 13}),
-    "even-anomaly": Suite(_grid_even_anomaly, _run_even_anomaly, {}),
-}
-
+# verify
 
 def _suite_bounds(name: str, args) -> dict:
-    bounds = dict(SUITES[name].defaults)
+    bounds = dict(suites.SUITES[name].defaults)
     for key in bounds:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -374,14 +177,14 @@ def _suite_bounds(name: str, args) -> dict:
 
 def _run_point(task):
     suite, point = task
-    return SUITES[suite].runner(point)
+    return suites.SUITES[suite].runner(point)
 
 
 def cmd_verify(args) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    names = list(suites.SUITES) if args.suite == "all" else [args.suite]
     tasks = []
     for name in names:
-        for point in SUITES[name].grid(_suite_bounds(name, args)):
+        for point in suites.SUITES[name].grid(_suite_bounds(name, args)):
             tasks.append((name, point))
     start = time.perf_counter()
     rows: list[dict] = []
@@ -479,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.set_defaults(handler=cmd_compute)
 
     ver = sub.add_parser("verify", help="run an identity suite over its grid")
-    ver.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    ver.add_argument("suite", choices=sorted(suites.SUITES) + ["all"])
     ver.add_argument("--max-n", dest="max_n", type=int, default=None)
     ver.add_argument("--max-r", dest="max_r", type=int, default=None)
     ver.add_argument("--max-b", dest="max_b", type=int, default=None)

@@ -194,5 +194,6 @@ def euler_characteristic(params: PfaffianParams) -> int:
     value = Fraction(n * k)
     for j in range(k + 1, (n - 1) // 2 + 1):
         value *= Fraction(j, j - k)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise RuntimeError(f"Euler characteristic {value} is not an integer")
     return value.numerator

@@ -22,7 +22,7 @@ import numpy as np
 from .qcore import gauss_binomial
 from .efun import RangeError, _require
 from . import _kernels
-from ._kernels import active_backend, pair_index
+from ._kernels import pair_index
 
 
 class TooLarge(Exception):
@@ -106,7 +106,7 @@ class SkewFormFp:
 
 
 def skew_rank(form: SkewFormFp) -> int:
-    """Rank over F_p by Gaussian elimination; asserted even."""
+    """Rank over F_p by Gaussian elimination; always even."""
     p, n = form.p, form.n
     mat = [list(row) for row in form.matrix()]
     rank = 0
@@ -122,7 +122,8 @@ def skew_rank(form: SkewFormFp) -> int:
             if f:
                 mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
         rank += 1
-    assert rank % 2 == 0, "skew-symmetric rank must be even"
+    if rank % 2:
+        raise RuntimeError("skew-symmetric rank must be even")
     return rank
 
 
@@ -159,7 +160,8 @@ def count_rank_stratum(p: int, n: int, rank: int,
     forms = int(census[rank].sum())
     if rank == 0:
         forms -= 1  # the zero form is not a projective point
-    assert forms % (p - 1) == 0
+    if forms % (p - 1):
+        raise RuntimeError(f"{forms} forms do not split into lines over F_{p}")
     return forms // (p - 1)
 
 
@@ -175,7 +177,8 @@ def count_cut_stratum(p: int, n: int, rank_w: int, alpha: SkewFormFp,
     forms = int(census[rank_w, 1])
     if rank_w == 0:
         forms -= 1
-    assert forms % (p - 1) == 0
+    if forms % (p - 1):
+        raise RuntimeError(f"{forms} forms do not split into lines over F_{p}")
     return forms // (p - 1)
 
 

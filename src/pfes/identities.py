@@ -158,18 +158,41 @@ def verify_newrec(params: CutParams) -> IdentityReport:
     return _report("newrec", (k, i, n), QRational(lhs), QRational(rhs))
 
 
-def _recursion_coefficient_pieces(k: int, j: int, n: int):
-    # the coefficient of f_j in the triangular recursion, split as
-    # (numerator polynomial or None when it vanishes) over
-    # (1 - q^(n+1-2j)) * (q;q)_{2k-2j}; the shared (1 - q^(n+1-2k)) factor
-    # and the power prefactor are folded into the numerator.
-    pich = pochhammer(qpow(n + 3 - 4 * k + 2 * j), 2, 2 * k - 2 * j)
-    if pich.is_zero:
-        return None
-    assert pich.shift == 0
-    num = (monomial(2 * (k - j) ** 2 - (k - j))
-           * (ONE - monomial(n + 1 - 2 * k)) * pich.body)
-    return num
+def _recursion_sum(k: int, n: int, js: range, value) -> tuple[QPoly, QPoly]:
+    """Sum over j in js of value(j) times the coefficient of f_j in the
+    triangular recursion at k,
+
+        q^(2(k-j)^2-(k-j)) (1 - q^(n+1-2k)) (q^(n+3-4k+2j); q^2)_{2k-2j}
+        / ((1 - q^(n+1-2j)) (q;q)_{2k-2j}),
+
+    over the common denominator (q;q)_top * prod_{j in js} (1 - q^(n+1-2j)),
+    top = 2k - 2*js.start.  Returns (numerator, denominator).  value is
+    called only for the j whose coefficient does not vanish.
+    """
+    top = 2 * (k - js.start)
+    lin = {j: ONE - monomial(n + 1 - 2 * j) for j in js}
+    den = ONE
+    for t in range(1, top + 1):
+        den = den * (ONE - monomial(t))
+    for factor in lin.values():
+        den = den * factor
+    total = ZERO
+    for j in js:
+        pich = pochhammer(qpow(n + 3 - 4 * k + 2 * j), 2, 2 * k - 2 * j)
+        if pich.is_zero:
+            continue
+        if pich.shift != 0:
+            raise RuntimeError(f"recursion coefficient (k={k}, j={j}, n={n}) "
+                               f"is not a polynomial")
+        term = (value(j).shift(2 * (k - j) ** 2 - (k - j))
+                * (ONE - monomial(n + 1 - 2 * k)) * pich.body)
+        for t in range(2 * k - 2 * j + 1, top + 1):
+            term = term * (ONE - monomial(t))      # (q;q)_top/(q;q)_{2k-2j}
+        for jp, factor in lin.items():
+            if jp != j:
+                term = term * factor
+        total = total + term
+    return total, den
 
 
 def solve_newcor(k_max: int, i: int, n: int) -> list[QPoly]:
@@ -188,25 +211,7 @@ def solve_newcor(k_max: int, i: int, n: int) -> list[QPoly]:
     for k in range(1, k_max + 1):
         rhs = (geometric_series(2 * k * k - k - 1) * grassmannian_E(2 * k, n)
                + monomial(2 * k * k - k - 1) * isotropic_E(k, i, n))
-        # accumulate the j < k terms over their common denominator
-        lin = [ONE - monomial(n + 1 - 2 * j) for j in range(1, k)]
-        den = ONE
-        for j in range(1, 2 * k - 1):
-            den = den * (ONE - monomial(j))        # (q;q)_{2k-2}
-        for factor in lin:
-            den = den * factor
-        acc = ZERO
-        for j in range(1, k):
-            num = _recursion_coefficient_pieces(k, j, n)
-            if num is None:
-                continue
-            term = num * solved[j - 1]
-            for t in range(2 * k - 2 * j + 1, 2 * k - 1):
-                term = term * (ONE - monomial(t))  # (q;q)_{2k-2}/(q;q)_{2k-2j}
-            for jp, factor in enumerate(lin, start=1):
-                if jp != j:
-                    term = term * factor
-            acc = acc + term
+        acc, den = _recursion_sum(k, n, range(1, k), lambda j: solved[j - 1])
         try:
             f_k = poly_exact_div(rhs * den - acc, den)
         except NotDivisible as exc:
@@ -235,59 +240,25 @@ def verify_hj(a: int, b: int) -> IdentityReport:
 
 def _smooth_lhs_sum(k: int, n: int) -> QRational:
     """Recursion left side fed with the smooth (first) summands of the
-    closed cut formula, extended to the vanishing index-zero value; assembled
-    over one explicit common denominator."""
+    closed cut formula, extended to the vanishing index-zero value."""
     half = (n - 1) // 2
-    lin = [ONE - monomial(n + 1 - 2 * j) for j in range(0, k + 1)]
-    qq_2k = pochhammer(qpow(1), 1, 2 * k).body
-    den = monomial(1) * qq_2k
-    for factor in lin:
-        den = den * factor
-    total = ZERO
-    for j in range(0, k + 1):
-        pich = pochhammer(qpow(n + 3 - 4 * k + 2 * j), 2, 2 * k - 2 * j)
-        if pich.is_zero:
-            continue
-        assert pich.shift == 0
+
+    def value(j):
         # q * (q^(nj-1) - 1)/(q - 1): the index-zero value collapses to -1
-        lead = -ONE if j == 0 else monomial(1) * geometric_series(n * j - 1)
-        term = (lead * gauss_binomial(half, j, 2)
-                * monomial(2 * (k - j) ** 2 - (k - j))
-                * (ONE - monomial(n + 1 - 2 * k)) * pich.body)
-        for t in range(2 * k - 2 * j + 1, 2 * k + 1):
-            term = term * (ONE - monomial(t))      # (q;q)_{2k}/(q;q)_{2k-2j}
-        for jp, factor in enumerate(lin):
-            if jp != j:
-                term = term * factor
-        total = total + term
-    return QRational(total, den)
+        lead = -ONE if j == 0 else geometric_series(n * j - 1).shift(1)
+        return lead * gauss_binomial(half, j, 2)
+
+    total, den = _recursion_sum(k, n, range(0, k + 1), value)
+    return QRational(total, den.shift(1))
 
 
 def _cut_lhs_sum(k: int, i: int, n: int) -> QRational:
-    """Recursion left side fed with the dual-weight (second) summands,
-    same common-denominator assembly as the smooth part."""
+    """Recursion left side fed with the dual-weight (second) summands."""
     half = (n - 1) // 2
-    lin = [ONE - monomial(n + 1 - 2 * j) for j in range(0, k + 1)]
-    qq_2k = pochhammer(qpow(1), 1, 2 * k).body
-    den = monomial(1) * qq_2k
-    for factor in lin:
-        den = den * factor
-    total = ZERO
-    for j in range(0, k + 1):
-        pich = pochhammer(qpow(n + 3 - 4 * k + 2 * j), 2, 2 * k - 2 * j)
-        if pich.is_zero:
-            continue
-        assert pich.shift == 0
-        term = (gauss_binomial(half - i, j, 2)
-                * monomial(2 * (k - j) ** 2 - (k - j) + n * j)
-                * (ONE - monomial(n + 1 - 2 * k)) * pich.body)
-        for t in range(2 * k - 2 * j + 1, 2 * k + 1):
-            term = term * (ONE - monomial(t))
-        for jp, factor in enumerate(lin):
-            if jp != j:
-                term = term * factor
-        total = total + term
-    return QRational(total, den)
+    total, den = _recursion_sum(
+        k, n, range(0, k + 1),
+        lambda j: gauss_binomial(half - i, j, 2).shift(n * j))
+    return QRational(total, den.shift(1))
 
 
 def _smooth_rhs(k: int, n: int) -> QPoly:

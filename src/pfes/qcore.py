@@ -230,17 +230,6 @@ def geometric_series(m: int) -> QPoly:
     return QPoly([1] * m)
 
 
-def poly_arith(a: QPoly, b: QPoly, op: str) -> QPoly:
-    """Dispatch add/sub/mul by name; the operators do the same thing."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def poly_exact_div(num: QPoly, den: QPoly) -> QPoly:
     """Exact quotient num/den in Z[q]; raises NotDivisible otherwise."""
     if den.is_zero:
@@ -421,11 +410,6 @@ def _coerce_rational(value):
     if isinstance(value, (QPoly, int)):
         return QRational(value)
     return NotImplemented
-
-
-def rational_reduce(num: QPoly, den: QPoly) -> QRational:
-    """Canonical reduced fraction num/den (raises ZeroDenominator)."""
-    return QRational(num, den)
 
 
 class QLaurent:

@@ -5,16 +5,10 @@ verdict; run with `pytest tests/test_acceptance.py -v -s` to see them."""
 from collections import Counter
 
 from pfes.qcore import QPoly, ZERO, gauss_binomial
-from pfes.efun import (
-    PfaffianParams, _rank_locus_weight, grassmannian_E, nondeg_skew_E,
-    pf_stringy_closed, pf_stringy_recursive, pf_stringy_rodland, projective_E,
-    rank_stratum_E, stringy_degree,
-)
-from pfes.identities import (
-    CutParams, f_circ, f_closed, isotropic_E, solve_newcor,
-    verify_AC_BD, verify_hj, verify_phi_reductions,
-)
-from pfes.mirror import even_anomaly_check, main_coefficient_check, main_main_check
+from pfes.efun import rank_stratum_E
+from pfes.identities import CutParams, f_circ, isotropic_E
+from pfes.mirror import even_anomaly_check, main_main_check
+from pfes.suites import SUITES
 from pfes.fq_oracle import (
     SkewFormFp, census_totals, count_cut_stratum, count_isotropic,
     count_rank_stratum,
@@ -29,101 +23,60 @@ def odd_range(lo, hi):
     return [n for n in range(lo, hi + 1) if n % 2 == 1]
 
 
+def _rows(*suite_names):
+    """Rows of the named registry suites at their default bounds; none may
+    fail."""
+    rows = [row for name in suite_names
+            for point in SUITES[name].grid(SUITES[name].defaults)
+            for row in SUITES[name].runner(point)]
+    failed = [row["name"] for row in rows if not row["passed"]]
+    assert not failed, failed
+    return rows
+
+
 def test_criterion_01_grassmannian_two_four():
     assert gauss_binomial(4, 2, 1) == QPoly([1, 1, 2, 1, 1])
     _verdict(1, "E(G(2,4)) = q^4+q^3+2q^2+q+1 exactly")
 
 
 def test_criterion_02_base_case_is_a_grassmannian():
-    assert pf_stringy_rodland(2) == grassmannian_E(2, 5)
+    rows = _rows("stpf")
+    assert any(row["name"] == "stpf-base(r=2)" for row in rows)
     _verdict(2, "closed stringy form at r=2 equals E(G(2,5)) exactly")
 
 
 def test_criterion_03_closed_forms_agree():
-    for n in odd_range(5, 15):
-        assert pf_stringy_closed(PfaffianParams(n, (n - 3) // 2)) == \
-            pf_stringy_rodland((n - 1) // 2), n
+    assert len(_rows("stpf")) == 1 + len(odd_range(5, 15))
     _verdict(3, "product form matches classical closed form for n = 5..15")
 
 
 def test_criterion_04_recursion_reproduces_closed_form():
-    for n in odd_range(5, 17):
-        for k in range(1, (n - 1) // 2 + 1):
-            params = PfaffianParams(n, k)
-            closed = pf_stringy_closed(params)
-            assert closed == pf_stringy_recursive(params), (n, k)
-            assert closed.is_palindromic, (n, k)
-            assert closed.degree == stringy_degree(n, k), (n, k)
+    _rows("pfst2k")
     _verdict(4, "stratified = closed stringy values, all palindromic, "
                 "for odd n <= 17 and every k")
 
 
 def test_criterion_05_grassmannian_stratum_identities():
-    from pfes.qcore import monomial
-    for r in range(0, 9):
-        for i in range(0, r + 1):
-            assert grassmannian_E(2 * i, 2 * r) * (monomial(2 * r + 1) - 1) == \
-                grassmannian_E(2 * i, 2 * r + 1) * (monomial(2 * r - 2 * i + 1) - 1)
-    for r in range(1, 9):
-        even = sum((nondeg_skew_E(i) * grassmannian_E(2 * i, 2 * r)
-                    for i in range(1, r + 1)), start=ZERO)
-        odd = sum((nondeg_skew_E(i) * grassmannian_E(2 * i, 2 * r + 1)
-                   for i in range(1, r + 1)), start=ZERO)
-        assert even == projective_E(r * (2 * r - 1) - 1), r
-        assert odd == projective_E(r * (2 * r + 1) - 1), r
-    for r in range(2, 9):
-        weighted = ZERO
-        for i in range(1, r):
-            weight = QPoly([1 if t % 2 == 0 else 0 for t in range(2 * (r - i) - 1)])
-            weighted = weighted + weight * nondeg_skew_E(i) * grassmannian_E(2 * i, 2 * r + 1)
-        assert weighted == pf_stringy_rodland(r), r
-    for n in odd_range(5, 17):
-        for k in range(1, (n - 3) // 2 + 1):
-            lhs = ZERO
-            for i in range(1, (n - 1) // 2 + 1):
-                lhs = lhs + rank_stratum_E(i, n) * _rank_locus_weight(i, k, n)
-            assert lhs == pf_stringy_closed(PfaffianParams(n, k)), (n, k)
+    _rows("relg", "oddeven", "sum", "technical")
     _verdict(5, "flag-fibration, rank-partition, weighted-sum and "
                 "stratified-product identities all hold on their grids")
 
 
 def test_criterion_06_binomial_and_series_identities():
-    for b in range(0, 9):
-        for a in range(0, b + 1):
-            assert verify_hj(a, b).passed, (a, b)
-    for n in odd_range(5, 11):
-        half = (n - 1) // 2
-        for k in range(1, half + 1):
-            for i in range(1, half + 1):
-                for report in verify_AC_BD(CutParams(n, k, i)):
-                    assert report.passed, (report.identity_name, n, k, i)
-                for report in verify_phi_reductions(CutParams(n, k, i)):
-                    assert report.passed or report.skipped, \
-                        (report.identity_name, n, k, i)
+    rows = _rows("hj", "ac-bd", "phi")
+    assert sum(row["skipped"] for row in rows) == 57
     _verdict(6, "alternating binomial identity (a<=b<=8), both recursion "
                 "halves and all defined series rewrites pass for odd n <= 11")
 
 
 def test_criterion_07_triangular_solve_matches_closed_form():
-    for n in odd_range(5, 13):
-        half = (n - 1) // 2
-        for i in range(1, half + 1):
-            solved = solve_newcor(half, i, n)
-            for k in range(1, half + 1):
-                assert solved[k - 1] == f_closed(CutParams(n, k, i)), (n, k, i)
+    _rows("newcor")
     _verdict(7, "triangular recursion reproduces the closed cut formula "
                 "for odd n <= 13 and every (k, i)")
 
 
 def test_criterion_08_mirror_stratum_weights():
-    for k in range(2, 11):
-        assert main_coefficient_check(k).passed, k
-    for n in odd_range(5, 13):
-        half = (n - 1) // 2
-        for k in range(1, half):
-            report = main_main_check(n, k)
-            assert report.overall, (n, k)
-            assert report.duality_ok, (n, k)
+    _rows("main-coeff", "main-main")
     # relabeling symmetry across complementary half-ranks
     for n in odd_range(5, 13):
         half = (n - 1) // 2

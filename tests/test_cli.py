@@ -6,7 +6,7 @@ import subprocess
 
 import pytest
 
-from pfes import caching, cli, efun, qcore
+from pfes import caching, cli, efun, qcore, suites
 
 
 def run_cli(capsys, *argv):
@@ -108,10 +108,10 @@ class TestVerify:
     def test_failure_exit_code(self, capsys, monkeypatch):
         # force a mismatch to exercise the failure path
         monkeypatch.setitem(
-            cli.SUITES, "hj",
-            cli.Suite(cli.SUITES["hj"].grid,
-                      lambda point: [cli._row("hj(broken)", False)],
-                      cli.SUITES["hj"].defaults))
+            suites.SUITES, "hj",
+            suites.Suite(suites.SUITES["hj"].grid,
+                         lambda point: [suites._row("hj(broken)", False)],
+                         suites.SUITES["hj"].defaults))
         code, out, _ = run_cli(capsys, "verify", "hj", "--max-b", "0")
         assert code == 1
         assert "FAIL" in out

@@ -78,23 +78,13 @@ class TestCensusKernels:
     def test_kernels_match_pure_python(self, p, n):
         alpha = SkewFormFp.standard(p, n, 1)
         want = brute_force_census(p, n, alpha)
-        got_numpy = _kernels._census_numpy(p, n, alpha.entries)
-        assert (got_numpy == want).all()
-        if _kernels.HAVE_NUMBA:
-            got_numba = _kernels._census_numba(p, n, alpha.entries)
-            assert (got_numba == want).all()
-
-    def test_backend_env_switch(self, monkeypatch):
-        monkeypatch.setenv("PFES_BACKEND", "numpy")
-        assert _kernels.active_backend() == "numpy"
-        monkeypatch.setenv("PFES_BACKEND", "bogus")
-        with pytest.raises(RuntimeError):
-            _kernels.active_backend()
+        got = _kernels.census(p, n, alpha.entries)
+        assert (got == want).all()
 
     def test_batched_sweep_combines_tallies(self):
         alpha = SkewFormFp.zero(3, 4)
-        whole = _kernels._census_numpy(3, 4, alpha.entries)
-        chunked = _kernels._census_numpy(3, 4, alpha.entries, batch=17)
+        whole = _kernels.census(3, 4, alpha.entries)
+        chunked = _kernels.census(3, 4, alpha.entries, batch=17)
         assert (whole == chunked).all()
 
 

@@ -10,7 +10,7 @@ from pfes.qcore import (
     ONE, ZERO, Q, QLaurent, QPoly, QRational, PowerParam,
     LowerParamPole, NotDivisible, ZeroDenominator,
     gauss_binomial, geometric_series, monomial, neg_qpow, phi_eval,
-    pochhammer, poly_arith, poly_exact_div, poly_gcd, qpow, rational_reduce,
+    pochhammer, poly_exact_div, poly_gcd, qpow,
 )
 
 
@@ -98,35 +98,27 @@ class TestExactDivision:
         assert err.value.num == num
         assert err.value.den == den
 
-    def test_dispatch_by_name(self):
-        a, b = QPoly([1, 1]), QPoly([2])
-        assert poly_arith(a, b, "add") == QPoly([3, 1])
-        assert poly_arith(a, b, "sub") == QPoly([-1, 1])
-        assert poly_arith(a, b, "mul") == QPoly([2, 2])
-        with pytest.raises(ValueError):
-            poly_arith(a, b, "div")
-
 
 class TestQRational:
     def test_common_factor_cancels(self):
-        r = rational_reduce(monomial(4) - 1, monomial(2) - 1)
+        r = QRational(monomial(4) - 1, monomial(2) - 1)
         assert r.num == monomial(2) + 1
         assert r.den == ONE
         assert r.is_polynomial
 
     def test_already_reduced_is_not_polynomial(self):
-        r = rational_reduce(QPoly([1, 1, 1]), QPoly([1, 1]))
+        r = QRational(QPoly([1, 1, 1]), QPoly([1, 1]))
         assert r.num == QPoly([1, 1, 1])
         assert r.den == QPoly([1, 1])
         assert not r.is_polynomial
 
     def test_zero_numerator_normalizes(self):
-        r = rational_reduce(ZERO, Q - 1)
+        r = QRational(ZERO, Q - 1)
         assert r.num == ZERO and r.den == ONE
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDenominator):
-            rational_reduce(ONE, ZERO)
+            QRational(ONE, ZERO)
 
     def test_sign_normalization(self):
         r = QRational(ONE, 1 - Q)  # denominator has negative leading term
