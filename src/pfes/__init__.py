@@ -26,6 +26,6 @@ from .mirror import (
     main_coefficient_check, main_main_check, even_anomaly_check,
 )
 from .fq_oracle import (
-    SkewFormFp, SubspaceFp, TooLarge,
+    SkewFormFp, TooLarge,
     skew_rank, count_rank_stratum, count_isotropic, count_cut_stratum,
 )

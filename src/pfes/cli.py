@@ -5,25 +5,24 @@ Output formats: plain (bare value / per-point lines), latex (powers of uv),
 json (a versioned RunReport with sorted keys).  Exit codes: 0 all pass,
 1 verification failure, 2 usage or parameter error, 3 resource guard.
 
-Configuration precedence is flags, then PFES_-prefixed environment
-variables, then defaults.  Verification reports never embed wall-clock
-timing (it goes to stderr), so serial and --parallel runs of the same
-command emit byte-identical reports.
+The one configurable setting, the oracle's enumeration guard, is read
+from --max-enum, then PFES_MAX_ENUM, then its default.  Verification
+reports never embed wall-clock timing (it goes to stderr), so serial and
+--parallel runs of the same command emit byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__, suites
 from .qcore import (
-    QPoly, QRational, LowerParamPole, NotDivisible, NotPolynomial,
-    ZeroDenominator, gauss_binomial,
+    QPoly, LowerParamPole, NotDivisible, NotPolynomial, ZeroDenominator,
+    gauss_binomial,
 )
 from .efun import (
     PfaffianParams, RangeError, discrepancy, grassmannian_E,
@@ -32,7 +31,6 @@ from .efun import (
 from .identities import CutParams, f_circ, f_closed, isotropic_E
 from .mirror import even_fiber_E, fiber_E_odd
 from .fq_oracle import SkewFormFp, TooLarge, count_cut_stratum, count_isotropic, count_rank_stratum
-from .caching import load_cache_dir, save_cache_dir
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -42,9 +40,6 @@ EXIT_RESOURCE = 3
 
 # ---------------------------------------------------------------------------
 # rendering
-
-def poly_plain(p: QPoly) -> str:
-    return str(p)
 
 def poly_latex(p: QPoly) -> str:
     if p.is_zero:
@@ -67,10 +62,6 @@ def poly_latex(p: QPoly) -> str:
 
 def poly_json(p: QPoly) -> dict:
     return {"var": "q", "coeffs": list(p.coeffs)}
-
-
-def rational_json(r: QRational) -> dict:
-    return {"num": poly_json(r.num), "den": poly_json(r.den)}
 
 
 def render_report(report: dict) -> str:
@@ -149,7 +140,7 @@ def cmd_compute(args) -> int:
     value = _compute_value(args.target, args)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     if args.format == "plain":
-        print(value if isinstance(value, int) else poly_plain(value))
+        print(value)
     elif args.format == "latex":
         print(value if isinstance(value, int) else poly_latex(value))
     else:
@@ -268,9 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact stringy E-functions of skew-form rank loci: "
                     "compute values, verify identity grids, cross-check "
                     "against finite-field counts.")
-    parser.add_argument("--cache-dir", default=None,
-                        help="persist memoized polynomials between runs "
-                             "(also PFES_CACHE_DIR)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     comp = sub.add_parser("compute", help="print one exact value")
@@ -313,9 +301,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     fmt = getattr(args, "format", "plain")
-    cache_dir = args.cache_dir or os.environ.get("PFES_CACHE_DIR")
-    if cache_dir:
-        load_cache_dir(cache_dir)
     try:
         return args.handler(args)
     except RangeError as exc:
@@ -327,9 +312,6 @@ def main(argv=None) -> int:
     except (NotPolynomial, NotDivisible, ZeroDenominator, LowerParamPole) as exc:
         _emit_error(fmt, str(exc), args.command)
         return EXIT_FAIL
-    finally:
-        if cache_dir:
-            save_cache_dir(cache_dir)
 
 
 if __name__ == "__main__":

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .qcore import (
-    ONE, ZERO, QPoly, QRational, NotDivisible, NotPolynomial,
-    gauss_binomial, geometric_series, monomial, poly_exact_div,
+    ZERO, QPoly, QRational, gauss_binomial, geometric_series, q_quotient,
 )
 
 
@@ -115,17 +114,10 @@ def discrepancy(j: int, params: PfaffianParams) -> int:
 def _rank_locus_weight(p: int, k: int, n: int) -> QPoly:
     # prod_{j=k+1-p}^{(n-1)/2-p} (q^2j - 1)/(q^(2j-2k+2p) - 1); p = 0 gives
     # the weight-normalized product appearing in the closed stringy formula.
-    if k + 1 - p <= 0 <= (n - 1) // 2 - p:
-        return ZERO  # the numerator contains the factor q^0 - 1
-    num = ONE
-    den = ONE
-    for j in range(k + 1 - p, (n - 1) // 2 - p + 1):
-        num = num * (monomial(2 * j) - 1)
-        den = den * (monomial(2 * j - 2 * k + 2 * p) - 1)
-    try:
-        return poly_exact_div(num, den)
-    except NotDivisible as exc:
-        raise NotPolynomial(num, den, f"local weight (p={p}, k={k}, n={n})") from exc
+    # For p > k the range reaches j = 0 and the weight is zero.
+    js = range(k + 1 - p, (n - 1) // 2 - p + 1)
+    return q_quotient((2 * j for j in js), (2 * j - 2 * k + 2 * p for j in js),
+                      f"local weight (p={p}, k={k}, n={n})")
 
 
 def local_contribution(p: int, k: int, n: int) -> QPoly:
@@ -174,12 +166,8 @@ def pf_stringy_rodland(r: int) -> QPoly:
     classical corank >= 3 case, n = 2r + 1:
     ((q^2r - 1)(q^(2r^2-r-1) - 1)) / ((q^2 - 1)(q - 1))."""
     _require(r >= 2, f"need r >= 2, got {r}")
-    num = (monomial(2 * r) - 1) * (monomial(2 * r * r - r - 1) - 1)
-    den = (monomial(2) - 1) * (monomial(1) - 1)
-    try:
-        return poly_exact_div(num, den)
-    except NotDivisible as exc:
-        raise NotPolynomial(num, den, f"closed stringy form (r={r})") from exc
+    return q_quotient([2 * r, 2 * r * r - r - 1], [2, 1],
+                      f"closed stringy form (r={r})")
 
 
 def stringy_degree(n: int, k: int) -> int:

@@ -20,7 +20,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .qcore import gauss_binomial
-from .efun import RangeError, _require
+from .efun import _require
 from . import _kernels
 from ._kernels import pair_index
 
@@ -198,22 +198,6 @@ def iter_subspaces(p: int, n: int, d: int):
             for (r, c), v in zip(free, values):
                 rows[r][c] = v
             yield tuple(tuple(row) for row in rows)
-
-
-@dataclass(frozen=True)
-class SubspaceFp:
-    """A subspace of F_p^n given by its unique reduced row-echelon basis;
-    two values are equal exactly when they are the same subspace."""
-
-    p: int
-    n: int
-    basis: tuple[tuple[int, ...], ...]
-
-
-def subspaces(p: int, n: int, d: int):
-    """All d-dimensional subspaces of F_p^n as SubspaceFp values."""
-    for basis in iter_subspaces(p, n, d):
-        yield SubspaceFp(p, n, basis)
 
 
 def count_isotropic(p: int, n: int, dim_sub: int, alpha: SkewFormFp,

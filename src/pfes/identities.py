@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from .qcore import (
     ONE, ZERO, QPoly, QRational, LowerParamPole, NotDivisible, NotPolynomial,
     gauss_binomial, geometric_series, monomial, neg_qpow, phi_eval,
-    pochhammer, poly_exact_div, qpow,
+    pochhammer, poly_exact_div, q_product, q_quotient, qpow,
 )
-from .efun import RangeError, _rank_locus_weight, _require, grassmannian_E
+from .efun import _rank_locus_weight, _require, grassmannian_E
 
 
 @dataclass(frozen=True)
@@ -89,16 +89,9 @@ def isotropic_E(k: int, i: int, n: int) -> QPoly:
         lo = i + r + 1 - 2 * k
         if lo <= 0:
             continue
-        num = ONE
-        for j in range(lo, i + 1):
-            num = num * (ONE - monomial(2 * j))
-        den = ONE
-        for j in range(1, 2 * k - r + 1):
-            den = den * (ONE - monomial(j))
-        try:
-            cell = poly_exact_div(num, den)
-        except NotDivisible as exc:
-            raise NotPolynomial(num, den, f"isotropic cell (k={k}, i={i}, n={n}, r={r})") from exc
+        cell = q_quotient((2 * j for j in range(lo, i + 1)),
+                          range(1, 2 * k - r + 1),
+                          f"isotropic cell (k={k}, i={i}, n={n}, r={r})")
         total = total + (gauss_binomial(n - 2 * i, r, 1)
                          * monomial((2 * k - r) * (n - 2 * i - r)) * cell)
     return total
@@ -111,15 +104,10 @@ def dual_local_weight(k: int, i: int, n: int) -> QPoly:
     half = (n - 1) // 2
     if i > half - k:
         return ZERO
-    num = ONE
-    den = ONE
-    for j in range(half - k - i + 1, half - i + 1):
-        num = num * (monomial(2 * j) - 1)
-        den = den * (monomial(2 * j - n + 1 + 2 * k + 2 * i) - 1)
-    try:
-        return poly_exact_div(num, den)
-    except NotDivisible as exc:
-        raise NotPolynomial(num, den, f"dual weight (k={k}, i={i}, n={n})") from exc
+    js = range(half - k - i + 1, half - i + 1)
+    return q_quotient((2 * j for j in js),
+                      (2 * j - n + 1 + 2 * k + 2 * i for j in js),
+                      f"dual weight (k={k}, i={i}, n={n})")
 
 
 def f_closed(params: CutParams) -> QPoly:
@@ -153,9 +141,16 @@ def verify_newrec(params: CutParams) -> IdentityReport:
     lhs = ZERO
     for p in range(1, k + 1):
         lhs = lhs + grassmannian_E(n - 2 * k, n - 2 * p) * f_circ(CutParams(n, p, i))
-    rhs = (geometric_series(2 * k * k - k - 1) * grassmannian_E(2 * k, n)
-           + monomial(2 * k * k - k - 1) * isotropic_E(k, i, n))
+    rhs = _smooth_rhs(k, n) + _cut_rhs(k, i, n)
     return _report("newrec", (k, i, n), QRational(lhs), QRational(rhs))
+
+
+def _smooth_rhs(k: int, n: int) -> QPoly:
+    return geometric_series(2 * k * k - k - 1) * gauss_binomial(n, 2 * k, 1)
+
+
+def _cut_rhs(k: int, i: int, n: int) -> QPoly:
+    return monomial(2 * k * k - k - 1) * isotropic_E(k, i, n)
 
 
 def _recursion_sum(k: int, n: int, js: range, value) -> tuple[QPoly, QPoly]:
@@ -170,12 +165,7 @@ def _recursion_sum(k: int, n: int, js: range, value) -> tuple[QPoly, QPoly]:
     called only for the j whose coefficient does not vanish.
     """
     top = 2 * (k - js.start)
-    lin = {j: ONE - monomial(n + 1 - 2 * j) for j in js}
-    den = ONE
-    for t in range(1, top + 1):
-        den = den * (ONE - monomial(t))
-    for factor in lin.values():
-        den = den * factor
+    den = q_product([*range(1, top + 1), *(n + 1 - 2 * j for j in js)])
     total = ZERO
     for j in js:
         pich = pochhammer(qpow(n + 3 - 4 * k + 2 * j), 2, 2 * k - 2 * j)
@@ -184,14 +174,11 @@ def _recursion_sum(k: int, n: int, js: range, value) -> tuple[QPoly, QPoly]:
         if pich.shift != 0:
             raise RuntimeError(f"recursion coefficient (k={k}, j={j}, n={n}) "
                                f"is not a polynomial")
-        term = (value(j).shift(2 * (k - j) ** 2 - (k - j))
-                * (ONE - monomial(n + 1 - 2 * k)) * pich.body)
-        for t in range(2 * k - 2 * j + 1, top + 1):
-            term = term * (ONE - monomial(t))      # (q;q)_top/(q;q)_{2k-2j}
-        for jp, factor in lin.items():
-            if jp != j:
-                term = term * factor
-        total = total + term
+        # (1 - q^(n+1-2k)), (q;q)_top/(q;q)_{2k-2j} and the other j's
+        # linear factors of the common denominator
+        rest = q_product([n + 1 - 2 * k, *range(2 * k - 2 * j + 1, top + 1),
+                          *(n + 1 - 2 * jp for jp in js if jp != j)])
+        total = total + value(j).shift(2 * (k - j) ** 2 - (k - j)) * rest * pich.body
     return total, den
 
 
@@ -209,8 +196,7 @@ def solve_newcor(k_max: int, i: int, n: int) -> list[QPoly]:
     _require(1 <= i <= half, f"need 1 <= i <= (n-1)/2, got {i}")
     solved: list[QPoly] = []
     for k in range(1, k_max + 1):
-        rhs = (geometric_series(2 * k * k - k - 1) * grassmannian_E(2 * k, n)
-               + monomial(2 * k * k - k - 1) * isotropic_E(k, i, n))
+        rhs = _smooth_rhs(k, n) + _cut_rhs(k, i, n)
         acc, den = _recursion_sum(k, n, range(1, k), lambda j: solved[j - 1])
         try:
             f_k = poly_exact_div(rhs * den - acc, den)
@@ -233,7 +219,7 @@ def verify_hj(a: int, b: int) -> IdentityReport:
         lhs = lhs + ((-1) ** s) * term
     closed_num = (pochhammer(qpow(2 * b - 4 * a + 4), 2, 2 * a)
                   * (monomial(2 * a * a - a) * (ONE - monomial(2 * b - 2 * a + 2))))
-    closed_den = (ONE - monomial(2 * b + 2)) * pochhammer(qpow(1), 1, 2 * a).body
+    closed_den = q_product([2 * b + 2, *range(1, 2 * a + 1)])
     rhs = closed_num.as_rational() / QRational(closed_den)
     return _report("hj", (a, b), QRational(lhs), rhs)
 
@@ -259,14 +245,6 @@ def _cut_lhs_sum(k: int, i: int, n: int) -> QRational:
         k, n, range(0, k + 1),
         lambda j: gauss_binomial(half - i, j, 2).shift(n * j))
     return QRational(total, den.shift(1))
-
-
-def _smooth_rhs(k: int, n: int) -> QPoly:
-    return geometric_series(2 * k * k - k - 1) * gauss_binomial(n, 2 * k, 1)
-
-
-def _cut_rhs(k: int, i: int, n: int) -> QPoly:
-    return monomial(2 * k * k - k - 1) * isotropic_E(k, i, n)
 
 
 def verify_AC_BD(params: CutParams) -> list[IdentityReport]:
@@ -308,7 +286,7 @@ def verify_phi_reductions(params: CutParams) -> list[IdentityReport]:
                          2, qpow(n + 2 - 2 * i), k)
         pre_num = (pochhammer(qpow(n + 3 - 4 * k), 2, 2 * k)
                    * (monomial(2 * k * k - k - 1) * (ONE - monomial(n + 1 - 2 * k))))
-        pre_den = (ONE - monomial(n + 1)) * pochhammer(qpow(1), 1, 2 * k).body
+        pre_den = q_product([n + 1, *range(1, 2 * k + 1)])
         rhs_b = pre_num.as_rational() / QRational(pre_den) * phi_b
         reports.append(_report("phi-3phi2-cut-part", (k, i, n),
                                _cut_lhs_sum(k, i, n), rhs_b))

@@ -19,14 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .qcore import (
-    ONE, ZERO, QPoly, QRational, NotDivisible, NotPolynomial,
-    gauss_binomial, geometric_series, monomial, poly_exact_div,
+    ZERO, QPoly, QRational, geometric_series, monomial, q_quotient,
 )
 from .efun import (
-    RangeError, _rank_locus_weight, _require,
+    _rank_locus_weight, _require,
     grassmannian_E, local_contribution, pf_stringy_rodland,
 )
-from .identities import CutParams, IdentityReport, _report, dual_local_weight, solve_newcor
+from .identities import IdentityReport, _report, dual_local_weight, solve_newcor
 
 
 @dataclass(frozen=True)
@@ -65,13 +64,8 @@ def fiber_E_odd(k: int, n: int) -> QPoly:
     n-space by a skew form of corank 2k+1 (odd n)."""
     _require(n % 2 == 1 and n >= 3, f"n must be odd and >= 3, got {n}")
     _require(0 <= 2 * k + 1 <= n, f"need 0 <= 2k+1 <= n, got k={k}, n={n}")
-    kernel_part = QPoly([1 if t % 2 == 0 else 0 for t in range(2 * k - 1)])
-    first = kernel_part * monomial(n - 1)
-    try:
-        second = poly_exact_div(geometric_series(n - 1) ** 2, ONE + monomial(1))
-    except NotDivisible as exc:
-        raise NotPolynomial(geometric_series(n - 1) ** 2, ONE + monomial(1),
-                            f"generic fiber (k={k}, n={n})") from exc
+    first = geometric_series(k, 2) * monomial(n - 1)
+    second = q_quotient([n - 1, n - 1], [1, 2], f"generic fiber (k={k}, n={n})")
     return first + second
 
 
@@ -79,14 +73,8 @@ def even_fiber_E(k: int, n: int) -> QPoly:
     """Even-n analogue of fiber_E_odd, for a form of corank 2k."""
     _require(n % 2 == 0 and n >= 4, f"n must be even and >= 4, got {n}")
     _require(k >= 0 and 2 * k <= n, f"need 0 <= 2k <= n, got k={k}, n={n}")
-    kernel_part = QPoly([1 if t % 2 == 0 else 0 for t in range(2 * k - 1)])
-    first = kernel_part * monomial(n - 2)
-    num = (monomial(n - 2) - 1) * (monomial(n) - 1)
-    den = (monomial(1) - 1) ** 2 * (monomial(1) + 1)
-    try:
-        second = poly_exact_div(num, den)
-    except NotDivisible as exc:
-        raise NotPolynomial(num, den, f"even generic fiber (k={k}, n={n})") from exc
+    first = geometric_series(k, 2) * monomial(n - 2)
+    second = q_quotient([n - 2, n], [1, 2], f"even generic fiber (k={k}, n={n})")
     return first + second
 
 
@@ -108,8 +96,8 @@ def main_coefficient_check(k: int) -> IdentityReport:
     _require(k >= 2, f"need k >= 2, got {k}")
     lhs = (QRational(pf_stringy_rodland(k))
            * QRational(monomial(1) - 1, monomial(2 * k * k - k - 1) - 1))
-    weight = QPoly([1 if t % 2 == 0 else 0 for t in range(2 * k - 1)])
-    return _report("main-coefficient", (k,), lhs, QRational(weight))
+    return _report("main-coefficient", (k,), lhs,
+                   QRational(geometric_series(k, 2)))
 
 
 def main_main_check(n: int, k: int) -> MirrorCheckReport:

@@ -3,7 +3,9 @@
 Provides dense integer-coefficient polynomials (QPoly), reduced rational
 functions (QRational), Laurent polynomials (QLaurent), signed q-powers
 (PowerParam), q-Pochhammer symbols, Gaussian binomial coefficients and a
-terminating basic hypergeometric summator.
+terminating basic hypergeometric summator.  Products of factors
+(1 - q**a) and exact quotients of two such products are built here, by
+q_product and q_quotient; other modules pass them only the exponents.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use requires no locking.  Coefficients are Python
@@ -13,8 +15,10 @@ integers, hence arbitrary precision; nothing here ever rounds.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Sequence
 
 
@@ -173,10 +177,6 @@ class QPoly:
             return ZERO
         return QPoly((0,) * m + self.coeffs)
 
-    def reciprocal(self) -> "QPoly":
-        """q**degree * P(1/q), i.e. the coefficient-reversed polynomial."""
-        return QPoly(tuple(reversed(self.coeffs)))
-
     @property
     def is_palindromic(self) -> bool:
         return self.coeffs == tuple(reversed(self.coeffs))
@@ -223,11 +223,14 @@ def monomial(exponent: int, coefficient: int = 1) -> QPoly:
     return QPoly.monomial(exponent, coefficient)
 
 
-def geometric_series(m: int) -> QPoly:
-    """(q**m - 1)/(q - 1) = 1 + q + ... + q**(m-1); zero for m = 0."""
+def geometric_series(m: int, base_exp: int = 1) -> QPoly:
+    """(q**(b*m) - 1)/(q**b - 1) = 1 + q**b + ... + q**(b*(m-1)) with
+    b = base_exp; zero for m = 0."""
     if m < 0:
         raise ValueError("geometric_series needs m >= 0")
-    return QPoly([1] * m)
+    if base_exp < 1:
+        raise ValueError("base_exp must be a positive integer")
+    return QPoly(([1] + [0] * (base_exp - 1)) * m)
 
 
 def poly_exact_div(num: QPoly, den: QPoly) -> QPoly:
@@ -255,6 +258,30 @@ def poly_exact_div(num: QPoly, den: QPoly) -> QPoly:
     if any(rem):
         raise NotDivisible(num, den)
     return QPoly(quo)
+
+
+def q_product(exponents: Iterable[int]) -> QPoly:
+    """Product of the factors (1 - q**a) over the exponents a; ONE for none."""
+    factors = [ONE - monomial(a) for a in exponents]
+    return reduce(operator.mul, factors) if factors else ONE
+
+
+def q_quotient(tops: Iterable[int], bottoms: Iterable[int],
+               context: str) -> QPoly:
+    """Exact quotient q_product(tops) / q_product(bottoms).
+
+    ZERO when 0 is among the tops, decided before any factor is built, so
+    such tops may run on into negative exponents.  Raises NotPolynomial,
+    labelled with context, when the division leaves a remainder.
+    """
+    tops = list(tops)
+    if 0 in tops:
+        return ZERO
+    num, den = q_product(tops), q_product(bottoms)
+    try:
+        return poly_exact_div(num, den)
+    except NotDivisible as exc:
+        raise NotPolynomial(num, den, context) from exc
 
 
 def _pseudo_rem(a: QPoly, b: QPoly) -> QPoly:
@@ -564,12 +591,9 @@ def gauss_binomial(m: int, r: int, base_exp: int = 1) -> QPoly:
     cached = _GAUSS_CACHE.get(key)
     if cached is not None:
         return cached
-    num = ONE
-    den = ONE
-    for i in range(r):
-        num = num * (ONE - monomial(base_exp * (m - i)))
-        den = den * (ONE - monomial(base_exp * (i + 1)))
-    value = poly_exact_div(num, den)
+    value = q_quotient((base_exp * (m - i) for i in range(r)),
+                       (base_exp * (i + 1) for i in range(r)),
+                       f"Gaussian binomial (m={m}, r={r}, base_exp={base_exp})")
     _GAUSS_CACHE[key] = value
     return value
 

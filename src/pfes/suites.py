@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .qcore import QPoly, monomial
+from .qcore import QPoly, geometric_series, monomial
 from .efun import (
     PfaffianParams, _rank_locus_weight, grassmannian_E, nondeg_skew_E,
     pf_stringy_closed, pf_stringy_recursive, pf_stringy_rodland, projective_E,
@@ -68,8 +68,8 @@ def _run_sum(point):
     (r,) = point
     lhs = QPoly()
     for i in range(1, r):
-        weight = QPoly([1 if t % 2 == 0 else 0 for t in range(2 * (r - i) - 1)])
-        lhs = lhs + weight * nondeg_skew_E(i) * grassmannian_E(2 * i, 2 * r + 1)
+        lhs = (lhs + geometric_series(r - i, 2) * nondeg_skew_E(i)
+               * grassmannian_E(2 * i, 2 * r + 1))
     if r == 1:
         rhs = QPoly()
     else:

@@ -1,4 +1,4 @@
-"""Command-line surface: output formats, exit codes, determinism, caching."""
+"""Command-line surface: output formats, exit codes, determinism."""
 
 import json
 import shutil
@@ -6,7 +6,7 @@ import subprocess
 
 import pytest
 
-from pfes import caching, cli, efun, qcore, suites
+from pfes import cli, suites
 
 
 def run_cli(capsys, *argv):
@@ -154,49 +154,6 @@ class TestOracle:
         code, _, _ = run_cli(capsys, "oracle", "rank-stratum", "--p", "4",
                              "--n", "4", "--rank", "2")
         assert code == 2
-
-
-class TestCacheDir:
-    def test_cache_roundtrip_is_semantically_invisible(self, capsys, tmp_path):
-        cache = str(tmp_path / "cache")
-        code, first, _ = run_cli(capsys, "--cache-dir", cache, "compute",
-                                 "e-skew", "--i", "4")
-        assert code == 0
-        assert (tmp_path / "cache" / caching.CACHE_FILENAME).exists()
-        qcore._GAUSS_CACHE.clear()
-        efun._NONDEG_CACHE.clear()
-        code, second, _ = run_cli(capsys, "--cache-dir", cache, "compute",
-                                  "e-skew", "--i", "4")
-        assert code == 0 and second == first
-        qcore._GAUSS_CACHE.clear()
-        efun._NONDEG_CACHE.clear()
-        code, third, _ = run_cli(capsys, "compute", "e-skew", "--i", "4")
-        assert third == first
-
-    def test_corrupt_cache_warns_and_recomputes(self, capsys, tmp_path):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        (cache / caching.CACHE_FILENAME).write_text("{not json")
-        code, out, err = run_cli(capsys, "--cache-dir", str(cache), "compute",
-                                 "e-skew", "--i", "2")
-        assert code == 0
-        assert out == "q^5-q^2\n"
-        assert "ignoring corrupt cache" in err
-
-    def test_wrong_version_rejected(self, tmp_path, capsys):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        (cache / caching.CACHE_FILENAME).write_text('{"version": 99}')
-        assert not caching.load_cache_dir(str(cache))
-        _, _, err = run_cli(capsys, "--cache-dir", str(cache), "compute",
-                            "e-skew", "--i", "2")
-        assert "unsupported" in err or "ignoring" in err
-
-    def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("PFES_CACHE_DIR", str(tmp_path / "envcache"))
-        code, _, _ = run_cli(capsys, "compute", "e-skew", "--i", "2")
-        assert code == 0
-        assert (tmp_path / "envcache" / caching.CACHE_FILENAME).exists()
 
 
 class TestConsoleScript:

@@ -140,13 +140,6 @@ class TestSubspaceEnumeration:
         seen = set(iter_subspaces(2, 4, 2))
         assert len(seen) == gauss_binomial(4, 2, 1)(2)
 
-    def test_subspace_values_compare_by_canonical_basis(self):
-        from pfes.fq_oracle import SubspaceFp, subspaces
-        all_planes = list(subspaces(2, 4, 2))
-        assert len(set(all_planes)) == len(all_planes)
-        again = SubspaceFp(2, 4, all_planes[0].basis)
-        assert again == all_planes[0]
-
 
 class TestIsotropicCounts:
     def test_anchor_value(self):

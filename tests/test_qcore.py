@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from pfes.qcore import (
     ONE, ZERO, Q, QLaurent, QPoly, QRational, PowerParam,
-    LowerParamPole, NotDivisible, ZeroDenominator,
+    LowerParamPole, NotDivisible, NotPolynomial, ZeroDenominator,
     gauss_binomial, geometric_series, monomial, neg_qpow, phi_eval,
-    pochhammer, poly_exact_div, poly_gcd, qpow,
+    pochhammer, poly_exact_div, poly_gcd, q_product, q_quotient, qpow,
 )
 
 
@@ -218,6 +218,63 @@ class TestGaussBinomial:
             for s in range(0, a + 1):
                 total = total + (-1) ** s * monomial(s * (s - 1)) * gauss_binomial(a, s, 2)
             assert total == (ONE if a == 0 else ZERO)
+
+
+def schoolbook_product(exponents):
+    out = ONE
+    for a in exponents:
+        out = out * (ONE - monomial(a))
+    return out
+
+
+exponent_lists = st.lists(st.integers(1, 9), max_size=5)
+
+
+class TestQProducts:
+    """q_product and q_quotient against an explicit (1 - q^a) loop and
+    poly_exact_div."""
+
+    @given(exponent_lists)
+    def test_product_matches_schoolbook(self, exponents):
+        assert q_product(exponents) == schoolbook_product(exponents)
+
+    @given(exponent_lists, exponent_lists)
+    def test_quotient_matches_schoolbook(self, tops, bottoms):
+        num, den = schoolbook_product(tops), schoolbook_product(bottoms)
+        try:
+            expected = poly_exact_div(num, den)
+        except NotDivisible:
+            with pytest.raises(NotPolynomial, match="cell 7"):
+                q_quotient(tops, bottoms, "cell 7")
+        else:
+            assert q_quotient(tops, bottoms, "cell 7") == expected
+
+    @given(exponent_lists, exponent_lists)
+    def test_quotient_of_a_multiple(self, extra, bottoms):
+        tops = list(reversed(bottoms)) + extra
+        assert q_quotient(tops, bottoms, "") == schoolbook_product(extra)
+
+    def test_empty_lists_give_one(self):
+        assert q_product([]) == ONE
+        assert q_quotient([], [], "") == ONE
+
+    @given(st.lists(st.integers(-9, 9), max_size=4),
+           st.lists(st.integers(1, 9), max_size=4))
+    def test_zero_top_gives_zero_before_negative_tops(self, tops, bottoms):
+        # (1 - q^a) with a < 0 is not a polynomial; the 0 decides first
+        assert q_quotient([*tops, 0, -3], bottoms, "") == ZERO
+
+    def test_remainder_raises_with_context(self):
+        with pytest.raises(NotPolynomial) as info:
+            q_quotient([1], [2], "dual weight (k=1, i=2, n=7)")
+        assert info.value.num == ONE - Q
+        assert info.value.den == ONE - monomial(2)
+        assert "dual weight (k=1, i=2, n=7)" in str(info.value)
+
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    @pytest.mark.parametrize("m", range(0, 7))
+    def test_geometric_series_is_a_binomial(self, m, b):
+        assert geometric_series(m, b) == gauss_binomial(m, 1, b)
 
 
 class TestPolyGcd:
