@@ -182,20 +182,24 @@ def _recursion_sum(k: int, n: int, js: range, value) -> tuple[QPoly, QPoly]:
     return total, den
 
 
+_NEWCOR_CACHE: dict[tuple[int, int], list[QPoly]] = {}
+
+
 def solve_newcor(k_max: int, i: int, n: int) -> list[QPoly]:
     """Solve the triangular recursion for the weighted cut E-functions at
     k = 1..k_max, using only Grassmannian and isotropic E-polynomials and
     the recursion coefficients.
 
     This path is independent of f_closed, so termwise agreement with it is a
-    genuine verification of the closed formula.
+    genuine verification of the closed formula.  The longest solution per
+    (i, n) is memoized and extended on demand; each call gets a fresh list.
     """
     half = (n - 1) // 2
     _require(n >= 5 and n % 2 == 1, f"n must be odd and >= 5, got {n}")
     _require(1 <= k_max <= half, f"need 1 <= k_max <= (n-1)/2, got {k_max}")
     _require(1 <= i <= half, f"need 1 <= i <= (n-1)/2, got {i}")
-    solved: list[QPoly] = []
-    for k in range(1, k_max + 1):
+    solved = list(_NEWCOR_CACHE.get((i, n), ()))
+    for k in range(len(solved) + 1, k_max + 1):
         rhs = _smooth_rhs(k, n) + _cut_rhs(k, i, n)
         acc, den = _recursion_sum(k, n, range(1, k), lambda j: solved[j - 1])
         try:
@@ -204,7 +208,8 @@ def solve_newcor(k_max: int, i: int, n: int) -> list[QPoly]:
             raise NotPolynomial(rhs * den - acc, den,
                                 f"triangular solve (k={k}, i={i}, n={n})") from exc
         solved.append(f_k)
-    return solved
+    _NEWCOR_CACHE[i, n] = solved
+    return solved[:k_max]
 
 
 def verify_hj(a: int, b: int) -> IdentityReport:

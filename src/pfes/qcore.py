@@ -7,6 +7,11 @@ terminating basic hypergeometric summator.  Products of factors
 (1 - q**a) and exact quotients of two such products are built here, by
 q_product and q_quotient; other modules pass them only the exponents.
 
+A dense product is one big-integer multiply, by Kronecker substitution
+(Schoenhage 1982; Harvey, J. Symbolic Comput. 44, 2009); poly_gcd returns
+the gcd with both cofactors, by the heuristic GCDHEU with a
+pseudo-remainder sequence as the fallback.
+
 All values are immutable after construction and every operation is a pure
 function, so concurrent use requires no locking.  Coefficients are Python
 integers, hence arbitrary precision; nothing here ever rounds.
@@ -15,11 +20,10 @@ integers, hence arbitrary precision; nothing here ever rounds.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from typing import Iterable, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 
 
 class NotDivisible(Exception):
@@ -102,6 +106,8 @@ class QPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        if len(self.coeffs) <= 1:  # a constant hashes like the int it equals
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     def __neg__(self) -> "QPoly":
@@ -140,11 +146,20 @@ class QPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZERO
+        terms_a = [(i, c) for i, c in enumerate(a) if c]
+        terms_b = [(j, c) for j, c in enumerate(b) if c]
+        if len(terms_a) > len(terms_b):
+            terms_a, terms_b = terms_b, terms_a
+        if len(terms_a) > _SPARSE_TERMS:
+            # Kronecker substitution: 2**(8*width) > 2 * max|a| * max|b| * terms
+            width = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+                     + len(terms_a).bit_length()) // 8 + 1
+            return QPoly(_unpack(_pack(a, width) * _pack(b, width),
+                                 width, len(a) + len(b) - 1))
         out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
+        for i, ca in terms_a:
+            for j, cb in terms_b:
+                out[i + j] += ca * cb
         return QPoly(out)
 
     __rmul__ = __mul__
@@ -206,6 +221,31 @@ class QPoly:
         return f"QPoly({self.coeffs!r})"
 
 
+# A product whose sparser operand has at most this many nonzero terms is
+# formed term by term; denser products go through one big-integer multiply.
+_SPARSE_TERMS = 16
+
+
+def _halves(width: int, count: int) -> int:
+    # 2**(8*width-1) in each of count base-2**(8*width) digits
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    """The polynomial's value at 2**(8*width); needs |c| < 2**(8*width-1)."""
+    half = 1 << (8 * width - 1)
+    packed = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(packed, "little") - _halves(width, len(coeffs))
+
+
+def _unpack(value: int, width: int, count: int) -> list[int]:
+    """The count symmetric base-2**(8*width) digits of value, lowest first."""
+    raw = (value + _halves(width, count)).to_bytes(width * count, "little")
+    half = 1 << (8 * width - 1)
+    return [int.from_bytes(raw[t:t + width], "little") - half
+            for t in range(0, width * count, width)]
+
+
 def _coerce_poly(value):
     if isinstance(value, QPoly):
         return value
@@ -262,8 +302,10 @@ def poly_exact_div(num: QPoly, den: QPoly) -> QPoly:
 
 def q_product(exponents: Iterable[int]) -> QPoly:
     """Product of the factors (1 - q**a) over the exponents a; ONE for none."""
-    factors = [ONE - monomial(a) for a in exponents]
-    return reduce(operator.mul, factors) if factors else ONE
+    exponents = list(exponents)
+    if min(exponents, default=0) < 0:
+        raise ValueError("QPoly exponents must be non-negative")
+    return q_quotient(exponents, (), "")
 
 
 def q_quotient(tops: Iterable[int], bottoms: Iterable[int],
@@ -273,15 +315,28 @@ def q_quotient(tops: Iterable[int], bottoms: Iterable[int],
     ZERO when 0 is among the tops, decided before any factor is built, so
     such tops may run on into negative exponents.  Raises NotPolynomial,
     labelled with context, when the division leaves a remainder.
+
+    In place on one coefficient list: a factor (1 - q**a) subtracts a shifted
+    copy; a divisor (1 - q**b) is a running sum per residue class mod b,
+    exact iff the top b sums vanish.
     """
-    tops = list(tops)
+    tops, bottoms = list(tops), list(bottoms)
     if 0 in tops:
         return ZERO
-    num, den = q_product(tops), q_product(bottoms)
-    try:
-        return poly_exact_div(num, den)
-    except NotDivisible as exc:
-        raise NotPolynomial(num, den, context) from exc
+    if min(tops + bottoms, default=0) < 0:
+        raise ValueError("QPoly exponents must be non-negative")
+    if 0 in bottoms:
+        raise ZeroDenominator("division by the zero polynomial")
+    cs = [1] + [0] * sum(tops)
+    for a, deg in zip(tops, accumulate(tops)):
+        cs[a:deg + 1] = [x - y for x, y in zip(cs[a:deg + 1], cs)]
+    for b in bottoms:
+        for r in range(b):
+            cs[r::b] = accumulate(cs[r::b])
+        if any(cs[-b:]):
+            raise NotPolynomial(q_product(tops), q_product(bottoms), context)
+        del cs[-b:]
+    return QPoly(cs)
 
 
 def _pseudo_rem(a: QPoly, b: QPoly) -> QPoly:
@@ -310,16 +365,9 @@ def _primitive_part(p: QPoly) -> QPoly:
     return out if out.lc > 0 else -out
 
 
-def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """GCD in Z[q] (content included), normalized to positive leading term.
-
-    Primitive pseudo-remainder sequence; good enough for the modest degrees
-    (a few hundred) that arise here.
-    """
-    if a.is_zero:
-        return _primitive_part(b)
-    if b.is_zero:
-        return _primitive_part(a)
+def _prs_gcd(a: QPoly, b: QPoly) -> QPoly:
+    """GCD of two nonzero polynomials by the primitive pseudo-remainder
+    sequence, content included, with positive leading coefficient."""
     cont = math.gcd(a.content(), b.content())
     x, y = _primitive_part(a), _primitive_part(b)
     if x.degree < y.degree:
@@ -327,6 +375,43 @@ def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
     while not y.is_zero:
         x, y = y, _primitive_part(_pseudo_rem(x, y))
     return QPoly([c * cont for c in x.coeffs])
+
+
+def _heuristic_gcds(x: QPoly, y: QPoly) -> Iterator[QPoly]:
+    """GCDHEU (Char, Geddes, Gonnet, J. Symbolic Comput. 7, 1989) for
+    primitive x, y: for a few xi = 2**k > 2 * max(|x|, |y|) + 2, the
+    primitive part of the polynomial whose symmetric base-xi digits are
+    gcd(x(xi), y(xi)).  A candidate that divides x and y is their gcd."""
+    norm = max(max(map(abs, x.coeffs)), max(map(abs, y.coeffs)))
+    width = (norm.bit_length() + 2) // 8 + 1
+    for _ in range(4):
+        gamma = math.gcd(_pack(x.coeffs, width), _pack(y.coeffs, width))
+        digits = _unpack(gamma, width, gamma.bit_length() // (8 * width) + 2)
+        h = _primitive_part(QPoly(digits))
+        if h.degree <= min(x.degree, y.degree):
+            yield h
+        width += width // 2 + 1
+
+
+def poly_gcd(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly, QPoly]:
+    """(g, a/g, b/g), g the GCD in Z[q] (content included) with a positive
+    leading coefficient; gcd(a, 0) is +-a.  The exact divisions giving the
+    cofactors prove GCDHEU's candidate; if none divides both, the primitive
+    pseudo-remainder sequence decides."""
+    if a.is_zero or b.is_zero:
+        sign = -1 if (a + b).lc < 0 else 1
+        return sign * (a + b), QPoly([sign if a else 0]), QPoly([sign if b else 0])
+    cont = math.gcd(a.content(), b.content())
+    for h in _heuristic_gcds(_primitive_part(a), _primitive_part(b)):
+        g = h if cont == 1 else QPoly([c * cont for c in h.coeffs])
+        if g == ONE:
+            return ONE, a, b
+        try:
+            return g, poly_exact_div(a, g), poly_exact_div(b, g)
+        except NotDivisible:
+            continue
+    g = _prs_gcd(a, b)
+    return g, poly_exact_div(a, g), poly_exact_div(b, g)
 
 
 class QRational:
@@ -348,10 +433,7 @@ class QRational:
         if num.is_zero:
             num, den = ZERO, ONE
         elif den != ONE:
-            g = poly_gcd(num, den)
-            if g != ONE:
-                num = poly_exact_div(num, g)
-                den = poly_exact_div(den, g)
+            _, num, den = poly_gcd(num, den)
         if den.lc < 0:
             num, den = -num, -den
         self.num = num
@@ -377,6 +459,8 @@ class QRational:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        if self.den == ONE:  # a polynomial hashes like the QPoly it equals
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __neg__(self):

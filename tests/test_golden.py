@@ -1,7 +1,9 @@
 """Behaviour lock: every `pfes verify <suite> --format json` report at the
 default bounds is byte-identical to the one pinned in bench/golden.json,
-serially and with --parallel.  The pinned bytes include the exact set of
-skipped `phi` points, so a pass that turns into a skip is caught too."""
+serially and with --parallel, and so is every report at `--max-n 17`, whose
+high-degree products take the Kronecker multiply.  The pinned bytes include
+the exact set of skipped `phi` points, so a pass that turns into a skip is
+caught too."""
 
 import contextlib
 import hashlib
@@ -25,20 +27,24 @@ def _load_workloads():
     return module
 
 
-SUITE_ORDER = _load_workloads().SUITE_ORDER
-GOLDEN = json.loads((BENCH / "golden.json").read_text())["verify-default"]
+WORKLOADS = _load_workloads()
+GOLDEN = json.loads((BENCH / "golden.json").read_text())
 
 
-@pytest.mark.parametrize("extra", [(), ("--parallel",)],
-                         ids=["serial", "parallel"])
-def test_verify_reports_match_golden(extra):
+@pytest.mark.parametrize("workload, extra", [
+    ("verify-default", ()),
+    ("verify-default", ("--parallel",)),
+    ("verify-wide", ()),
+], ids=["serial", "parallel", "wide-serial"])
+def test_verify_reports_match_golden(workload, extra):
+    args = (*WORKLOADS.VERIFY_ARGS[workload], *extra)
     mismatched = []
-    for suite in SUITE_ORDER:
+    for suite in WORKLOADS.SUITE_ORDER:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(["verify", suite, "--format", "json", *extra])
+            code = cli.main(["verify", suite, "--format", "json", *args])
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-        if code != 0 or digest != GOLDEN[suite]["sha256"]:
+        if code != 0 or digest != GOLDEN[workload][suite]["sha256"]:
             mismatched.append(suite)
     assert not mismatched

@@ -5,6 +5,7 @@ binomial identity and the hypergeometric rewrites."""
 import pytest
 
 from pfes.qcore import ONE, QPoly, QRational, ZERO, gauss_binomial, geometric_series, monomial, pochhammer, qpow
+from pfes import identities
 from pfes.efun import RangeError
 from pfes.identities import (
     CutParams, IdentityReport,
@@ -121,6 +122,35 @@ class TestSolveNewcor:
                 got = solve_newcor(half, i, n)
                 for k in range(1, half + 1):
                     assert got[k - 1] == f_closed(CutParams(n, k, i)), (n, k, i)
+
+
+class TestSolveNewcorMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(identities, "_NEWCOR_CACHE", {})
+
+    @pytest.mark.parametrize("short_first", [True, False])
+    def test_shorter_solve_is_a_prefix(self, short_first):
+        if short_first:
+            short, full = solve_newcor(2, 2, 11), solve_newcor(5, 2, 11)
+        else:
+            full, short = solve_newcor(5, 2, 11), solve_newcor(2, 2, 11)
+        assert short == full[:2]
+        assert full == [f_closed(CutParams(11, k, 2)) for k in range(1, 6)]
+
+    def test_returned_list_is_fresh(self):
+        got = solve_newcor(3, 2, 9)
+        got[0] = ZERO
+        got.append(ONE)
+        assert solve_newcor(3, 2, 9) == [f_closed(CutParams(9, k, 2)) for k in (1, 2, 3)]
+        assert solve_newcor(2, 2, 9) == [f_closed(CutParams(9, k, 2)) for k in (1, 2)]
+
+    @pytest.mark.parametrize("args", [(0, 1, 7), (4, 1, 7), (3, 4, 7), (3, 0, 7)])
+    def test_invalid_arguments_raise_even_when_memoized(self, args):
+        solve_newcor(3, 1, 7)
+        solve_newcor(3, 3, 7)
+        with pytest.raises(RangeError):
+            solve_newcor(*args)
 
 
 class TestHj:

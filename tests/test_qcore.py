@@ -6,9 +6,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pfes import qcore
 from pfes.qcore import (
     ONE, ZERO, Q, QLaurent, QPoly, QRational, PowerParam,
     LowerParamPole, NotDivisible, NotPolynomial, ZeroDenominator,
+    _SPARSE_TERMS, _prs_gcd,
     gauss_binomial, geometric_series, monomial, neg_qpow, phi_eval,
     pochhammer, poly_exact_div, poly_gcd, q_product, q_quotient, qpow,
 )
@@ -38,6 +40,48 @@ def gauss_binomial_by_partitions(m, r, b):
 
 
 small_polys = st.lists(st.integers(-9, 9), max_size=6).map(QPoly)
+
+
+def schoolbook_mul(a, b):
+    """Reference product: every coefficient pair, zeros included."""
+    if a.is_zero or b.is_zero:
+        return ZERO
+    out = [0] * (a.degree + b.degree + 1)
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            out[i + j] += ca * cb
+    return QPoly(out)
+
+
+def terms_of(data, min_terms, max_terms, max_degree=300, bound=2 ** 200):
+    """A polynomial with the given range of nonzero terms, placed at random
+    exponents up to max_degree, so long zero runs occur."""
+    terms = data.draw(st.dictionaries(
+        st.integers(0, max_degree),
+        st.integers(-bound, bound).filter(bool),
+        min_size=min_terms, max_size=max_terms))
+    cs = [0] * (max(terms, default=-1) + 1)
+    for e, c in terms.items():
+        cs[e] = c
+    return QPoly(cs)
+
+
+def reduce_by_prs(num, den):
+    """Reference reduction: PRS gcd, then divide, then make lc(den) > 0."""
+    g = _prs_gcd(num, den)
+    num, den = poly_exact_div(num, g), poly_exact_div(den, g)
+    return (-num, -den) if den.lc < 0 else (num, den)
+
+
+def planted(data):
+    """(a, b): a high-degree common factor of (1 - q^e) factors and a dense
+    part, times two cofactors, each possibly with an integer content."""
+    exps = data.draw(st.lists(st.integers(1, 30), max_size=8))
+    dense = terms_of(data, 1, 40, max_degree=60, bound=2 ** 20)
+    common = q_product(exps) * dense * data.draw(st.integers(1, 6))
+    u = terms_of(data, 1, 30, max_degree=60, bound=2 ** 12)
+    v = terms_of(data, 1, 30, max_degree=60, bound=2 ** 12)
+    return common * u, common * v
 
 
 class TestQPoly:
@@ -75,6 +119,40 @@ class TestQPoly:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
+
+    # sparser operand at most _SPARSE_TERMS terms: term-by-term loop;
+    # both above it: Kronecker substitution; and both sides of the switch
+    @pytest.mark.parametrize("terms_a, terms_b", [
+        ((0, _SPARSE_TERMS), (0, 301)),
+        ((_SPARSE_TERMS + 1, 120), (_SPARSE_TERMS + 1, 301)),
+        ((_SPARSE_TERMS - 1, _SPARSE_TERMS + 2), (_SPARSE_TERMS - 1, _SPARSE_TERMS + 2)),
+    ], ids=["sparse", "kronecker", "boundary"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_product_matches_schoolbook(self, terms_a, terms_b, data):
+        a, b = terms_of(data, *terms_a), terms_of(data, *terms_b)
+        expected = schoolbook_mul(a, b)
+        assert a * b == expected
+        assert b * a == expected
+
+    @pytest.mark.parametrize("sign_b", [1, -1])
+    def test_product_at_the_coefficient_bound(self, sign_b):
+        # every product coefficient reaches 300 * 2**400 in absolute value
+        a = QPoly([-(2 ** 200)] * 300)
+        b = QPoly([sign_b * 2 ** 200] * 300)
+        assert a * b == schoolbook_mul(a, b)
+        alternating = QPoly([(-1) ** t * 2 ** 200 for t in range(300)])
+        assert alternating * alternating == schoolbook_mul(alternating, alternating)
+
+    def test_equal_values_hash_equally(self):
+        assert hash(QPoly([3])) == hash(3)
+        assert hash(ZERO) == hash(0)
+        assert len({QPoly([3]), 3}) == 1
+        p = QPoly([1, 2])
+        assert hash(QRational(p)) == hash(p)
+        assert hash(QRational(-5)) == hash(-5)
+        assert len({QRational(p), p}) == 1
+        assert len({QRational(3), QPoly([3]), 3}) == 1
 
     @given(small_polys, small_polys)
     @settings(max_examples=60, deadline=None)
@@ -139,6 +217,13 @@ class TestQRational:
         assert half + half == QRational(QPoly([2]), Q + 1)
         assert half * (Q + 1) == QRational(ONE)
         assert (half / half) == QRational(ONE)
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_canonical_form_matches_prs_reduction(self, data):
+        a, b = planted(data)
+        r = QRational(a, b)
+        assert (r.num, r.den) == reduce_by_prs(a, b)
 
 
 class TestPochhammer:
@@ -258,6 +343,17 @@ class TestQProducts:
         assert q_product([]) == ONE
         assert q_quotient([], [], "") == ONE
 
+    def test_product_exponent_zero_and_negative(self):
+        assert q_product([3, 0, 2]) == ZERO
+        with pytest.raises(ValueError):
+            q_product([2, -1])
+
+    def test_quotient_by_a_higher_degree_divisor_raises(self):
+        with pytest.raises(NotPolynomial) as info:
+            q_quotient([2], [5], "cell 9")
+        assert info.value.num == ONE - monomial(2)
+        assert info.value.den == ONE - monomial(5)
+
     @given(st.lists(st.integers(-9, 9), max_size=4),
            st.lists(st.integers(1, 9), max_size=4))
     def test_zero_top_gives_zero_before_negative_tops(self, tops, bottoms):
@@ -282,8 +378,9 @@ class TestPolyGcd:
         g = QPoly([1, 1, 1])
         a = g * QPoly([-1, 0, 1])
         b = g * QPoly([3, 1])
-        got = poly_gcd(a, b)
+        got, a_co, b_co = poly_gcd(a, b)
         assert got == g or got == -g
+        assert (a_co, b_co) == (QPoly([-1, 0, 1]), QPoly([3, 1]))
 
     @given(small_polys, small_polys, small_polys)
     @settings(max_examples=40, deadline=None)
@@ -291,13 +388,41 @@ class TestPolyGcd:
         x, y = a * c, b * c
         if x.is_zero and y.is_zero:
             return
-        g = poly_gcd(x, y)
-        if not x.is_zero:
-            poly_exact_div(x, g)  # raises NotDivisible if g is not a divisor
-        if not y.is_zero:
-            poly_exact_div(y, g)
+        g, x_co, y_co = poly_gcd(x, y)
+        assert g * x_co == x and g * y_co == y
         if not c.is_zero:
-            poly_exact_div(g, poly_gcd(c, g))
+            poly_exact_div(g, poly_gcd(c, g)[0])
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_triple_matches_prs_on_planted_factors(self, data):
+        a, b = planted(data)
+        g, a_co, b_co = poly_gcd(a, b)
+        assert g == _prs_gcd(a, b)
+        assert g * a_co == a and g * b_co == b
+
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_prs_fallback(self, data):
+        a, b = planted(data)
+        g = _prs_gcd(a, b)
+        assert g.lc > 0
+        poly_exact_div(a, g)
+        poly_exact_div(b, g)
+        # the cofactors are coprime: their gcd is a unit
+        assert _prs_gcd(poly_exact_div(a, g), poly_exact_div(b, g)) == ONE
+
+    def test_fallback_when_no_heuristic_candidate_divides(self, monkeypatch):
+        monkeypatch.setattr(qcore, "_heuristic_gcds", lambda x, y: iter([Q + 5]))
+        g0 = QPoly([1, 1, 1]) * 6
+        a, b = g0 * QPoly([-1, 0, 1]), g0 * QPoly([3, 1]) * 4
+        assert poly_gcd(a, b) == (g0, QPoly([-1, 0, 1]), QPoly([12, 4]))
+
+    def test_zero_operands(self):
+        p = QPoly([2, -4])
+        assert poly_gcd(ZERO, p) == (-p, ZERO, -ONE)
+        assert poly_gcd(p, ZERO) == (-p, -ONE, ZERO)
+        assert poly_gcd(ZERO, ZERO) == (ZERO, ZERO, ZERO)
 
 
 class TestQLaurent:
