@@ -88,56 +88,33 @@ def _emit_error(fmt: str, message: str, command: str) -> None:
 # ---------------------------------------------------------------------------
 # compute
 
-def _compute_value(target: str, args) -> QPoly | int:
-    if target == "grassmannian":
-        return grassmannian_E(args.k, args.n)
-    if target == "e-skew":
-        return nondeg_skew_E(args.i)
-    if target == "rank-stratum":
-        return rank_stratum_E(args.i, args.n)
-    if target == "pf-stringy":
-        return pf_stringy_closed(PfaffianParams(args.n, args.k))
-    if target == "discrepancy":
-        return discrepancy(args.j, PfaffianParams(args.n, args.k))
-    if target == "local-contribution":
-        return local_contribution(args.p, args.k, args.n)
-    if target == "isotropic":
-        return isotropic_E(args.k, args.i, args.n)
-    if target == "f":
-        return f_closed(CutParams(args.n, args.k, args.i))
-    if target == "f-circ":
-        return f_circ(CutParams(args.n, args.k, args.i))
-    if target == "fiber-odd":
-        return fiber_E_odd(args.k, args.n)
-    if target == "fiber-even":
-        return even_fiber_E(args.k, args.n)
-    raise RangeError(f"unknown compute target {target!r}")
-
-_COMPUTE_PARAMS = {
-    "grassmannian": ("k", "n"),
-    "e-skew": ("i",),
-    "rank-stratum": ("i", "n"),
-    "pf-stringy": ("n", "k"),
-    "discrepancy": ("j", "n", "k"),
-    "local-contribution": ("p", "k", "n"),
-    "isotropic": ("k", "i", "n"),
-    "f": ("k", "i", "n"),
-    "f-circ": ("k", "i", "n"),
-    "fiber-odd": ("k", "n"),
-    "fiber-even": ("k", "n"),
+# target -> (parameter names, function of those parameters in that order)
+_COMPUTE = {
+    "grassmannian": (("k", "n"), grassmannian_E),
+    "e-skew": (("i",), nondeg_skew_E),
+    "rank-stratum": (("i", "n"), rank_stratum_E),
+    "pf-stringy": (("n", "k"), lambda n, k: pf_stringy_closed(PfaffianParams(n, k))),
+    "discrepancy": (("j", "n", "k"),
+                    lambda j, n, k: discrepancy(j, PfaffianParams(n, k))),
+    "local-contribution": (("p", "k", "n"), local_contribution),
+    "isotropic": (("k", "i", "n"), isotropic_E),
+    "f": (("k", "i", "n"), lambda k, i, n: f_closed(CutParams(n, k, i))),
+    "f-circ": (("k", "i", "n"), lambda k, i, n: f_circ(CutParams(n, k, i))),
+    "fiber-odd": (("k", "n"), fiber_E_odd),
+    "fiber-even": (("k", "n"), even_fiber_E),
 }
 
 
 def cmd_compute(args) -> int:
-    needed = _COMPUTE_PARAMS[args.target]
+    names, function = _COMPUTE[args.target]
     params = {}
-    for name in needed:
+    for name in names:
         value = getattr(args, name)
         if value is None:
             raise RangeError(f"compute {args.target} requires --{name}")
         params[name] = value
     start = time.perf_counter()
-    value = _compute_value(args.target, args)
+    value = function(*params.values())
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     if args.format == "plain":
         print(value)
@@ -262,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     comp = sub.add_parser("compute", help="print one exact value")
-    comp.add_argument("target", choices=sorted(_COMPUTE_PARAMS))
+    comp.add_argument("target", choices=sorted(_COMPUTE))
     for flag in ("n", "k", "i", "j", "p"):
         comp.add_argument(f"--{flag}", type=int, default=None)
     comp.add_argument("--format", choices=("plain", "latex", "json"),

@@ -168,17 +168,17 @@ def _recursion_sum(k: int, n: int, js: range, value) -> tuple[QPoly, QPoly]:
     den = q_product([*range(1, top + 1), *(n + 1 - 2 * j for j in js)])
     total = ZERO
     for j in js:
-        pich = pochhammer(qpow(n + 3 - 4 * k + 2 * j), 2, 2 * k - 2 * j)
-        if pich.is_zero:
+        # (1 - q^(n+1-2k)), (q^(n+3-4k+2j); q^2)_{2k-2j} (zero when it
+        # reaches 1 - q^0), (q;q)_top/(q;q)_{2k-2j} and the other j's linear
+        # factors of the common denominator
+        coefficient = q_quotient(
+            [n + 1 - 2 * k, *range(n + 3 - 4 * k + 2 * j, n + 2 - 2 * j, 2),
+             *range(2 * k - 2 * j + 1, top + 1),
+             *(n + 1 - 2 * jp for jp in js if jp != j)],
+            (), f"recursion coefficient (k={k}, j={j}, n={n})")
+        if coefficient.is_zero:
             continue
-        if pich.shift != 0:
-            raise RuntimeError(f"recursion coefficient (k={k}, j={j}, n={n}) "
-                               f"is not a polynomial")
-        # (1 - q^(n+1-2k)), (q;q)_top/(q;q)_{2k-2j} and the other j's
-        # linear factors of the common denominator
-        rest = q_product([n + 1 - 2 * k, *range(2 * k - 2 * j + 1, top + 1),
-                          *(n + 1 - 2 * jp for jp in js if jp != j)])
-        total = total + value(j).shift(2 * (k - j) ** 2 - (k - j)) * rest * pich.body
+        total = total + value(j).shift(2 * (k - j) ** 2 - (k - j)) * coefficient
     return total, den
 
 

@@ -1,16 +1,16 @@
 """Exact arithmetic in a single variable q.
 
-Provides dense integer-coefficient polynomials (QPoly), reduced rational
-functions (QRational), Laurent polynomials (QLaurent), signed q-powers
+Provides dense integer-coefficient polynomials (QPoly), rational functions
+(QRational), Laurent polynomials (QLaurent), signed q-powers
 (PowerParam), q-Pochhammer symbols, Gaussian binomial coefficients and a
 terminating basic hypergeometric summator.  Products of factors
 (1 - q**a) and exact quotients of two such products are built here, by
 q_product and q_quotient; other modules pass them only the exponents.
 
 A dense product is one big-integer multiply, by Kronecker substitution
-(Schoenhage 1982; Harvey, J. Symbolic Comput. 44, 2009); poly_gcd returns
-the gcd with both cofactors, by the heuristic GCDHEU with a
-pseudo-remainder sequence as the fallback.
+(Schoenhage 1982; Harvey, J. Symbolic Comput. 44, 2009).  A QRational keeps
+the numerator and denominator it was built from and compares by
+cross-multiplication; only as_poly divides.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use requires no locking.  Coefficients are Python
@@ -19,11 +19,10 @@ integers, hence arbitrary precision; nothing here ever rounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class NotDivisible(Exception):
@@ -196,9 +195,6 @@ class QPoly:
     def is_palindromic(self) -> bool:
         return self.coeffs == tuple(reversed(self.coeffs))
 
-    def content(self) -> int:
-        return math.gcd(*self.coeffs) if self.coeffs else 0
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -339,86 +335,12 @@ def q_quotient(tops: Iterable[int], bottoms: Iterable[int],
     return QPoly(cs)
 
 
-def _pseudo_rem(a: QPoly, b: QPoly) -> QPoly:
-    # lc(b)^(deg a - deg b + 1) * a  mod  b, fraction-free
-    rem = list(a.coeffs)
-    db, lb = b.degree, b.lc
-    while len(rem) - 1 >= db and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < db:
-            break
-        top = rem[-1]
-        shift = len(rem) - 1 - db
-        rem = [c * lb for c in rem]
-        for j, cb in enumerate(b.coeffs):
-            rem[shift + j] -= top * cb
-        rem.pop()
-    return QPoly(rem)
-
-
-def _primitive_part(p: QPoly) -> QPoly:
-    c = p.content()
-    if c <= 1:
-        return p if (p.is_zero or p.lc > 0) else -p
-    out = QPoly([x // c for x in p.coeffs])
-    return out if out.lc > 0 else -out
-
-
-def _prs_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """GCD of two nonzero polynomials by the primitive pseudo-remainder
-    sequence, content included, with positive leading coefficient."""
-    cont = math.gcd(a.content(), b.content())
-    x, y = _primitive_part(a), _primitive_part(b)
-    if x.degree < y.degree:
-        x, y = y, x
-    while not y.is_zero:
-        x, y = y, _primitive_part(_pseudo_rem(x, y))
-    return QPoly([c * cont for c in x.coeffs])
-
-
-def _heuristic_gcds(x: QPoly, y: QPoly) -> Iterator[QPoly]:
-    """GCDHEU (Char, Geddes, Gonnet, J. Symbolic Comput. 7, 1989) for
-    primitive x, y: for a few xi = 2**k > 2 * max(|x|, |y|) + 2, the
-    primitive part of the polynomial whose symmetric base-xi digits are
-    gcd(x(xi), y(xi)).  A candidate that divides x and y is their gcd."""
-    norm = max(max(map(abs, x.coeffs)), max(map(abs, y.coeffs)))
-    width = (norm.bit_length() + 2) // 8 + 1
-    for _ in range(4):
-        gamma = math.gcd(_pack(x.coeffs, width), _pack(y.coeffs, width))
-        digits = _unpack(gamma, width, gamma.bit_length() // (8 * width) + 2)
-        h = _primitive_part(QPoly(digits))
-        if h.degree <= min(x.degree, y.degree):
-            yield h
-        width += width // 2 + 1
-
-
-def poly_gcd(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly, QPoly]:
-    """(g, a/g, b/g), g the GCD in Z[q] (content included) with a positive
-    leading coefficient; gcd(a, 0) is +-a.  The exact divisions giving the
-    cofactors prove GCDHEU's candidate; if none divides both, the primitive
-    pseudo-remainder sequence decides."""
-    if a.is_zero or b.is_zero:
-        sign = -1 if (a + b).lc < 0 else 1
-        return sign * (a + b), QPoly([sign if a else 0]), QPoly([sign if b else 0])
-    cont = math.gcd(a.content(), b.content())
-    for h in _heuristic_gcds(_primitive_part(a), _primitive_part(b)):
-        g = h if cont == 1 else QPoly([c * cont for c in h.coeffs])
-        if g == ONE:
-            return ONE, a, b
-        try:
-            return g, poly_exact_div(a, g), poly_exact_div(b, g)
-        except NotDivisible:
-            continue
-    g = _prs_gcd(a, b)
-    return g, poly_exact_div(a, g), poly_exact_div(b, g)
-
-
 class QRational:
-    """Reduced quotient of two integer polynomials in q.
+    """Quotient num/den of two integer polynomials in q, kept as built.
 
-    Canonical form: gcd(num, den) = 1 over Z[q] and den has positive leading
-    coefficient; zero is 0/1.  Equality of canonical forms is structural.
+    Z[q] has no zero divisors, so a/b == c/d exactly when a*d == c*b;
+    common factors are never cancelled.  Zero is stored as 0/1 and den has
+    a positive leading coefficient.
     """
 
     __slots__ = ("num", "den")
@@ -432,36 +354,47 @@ class QRational:
             raise ZeroDenominator("zero denominator")
         if num.is_zero:
             num, den = ZERO, ONE
-        elif den != ONE:
-            _, num, den = poly_gcd(num, den)
-        if den.lc < 0:
+        elif den.lc < 0:
             num, den = -num, -den
         self.num = num
         self.den = den
 
     @property
     def is_polynomial(self) -> bool:
-        return self.den == ONE
+        try:
+            self.as_poly()
+        except NotPolynomial:
+            return False
+        return True
 
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
 
     def as_poly(self) -> QPoly:
-        if self.den != ONE:
-            raise NotPolynomial(self.num, self.den)
-        return self.num
+        """The value as a QPoly; raises NotPolynomial if den does not
+        divide num."""
+        if self.den == ONE:
+            return self.num
+        try:
+            return poly_exact_div(self.num, self.den)
+        except NotDivisible:
+            raise NotPolynomial(self.num, self.den) from None
 
     def __eq__(self, other) -> bool:
         other = _coerce_rational(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num * other.den == other.num * self.den
 
     def __hash__(self):
-        if self.den == ONE:  # a polynomial hashes like the QPoly it equals
-            return hash(self.num)
-        return hash((self.num, self.den))
+        try:  # a polynomial hashes like the QPoly it equals
+            return hash(self.as_poly())
+        except NotPolynomial:
+            # degree and leading coefficient of the value, unchanged by
+            # a common factor of num and den
+            return hash((self.num.degree - self.den.degree,
+                         Fraction(self.num.lc, self.den.lc)))
 
     def __neg__(self):
         return QRational(-self.num, self.den)
@@ -502,9 +435,6 @@ class QRational:
         if other.num.is_zero:
             raise ZeroDenominator("division by zero rational")
         return QRational(self.num * other.den, self.den * other.num)
-
-    def __call__(self, x) -> Fraction:
-        return Fraction(self.num(x), self.den(x))
 
     def __str__(self) -> str:
         if self.den == ONE:

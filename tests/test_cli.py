@@ -7,6 +7,12 @@ import subprocess
 import pytest
 
 from pfes import cli, suites
+from pfes.efun import (
+    PfaffianParams, discrepancy, grassmannian_E, local_contribution,
+    nondeg_skew_E, pf_stringy_closed, rank_stratum_E,
+)
+from pfes.identities import CutParams, f_circ, f_closed, isotropic_E
+from pfes.mirror import even_fiber_E, fiber_E_odd
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +51,39 @@ class TestCompute:
         assert report["results"][0]["poly"] == {"var": "q",
                                                 "coeffs": [1, 1, 2, 2, 1, 1]}
         assert cli.render_report(report) == out
+
+    @pytest.mark.parametrize("target, params, expected", [
+        ("grassmannian", {"k": 2, "n": 5}, lambda: grassmannian_E(2, 5)),
+        ("e-skew", {"i": 3}, lambda: nondeg_skew_E(3)),
+        ("rank-stratum", {"i": 2, "n": 7}, lambda: rank_stratum_E(2, 7)),
+        ("pf-stringy", {"n": 9, "k": 2},
+         lambda: pf_stringy_closed(PfaffianParams(9, 2))),
+        ("discrepancy", {"j": 4, "n": 9, "k": 3},
+         lambda: discrepancy(4, PfaffianParams(9, 3))),
+        ("local-contribution", {"p": 1, "k": 2, "n": 7},
+         lambda: local_contribution(1, 2, 7)),
+        ("isotropic", {"k": 1, "i": 2, "n": 7}, lambda: isotropic_E(1, 2, 7)),
+        ("f", {"k": 2, "i": 1, "n": 7}, lambda: f_closed(CutParams(7, 2, 1))),
+        ("f-circ", {"k": 2, "i": 3, "n": 9},
+         lambda: f_circ(CutParams(9, 2, 3))),
+        ("fiber-odd", {"k": 1, "n": 7}, lambda: fiber_E_odd(1, 7)),
+        ("fiber-even", {"k": 1, "n": 6}, lambda: even_fiber_E(1, 6)),
+    ])
+    def test_every_target_matches_the_library(self, capsys, target, params,
+                                              expected):
+        argv = ["compute", target, "--format", "json"]
+        for name, value in params.items():
+            argv += [f"--{name}", str(value)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        report = json.loads(out)
+        assert report["parameters"] == params
+        (entry,) = report["results"]
+        want = expected()
+        if isinstance(want, int):
+            assert entry["value"] == want
+        else:
+            assert entry["poly"] == {"var": "q", "coeffs": list(want.coeffs)}
 
     def test_missing_parameter_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "compute", "grassmannian", "--k", "2")

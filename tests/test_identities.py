@@ -4,7 +4,10 @@ binomial identity and the hypergeometric rewrites."""
 
 import pytest
 
-from pfes.qcore import ONE, QPoly, QRational, ZERO, gauss_binomial, geometric_series, monomial, pochhammer, qpow
+from pfes.qcore import (
+    ONE, QPoly, QRational, ZERO, gauss_binomial, geometric_series, monomial,
+    pochhammer, q_product, qpow,
+)
 from pfes import identities
 from pfes.efun import RangeError
 from pfes.identities import (
@@ -198,6 +201,41 @@ class TestRecursionSplit:
                 for i in range(1, half + 1):
                     for report in verify_AC_BD(CutParams(n, k, i)):
                         assert report.passed, (report.identity_name, n, k, i)
+
+
+def recursion_sum_by_pochhammer(k, n, js, value):
+    """Reference: each coefficient as a Pochhammer in q^2 times a separate
+    product of the remaining (1 - q^a) factors."""
+    top = 2 * (k - js.start)
+    den = q_product([*range(1, top + 1), *(n + 1 - 2 * j for j in js)])
+    total = ZERO
+    for j in js:
+        pich = pochhammer(qpow(n + 3 - 4 * k + 2 * j), 2, 2 * k - 2 * j)
+        if pich.is_zero:
+            continue
+        assert pich.shift == 0
+        rest = q_product([n + 1 - 2 * k, *range(2 * k - 2 * j + 1, top + 1),
+                          *(n + 1 - 2 * jp for jp in js if jp != j)])
+        total = total + value(j).shift(2 * (k - j) ** 2 - (k - j)) * rest * pich.body
+    return total, den
+
+
+class TestRecursionSum:
+    @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
+    def test_matches_pochhammer_reference(self, n):
+        for k in range(1, (n - 1) // 2 + 1):
+            for js in (range(0, k + 1), range(1, k)):
+                calls, reference_calls = [], []
+
+                def value(j, seen):
+                    seen.append(j)
+                    return QPoly([j + 1, -2 * j, 3])
+
+                got = identities._recursion_sum(k, n, js, lambda j: value(j, calls))
+                want = recursion_sum_by_pochhammer(
+                    k, n, js, lambda j: value(j, reference_calls))
+                assert got == want, (n, k, js)
+                assert calls == reference_calls, (n, k, js)
 
 
 class TestPhiReductions:

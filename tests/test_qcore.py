@@ -6,13 +6,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pfes import qcore
 from pfes.qcore import (
     ONE, ZERO, Q, QLaurent, QPoly, QRational, PowerParam,
     LowerParamPole, NotDivisible, NotPolynomial, ZeroDenominator,
-    _SPARSE_TERMS, _prs_gcd,
+    _SPARSE_TERMS,
     gauss_binomial, geometric_series, monomial, neg_qpow, phi_eval,
-    pochhammer, poly_exact_div, poly_gcd, q_product, q_quotient, qpow,
+    pochhammer, poly_exact_div, q_product, q_quotient, qpow,
 )
 
 
@@ -64,13 +63,6 @@ def terms_of(data, min_terms, max_terms, max_degree=300, bound=2 ** 200):
     for e, c in terms.items():
         cs[e] = c
     return QPoly(cs)
-
-
-def reduce_by_prs(num, den):
-    """Reference reduction: PRS gcd, then divide, then make lc(den) > 0."""
-    g = _prs_gcd(num, den)
-    num, den = poly_exact_div(num, g), poly_exact_div(den, g)
-    return (-num, -den) if den.lc < 0 else (num, den)
 
 
 def planted(data):
@@ -153,6 +145,14 @@ class TestQPoly:
         assert hash(QRational(-5)) == hash(-5)
         assert len({QRational(p), p}) == 1
         assert len({QRational(3), QPoly([3]), 3}) == 1
+        assert hash(QRational(monomial(4) - 1, Q - 1)) == hash(QPoly([1, 1, 1, 1]))
+        # a non-polynomial value, with and without a common factor
+        r = QRational(QPoly([1, 1, 1]), Q + 1)
+        s = QRational(QPoly([1, 1, 1]) * (1 - monomial(3)) * 2,
+                      (Q + 1) * (1 - monomial(3)) * 2)
+        assert r == s
+        assert hash(r) == hash(s)
+        assert len({r, s}) == 1
 
     @given(small_polys, small_polys)
     @settings(max_examples=60, deadline=None)
@@ -180,9 +180,9 @@ class TestExactDivision:
 class TestQRational:
     def test_common_factor_cancels(self):
         r = QRational(monomial(4) - 1, monomial(2) - 1)
-        assert r.num == monomial(2) + 1
-        assert r.den == ONE
+        assert r == monomial(2) + 1
         assert r.is_polynomial
+        assert r.as_poly() == monomial(2) + 1
 
     def test_already_reduced_is_not_polynomial(self):
         r = QRational(QPoly([1, 1, 1]), QPoly([1, 1]))
@@ -210,7 +210,9 @@ class TestQRational:
 
     def test_integer_content_reduces(self):
         r = QRational(QPoly([2, 2]), QPoly([2]))
-        assert r.num == QPoly([1, 1]) and r.den == ONE
+        assert r == QPoly([1, 1])
+        assert r.is_polynomial
+        assert r.as_poly() == QPoly([1, 1])
 
     def test_arithmetic(self):
         half = QRational(ONE, Q + 1)
@@ -220,10 +222,24 @@ class TestQRational:
 
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
-    def test_canonical_form_matches_prs_reduction(self, data):
+    def test_value_ignores_common_factors(self, data):
         a, b = planted(data)
+        multiple = data.draw(st.booleans())
+        if multiple:
+            a = a * b
+        c = terms_of(data, 1, 10, max_degree=20, bound=2 ** 8)
         r = QRational(a, b)
-        assert (r.num, r.den) == reduce_by_prs(a, b)
+        assert QRational(a * c, b * c) == r
+        assert hash(QRational(a * c, b * c)) == hash(r)
+        assert QRational(a + 1, b) != r
+        if r.is_polynomial:
+            assert r.as_poly() * b == a
+        else:
+            assert not multiple
+            with pytest.raises(NotPolynomial):
+                r.as_poly()
+            with pytest.raises(NotDivisible):
+                poly_exact_div(a, b)
 
 
 class TestPochhammer:
@@ -371,58 +387,6 @@ class TestQProducts:
     @pytest.mark.parametrize("m", range(0, 7))
     def test_geometric_series_is_a_binomial(self, m, b):
         assert geometric_series(m, b) == gauss_binomial(m, 1, b)
-
-
-class TestPolyGcd:
-    def test_common_factor_recovered(self):
-        g = QPoly([1, 1, 1])
-        a = g * QPoly([-1, 0, 1])
-        b = g * QPoly([3, 1])
-        got, a_co, b_co = poly_gcd(a, b)
-        assert got == g or got == -g
-        assert (a_co, b_co) == (QPoly([-1, 0, 1]), QPoly([3, 1]))
-
-    @given(small_polys, small_polys, small_polys)
-    @settings(max_examples=40, deadline=None)
-    def test_divides_both_and_contains_planted_factor(self, a, b, c):
-        x, y = a * c, b * c
-        if x.is_zero and y.is_zero:
-            return
-        g, x_co, y_co = poly_gcd(x, y)
-        assert g * x_co == x and g * y_co == y
-        if not c.is_zero:
-            poly_exact_div(g, poly_gcd(c, g)[0])
-
-    @given(data=st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_triple_matches_prs_on_planted_factors(self, data):
-        a, b = planted(data)
-        g, a_co, b_co = poly_gcd(a, b)
-        assert g == _prs_gcd(a, b)
-        assert g * a_co == a and g * b_co == b
-
-    @given(data=st.data())
-    @settings(max_examples=10, deadline=None)
-    def test_prs_fallback(self, data):
-        a, b = planted(data)
-        g = _prs_gcd(a, b)
-        assert g.lc > 0
-        poly_exact_div(a, g)
-        poly_exact_div(b, g)
-        # the cofactors are coprime: their gcd is a unit
-        assert _prs_gcd(poly_exact_div(a, g), poly_exact_div(b, g)) == ONE
-
-    def test_fallback_when_no_heuristic_candidate_divides(self, monkeypatch):
-        monkeypatch.setattr(qcore, "_heuristic_gcds", lambda x, y: iter([Q + 5]))
-        g0 = QPoly([1, 1, 1]) * 6
-        a, b = g0 * QPoly([-1, 0, 1]), g0 * QPoly([3, 1]) * 4
-        assert poly_gcd(a, b) == (g0, QPoly([-1, 0, 1]), QPoly([12, 4]))
-
-    def test_zero_operands(self):
-        p = QPoly([2, -4])
-        assert poly_gcd(ZERO, p) == (-p, ZERO, -ONE)
-        assert poly_gcd(p, ZERO) == (-p, -ONE, ZERO)
-        assert poly_gcd(ZERO, ZERO) == (ZERO, ZERO, ZERO)
 
 
 class TestQLaurent:
