@@ -8,14 +8,15 @@ gives an implementation-independent check of every formula.
 
 Full sweeps respect a hard enumeration guard (default 2^24 candidate
 forms or subspaces, overridable via PFES_MAX_ENUM or a max_enum argument)
-and raise TooLarge rather than truncating silently.
+and raise TooLarge rather than truncating silently.  The guard also bounds
+memory: the numpy kernels in `_kernels` keep one int8 rank per form of the
+last (p, n) swept, and stream subspaces in fixed-size batches.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations, product
 
 import numpy as np
 
@@ -182,24 +183,6 @@ def count_cut_stratum(p: int, n: int, rank_w: int, alpha: SkewFormFp,
     return forms // (p - 1)
 
 
-def iter_subspaces(p: int, n: int, d: int):
-    """All d-dimensional subspaces of F_p^n, one canonical reduced
-    row-echelon basis each (pivot columns first, then free entries)."""
-    if d == 0:
-        yield ()
-        return
-    for pivots in combinations(range(n), d):
-        free = [(r, c) for r in range(d) for c in range(n)
-                if c > pivots[r] and c not in pivots]
-        for values in product(range(p), repeat=len(free)):
-            rows = [[0] * n for _ in range(d)]
-            for r, pc in enumerate(pivots):
-                rows[r][pc] = 1
-            for (r, c), v in zip(free, values):
-                rows[r][c] = v
-            yield tuple(tuple(row) for row in rows)
-
-
 def count_isotropic(p: int, n: int, dim_sub: int, alpha: SkewFormFp,
                     max_enum: int | None = None) -> int:
     """Number of dim_sub-dimensional subspaces of F_p^n on which alpha
@@ -212,12 +195,7 @@ def count_isotropic(p: int, n: int, dim_sub: int, alpha: SkewFormFp,
     _enum_guard(total, f"sweep of {dim_sub}-subspaces of F_{p}^{n}", max_enum)
     if dim_sub < 2:
         return total  # a line (or the origin) is isotropic for any skew form
-    a = np.array(alpha.matrix(), np.int64)
-    bases = np.array(list(iter_subspaces(p, n, dim_sub)), np.int64)
-    gram = np.einsum("brn,nm,bsm->brs", bases, a, bases) % p
-    upper = np.triu_indices(dim_sub, k=1)
-    flat = gram[:, upper[0], upper[1]]
-    return int(np.count_nonzero(~flat.any(axis=1)))
+    return _kernels.isotropic(p, n, dim_sub, alpha.matrix())
 
 
 def census_totals(p: int, n: int, max_enum: int | None = None) -> dict[int, int]:

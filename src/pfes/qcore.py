@@ -403,6 +403,14 @@ class QRational:
         other = _coerce_rational(other)
         if other is NotImplemented:
             return NotImplemented
+        # denominators equal up to a power of q share the larger one
+        low, other_low = _low_order(self.den), _low_order(other.den)
+        if self.den.coeffs[low:] == other.den.coeffs[other_low:]:
+            if low >= other_low:
+                return QRational(self.num + other.num.shift(low - other_low),
+                                 self.den)
+            return QRational(self.num.shift(other_low - low) + other.num,
+                             other.den)
         return QRational(self.num * other.den + other.num * self.den,
                          self.den * other.den)
 
@@ -443,6 +451,11 @@ class QRational:
 
     def __repr__(self) -> str:
         return f"QRational({self.num!r}, {self.den!r})"
+
+
+def _low_order(poly: QPoly) -> int:
+    """Exponent of the lowest nonzero term of a nonzero polynomial."""
+    return next(e for e, c in enumerate(poly.coeffs) if c)
 
 
 def _coerce_rational(value):

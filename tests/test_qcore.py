@@ -214,6 +214,21 @@ class TestQRational:
         assert r.is_polynomial
         assert r.as_poly() == QPoly([1, 1])
 
+    def test_sum_keeps_a_denominator_shared_up_to_a_power_of_q(self):
+        den = QPoly([1, -1, 0, 2])
+        a = QRational(QPoly([3, 1]), den)
+        b = QRational(QPoly([0, 5, -2]), den.shift(2))
+        c = QRational(ONE, Q + 1)
+        for x, y in ((a, a), (a, b), (b, a), (b, b), (a, c)):
+            total = x + y
+            assert total == QRational(x.num * y.den + y.num * x.den,
+                                      x.den * y.den)
+            if y is not c:
+                # the larger of the two denominators, not their product
+                assert total.den == max(x.den, y.den, key=lambda d: d.degree)
+        assert (b - b).is_zero
+        assert a - b == -(b - a)
+
     def test_arithmetic(self):
         half = QRational(ONE, Q + 1)
         assert half + half == QRational(QPoly([2]), Q + 1)
