@@ -45,15 +45,6 @@ def kernel_dtype(p: int, n: int):
                         f"beyond the int64 range")
 
 
-def _low_width(p: int, width: int, batch: int) -> int:
-    """Number of low digits that vary inside one batch: as many as fit in
-    `batch` digit strings, and at least one."""
-    low = min(width, 1)
-    while low < width and p ** (low + 1) <= batch:
-        low += 1
-    return low
-
-
 def _digit_table(p: int, width: int, dtype) -> np.ndarray:
     """(width, p^width) array whose column t holds the base-p digits of t."""
     out = np.empty((width, p ** width), dtype)
@@ -68,7 +59,9 @@ def digit_batches(p: int, width: int, batch: int, dtype):
     the high ones are constant in each batch.  B is the largest power of p
     up to `batch`, but at least p.  The same buffer is refilled for every
     batch."""
-    low = _low_width(p, width, batch)
+    low = min(width, 1)
+    while low < width and p ** (low + 1) <= batch:
+        low += 1
     out = np.empty((width, p ** low), dtype)
     out[:low] = _digit_table(p, low, dtype)
     for high in range(p ** (width - low)):
@@ -145,18 +138,19 @@ def census(p: int, n: int, alpha: tuple[int, ...],
            batch: int = 1 << 16) -> np.ndarray:
     """Tally all skew forms by (rank, <form, alpha> == 0 mod p)."""
     m = n * (n - 1) // 2
-    dtype = kernel_dtype(p, n)
     ranks = _ranked(p, n, batch)
     alpha = np.array(alpha, np.int64)
-    # <form, alpha> is a low part, one table for every batch, plus a high
-    # part that is constant within a batch
-    low = _low_width(p, m, batch)
-    low_pairing = (alpha[:low] @ _digit_table(p, low, dtype)) % p
-    size = len(low_pairing)
     counts = np.zeros((n + 1, 2), np.int64)
-    for h, digits in enumerate(digit_batches(p, m, batch, dtype)):
-        target = -int(alpha[low:] @ digits[low:, 0]) % p
-        block = ranks[h * size:(h + 1) * size]
+    lo, low_pairing = 0, None
+    for digits in digit_batches(p, m, batch, kernel_dtype(p, n)):
+        # <form, alpha> is a low part, the same in every batch, plus a high
+        # part that is constant within a batch: the first batch has every
+        # high digit 0, and column 0 of each batch every low digit
+        if low_pairing is None:
+            low_pairing = (alpha @ digits) % p
+        target = -int(alpha @ digits[:, 0]) % p
+        block = ranks[lo:lo + digits.shape[1]]
+        lo += digits.shape[1]
         counts[:, 0] += np.bincount(block, minlength=n + 1)
         counts[:, 1] += np.bincount(block[low_pairing == target],
                                     minlength=n + 1)
@@ -164,12 +158,15 @@ def census(p: int, n: int, alpha: tuple[int, ...],
     return counts
 
 
-def isotropic(p: int, n: int, d: int, form, batch: int = 1 << 16) -> int:
+_ISOTROPIC_BATCH = 1 << 16
+
+
+def isotropic(p: int, n: int, d: int, form) -> int:
     """Number of d-dimensional subspaces of F_p^n on which the skew form with
     n x n matrix A = `form` vanishes.  For each pivot pattern, the reduced
     echelon bases x_0..x_{d-1} are built from the digits of their free
-    entries, at most `batch` at a time; a basis counts when every Gram
-    entry x_r^T A x_s (r < s) is 0 mod p."""
+    entries, at most `_ISOTROPIC_BATCH` at a time; a basis counts when
+    every Gram entry x_r^T A x_s (r < s) is 0 mod p."""
     dtype = kernel_dtype(p, n)
     a = (np.array(form, np.int64) % p).astype(dtype)
     count = 0
@@ -180,7 +177,7 @@ def isotropic(p: int, n: int, d: int, form, batch: int = 1 << 16) -> int:
             cols = [c for c in range(pivots[r] + 1, n) if c not in pivots]
             free.append(list(zip(range(width, width + len(cols)), cols)))
             width += len(cols)
-        for digits in digit_batches(p, width, batch, dtype):
+        for digits in digit_batches(p, width, _ISOTROPIC_BATCH, dtype):
             image = [None]  # image[s] = A x_s mod p, needed for s >= 1
             for s in range(1, d):
                 col = np.repeat(a[:, pivots[s], None], digits.shape[1], axis=1)

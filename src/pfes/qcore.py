@@ -404,13 +404,12 @@ class QRational:
         if other is NotImplemented:
             return NotImplemented
         # denominators equal up to a power of q share the larger one
-        low, other_low = _low_order(self.den), _low_order(other.den)
-        if self.den.coeffs[low:] == other.den.coeffs[other_low:]:
-            if low >= other_low:
-                return QRational(self.num + other.num.shift(low - other_low),
-                                 self.den)
-            return QRational(self.num.shift(other_low - low) + other.num,
-                             other.den)
+        den, other_den = QLaurent(self.den), QLaurent(other.den)
+        if den.body == other_den.body:
+            shift = den.shift - other_den.shift
+            if shift >= 0:
+                return QRational(self.num + other.num.shift(shift), self.den)
+            return QRational(self.num.shift(-shift) + other.num, other.den)
         return QRational(self.num * other.den + other.num * self.den,
                          self.den * other.den)
 
@@ -451,11 +450,6 @@ class QRational:
 
     def __repr__(self) -> str:
         return f"QRational({self.num!r}, {self.den!r})"
-
-
-def _low_order(poly: QPoly) -> int:
-    """Exponent of the lowest nonzero term of a nonzero polynomial."""
-    return next(e for e, c in enumerate(poly.coeffs) if c)
 
 
 def _coerce_rational(value):

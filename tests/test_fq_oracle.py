@@ -246,7 +246,7 @@ def enumerated_isotropic(p, n, d, alpha):
 
 class TestIsotropicCounts:
     @pytest.mark.parametrize("p,n", [(2, 4), (2, 5), (3, 4), (5, 3), (3, 5)])
-    def test_streamed_sweep_matches_enumeration(self, p, n):
+    def test_streamed_sweep_matches_enumeration(self, monkeypatch, p, n):
         rng = random.Random(31 * p + n)
         for i in range(n // 2 + 1):
             moved = SkewFormFp.standard(p, n, i).conjugated(
@@ -256,8 +256,9 @@ class TestIsotropicCounts:
                 assert count_isotropic(p, n, d, moved) == want, (i, d)
                 # batches of p^2 bases split every pivot pattern with more
                 # than two free entries
-                got = _kernels.isotropic(p, n, d, moved.matrix(),
-                                         batch=p * p + 1)
+                with monkeypatch.context() as m:
+                    m.setattr(_kernels, "_ISOTROPIC_BATCH", p * p + 1)
+                    got = _kernels.isotropic(p, n, d, moved.matrix())
                 assert got == want, (i, d)
 
     def test_guard_raises_before_any_work(self, monkeypatch):
