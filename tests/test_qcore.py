@@ -2,6 +2,7 @@
 symbols, Gaussian binomials and the terminating series summator."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -257,6 +258,39 @@ class TestQRational:
                 poly_exact_div(a, b)
 
 
+power_params = st.builds(PowerParam, st.sampled_from([1, -1]), st.integers(-6, 6))
+
+
+def value_at(r, x):
+    """Exact value of the QRational r at q = x."""
+    return Fraction(r.num(x), r.den(x))
+
+
+def pochhammer_by_definition(a, b, k, x):
+    """(a; q^b)_k at q = x, one factor (1 - a*q^(b*j)) at a time."""
+    out = Fraction(1)
+    for j in range(k):
+        out *= 1 - a.sign * Fraction(x) ** (a.exponent + b * j)
+    return out
+
+
+def phi_by_definition(upper, lower, b, z, max_terms, x):
+    """Terms 0..max_terms of the basic hypergeometric series at q = x, each
+    summed as its own ratio of Pochhammer values."""
+    big_q = Fraction(x) ** b
+    excess = 1 + len(lower) - len(upper)
+    total = Fraction(0)
+    for m in range(max_terms + 1):
+        term = pochhammer_by_definition(qpow(b), b, m, x) ** -1
+        for a in upper:
+            term *= pochhammer_by_definition(a, b, m, x)
+        for c in lower:
+            term /= pochhammer_by_definition(c, b, m, x)
+        term *= ((-1) ** m * big_q ** (m * (m - 1) // 2)) ** excess
+        total += term * (z.sign * Fraction(x) ** z.exponent) ** m
+    return total
+
+
 class TestPochhammer:
     def test_two_factor_product(self):
         got = pochhammer(qpow(1), 1, 2)
@@ -277,6 +311,13 @@ class TestPochhammer:
         got = pochhammer(qpow(-2), 2, 1)  # 1 - q^-2 = q^-2 (q^2 - 1)
         assert got.shift == -2
         assert got.body == monomial(2) - 1
+
+    @given(power_params, st.integers(1, 3), st.integers(0, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_factor_by_factor_product(self, a, b, k):
+        got = pochhammer(a, b, k).as_rational()
+        for x in (2, 3):
+            assert value_at(got, x) == pochhammer_by_definition(a, b, k, x)
 
     @given(st.integers(-4, 4), st.integers(1, 3), st.integers(0, 4), st.integers(0, 4))
     @settings(max_examples=40, deadline=None)
@@ -445,6 +486,23 @@ class TestPhiEval:
     def test_pole_outside_term_range_is_fine(self):
         # lower q^-2 with base 1 only degenerates from term 3 onward
         phi_eval([qpow(-6)], [qpow(-2)], 1, qpow(1), 2)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_termwise_definition(self, data):
+        base, max_terms = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 4))
+        upper = data.draw(st.lists(power_params, max_size=3))
+        lower = data.draw(st.lists(power_params, max_size=2))
+        z = data.draw(power_params)
+        if any(b.sign == 1 and b.exponent in range(-base * (max_terms - 1), 1, base)
+               for b in lower):
+            with pytest.raises(LowerParamPole):
+                phi_eval(upper, lower, base, z, max_terms)
+            return
+        got = phi_eval(upper, lower, base, z, max_terms)
+        for x in (2, 3):
+            assert value_at(got, x) == phi_by_definition(upper, lower, base, z,
+                                                         max_terms, x)
 
     def test_negative_series_excess_uses_laurent_weights(self):
         # one upper parameter, no lower parameter: excess factor power -? no:
