@@ -4,9 +4,8 @@ identity suite verifying them, and a finite-field brute-force oracle."""
 __version__ = "0.1.0"
 
 from .qcore import (
-    QPoly, QRational, QLaurent, PowerParam,
+    QPoly, QRational, PowerParam,
     NotDivisible, NotPolynomial, ZeroDenominator, LowerParamPole,
-    poly_exact_div,
     pochhammer, gauss_binomial, phi_eval, qpow, neg_qpow,
 )
 from .efun import (

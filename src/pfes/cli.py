@@ -206,15 +206,14 @@ def cmd_oracle(args) -> int:
         else:
             raise RangeError("no symbolic counterpart for odd --dim with a "
                              "nonzero form; use an even subspace dimension")
-    elif args.target == "cut-stratum":
+    else:  # cut-stratum
         params = {"p": p, "n": n, "rank": args.rank, "alpha_rank": args.alpha_rank}
         if args.alpha_rank % 2 or args.alpha_rank < 2:
             raise RangeError("--alpha-rank must be even and positive")
+        cut = CutParams(n, args.rank // 2, args.alpha_rank // 2)
         alpha = SkewFormFp.standard(p, n, args.alpha_rank // 2)
         count = count_cut_stratum(p, n, args.rank, alpha, args.max_enum)
-        symbolic = f_circ(CutParams(n, args.rank // 2, args.alpha_rank // 2))(p)
-    else:
-        raise RangeError(f"unknown oracle target {args.target!r}")
+        symbolic = f_circ(cut)(p)
 
     match = count == symbolic
     if args.format == "json":

@@ -42,7 +42,12 @@ def _small_prime(p: int) -> bool:
 def _enum_guard(count: int, what: str, max_enum: int | None):
     limit = max_enum
     if limit is None:
-        limit = int(os.environ.get("PFES_MAX_ENUM", DEFAULT_MAX_ENUM))
+        raw = os.environ.get("PFES_MAX_ENUM", str(DEFAULT_MAX_ENUM))
+        _require(raw.strip().isdecimal(),
+                 f"PFES_MAX_ENUM must be a non-negative integer, got {raw!r}")
+        limit = int(raw)
+    _require(isinstance(limit, int) and limit >= 0,
+             f"max_enum must be a non-negative integer, got {limit!r}")
     if count > limit:
         raise TooLarge(f"{what} needs {count} candidates, guard is {limit} "
                        f"(override with PFES_MAX_ENUM or max_enum)")

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .qcore import (
-    ONE, ZERO, QPoly, QRational, LowerParamPole, NotDivisible, NotPolynomial,
+    ONE, ZERO, QPoly, QRational, LowerParamPole,
     gauss_binomial, geometric_series, monomial, neg_qpow, phi_eval,
-    pochhammer, poly_exact_div, q_product, q_quotient, qpow,
+    pochhammer, q_divide, q_product, q_quotient, qpow,
 )
 from .efun import _rank_locus_weight, _require, grassmannian_E
 
@@ -153,7 +153,7 @@ def _cut_rhs(k: int, i: int, n: int) -> QPoly:
     return monomial(2 * k * k - k - 1) * isotropic_E(k, i, n)
 
 
-def _recursion_sum(k: int, n: int, js: range, value) -> tuple[QPoly, QPoly]:
+def _recursion_sum(k: int, n: int, js: range, value) -> tuple[QPoly, list[int]]:
     """Sum over j in js of value(j) times the coefficient of f_j in the
     triangular recursion at k,
 
@@ -161,11 +161,12 @@ def _recursion_sum(k: int, n: int, js: range, value) -> tuple[QPoly, QPoly]:
         / ((1 - q^(n+1-2j)) (q;q)_{2k-2j}),
 
     over the common denominator (q;q)_top * prod_{j in js} (1 - q^(n+1-2j)),
-    top = 2k - 2*js.start.  Returns (numerator, denominator).  value is
-    called only for the j whose coefficient does not vanish.
+    top = 2k - 2*js.start.  Returns the numerator and the exponent list of
+    the denominator.  value is called only for the j whose coefficient does
+    not vanish.
     """
     top = 2 * (k - js.start)
-    den = q_product([*range(1, top + 1), *(n + 1 - 2 * j for j in js)])
+    den = [*range(1, top + 1), *(n + 1 - 2 * j for j in js)]
     total = ZERO
     for j in js:
         # (1 - q^(n+1-2k)), (q^(n+3-4k+2j); q^2)_{2k-2j} (zero when it
@@ -202,12 +203,8 @@ def solve_newcor(k_max: int, i: int, n: int) -> list[QPoly]:
     for k in range(len(solved) + 1, k_max + 1):
         rhs = _smooth_rhs(k, n) + _cut_rhs(k, i, n)
         acc, den = _recursion_sum(k, n, range(1, k), lambda j: solved[j - 1])
-        try:
-            f_k = poly_exact_div(rhs * den - acc, den)
-        except NotDivisible as exc:
-            raise NotPolynomial(rhs * den - acc, den,
-                                f"triangular solve (k={k}, i={i}, n={n})") from exc
-        solved.append(f_k)
+        solved.append(rhs - q_divide(
+            acc, den, f"triangular solve (k={k}, i={i}, n={n})"))
     _NEWCOR_CACHE[i, n] = solved
     return solved[:k_max]
 
@@ -225,7 +222,7 @@ def verify_hj(a: int, b: int) -> IdentityReport:
     closed_num = (pochhammer(qpow(2 * b - 4 * a + 4), 2, 2 * a)
                   * (monomial(2 * a * a - a) * (ONE - monomial(2 * b - 2 * a + 2))))
     closed_den = q_product([2 * b + 2, *range(1, 2 * a + 1)])
-    rhs = closed_num.as_rational() / QRational(closed_den)
+    rhs = closed_num / QRational(closed_den)
     return _report("hj", (a, b), QRational(lhs), rhs)
 
 
@@ -240,7 +237,7 @@ def _smooth_lhs_sum(k: int, n: int) -> QRational:
         return lead * gauss_binomial(half, j, 2)
 
     total, den = _recursion_sum(k, n, range(0, k + 1), value)
-    return QRational(total, den.shift(1))
+    return QRational(total, q_product(den).shift(1))
 
 
 def _cut_lhs_sum(k: int, i: int, n: int) -> QRational:
@@ -249,7 +246,7 @@ def _cut_lhs_sum(k: int, i: int, n: int) -> QRational:
     total, den = _recursion_sum(
         k, n, range(0, k + 1),
         lambda j: gauss_binomial(half - i, j, 2).shift(n * j))
-    return QRational(total, den.shift(1))
+    return QRational(total, q_product(den).shift(1))
 
 
 def verify_AC_BD(params: CutParams) -> list[IdentityReport]:
@@ -292,7 +289,7 @@ def verify_phi_reductions(params: CutParams) -> list[IdentityReport]:
         pre_num = (pochhammer(qpow(n + 3 - 4 * k), 2, 2 * k)
                    * (monomial(2 * k * k - k - 1) * (ONE - monomial(n + 1 - 2 * k))))
         pre_den = q_product([n + 1, *range(1, 2 * k + 1)])
-        rhs_b = pre_num.as_rational() / QRational(pre_den) * phi_b
+        rhs_b = pre_num / QRational(pre_den) * phi_b
         reports.append(_report("phi-3phi2-cut-part", (k, i, n),
                                _cut_lhs_sum(k, i, n), rhs_b))
     except LowerParamPole as pole:

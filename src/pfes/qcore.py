@@ -1,11 +1,15 @@
 """Exact arithmetic in a single variable q.
 
 Provides dense integer-coefficient polynomials (QPoly), rational functions
-(QRational), Laurent polynomials (QLaurent), signed q-powers
-(PowerParam), q-Pochhammer symbols, Gaussian binomial coefficients and a
-terminating basic hypergeometric summator.  Products of factors
-(1 - q**a) and exact quotients of two such products are built here, by
-q_product and q_quotient; other modules pass them only the exponents.
+(QRational), signed q-powers (PowerParam), q-Pochhammer symbols, Gaussian
+binomial coefficients and a terminating basic hypergeometric summator.
+
+Every product or quotient of factors (1 - s*q**e), s = +-1, is built here
+from lists of exponents; other modules pass only the exponents.  q_quotient
+multiplies the tops (1 - q**a) in place and q_divide divides by the bottoms
+(1 - q**b).  Any other factor is first rewritten into that form:
+1 - s*q**e = -s*q**e * (1 - s*q**-e) for e < 0, and
+1 + q**e = (1 - q**2e) / (1 - q**e) for e > 0.
 
 A dense product is one big-integer multiply, by Kronecker substitution
 (Schoenhage 1982; Harvey, J. Symbolic Comput. 44, 2009).  A QRational keeps
@@ -186,7 +190,7 @@ class QPoly:
     def shift(self, m: int) -> "QPoly":
         """Multiply by q**m (m >= 0)."""
         if m < 0:
-            raise ValueError("use QLaurent for negative shifts")
+            raise ValueError("negative shifts are not polynomials")
         if self.is_zero:
             return ZERO
         return QPoly((0,) * m + self.coeffs)
@@ -312,27 +316,72 @@ def q_quotient(tops: Iterable[int], bottoms: Iterable[int],
     such tops may run on into negative exponents.  Raises NotPolynomial,
     labelled with context, when the division leaves a remainder.
 
-    In place on one coefficient list: a factor (1 - q**a) subtracts a shifted
-    copy; a divisor (1 - q**b) is a running sum per residue class mod b,
-    exact iff the top b sums vanish.
+    In place on one coefficient list: a factor (1 - q**a) subtracts a
+    shifted copy; q_divide then divides by the bottoms.
     """
-    tops, bottoms = list(tops), list(bottoms)
+    tops = list(tops)
     if 0 in tops:
         return ZERO
-    if min(tops + bottoms, default=0) < 0:
+    if min(tops, default=0) < 0:
         raise ValueError("QPoly exponents must be non-negative")
-    if 0 in bottoms:
-        raise ZeroDenominator("division by the zero polynomial")
     cs = [1] + [0] * sum(tops)
     for a, deg in zip(tops, accumulate(tops)):
         cs[a:deg + 1] = [x - y for x, y in zip(cs[a:deg + 1], cs)]
+    return q_divide(QPoly(cs), bottoms, context)
+
+
+def q_divide(num: QPoly, bottoms: Iterable[int], context: str) -> QPoly:
+    """Exact quotient num / q_product(bottoms).
+
+    A divisor (1 - q**b) is a running sum per residue class mod b, exact
+    iff the top b sums vanish.  Raises NotPolynomial, labelled with
+    context, when the division leaves a remainder.
+    """
+    bottoms = list(bottoms)
+    if min(bottoms, default=1) < 0:
+        raise ValueError("QPoly exponents must be non-negative")
+    if 0 in bottoms:
+        raise ZeroDenominator("division by the zero polynomial")
+    cs = list(num.coeffs)
     for b in bottoms:
         for r in range(b):
             cs[r::b] = accumulate(cs[r::b])
         if any(cs[-b:]):
-            raise NotPolynomial(q_product(tops), q_product(bottoms), context)
+            raise NotPolynomial(num, q_product(bottoms), context)
         del cs[-b:]
     return QPoly(cs)
+
+
+def _factors(base_exp: int, *groups) -> tuple[int, int, list[int], list[int]]:
+    """The product, over the groups (a, start, stop), of the factors
+    (1 - a*q**(base_exp*j)) for start <= j < stop, as (coef, shift, tops,
+    bottoms): the product is coef * q**shift * q_quotient(tops, bottoms).
+
+    The quotient is exact, and ZERO when a factor is 1 - q**0.
+    """
+    coef, shift, tops, bottoms = 1, 0, [], []
+    for a, start, stop in groups:
+        s = a.sign
+        for j in range(start, stop):
+            e = a.exponent + base_exp * j
+            if e < 0:  # 1 - s*q**e = -s*q**e * (1 - s*q**-e)
+                coef, shift, e = -s * coef, shift + e, -e
+            if s == 1:
+                tops.append(e)
+            elif e == 0:  # 1 + q**0
+                coef *= 2
+            else:  # 1 + q**e = (1 - q**2e) / (1 - q**e)
+                tops.append(2 * e)
+                bottoms.append(e)
+    return coef, shift, tops, bottoms
+
+
+def _valuation(p: QPoly) -> int:
+    """Exponent of the lowest nonzero term of the nonzero polynomial p."""
+    v = 0
+    while not p.coeffs[v]:
+        v += 1
+    return v
 
 
 class QRational:
@@ -404,9 +453,9 @@ class QRational:
         if other is NotImplemented:
             return NotImplemented
         # denominators equal up to a power of q share the larger one
-        den, other_den = QLaurent(self.den), QLaurent(other.den)
-        if den.body == other_den.body:
-            shift = den.shift - other_den.shift
+        v, other_v = _valuation(self.den), _valuation(other.den)
+        if self.den.coeffs[v:] == other.den.coeffs[other_v:]:
+            shift = v - other_v
             if shift >= 0:
                 return QRational(self.num + other.num.shift(shift), self.den)
             return QRational(self.num.shift(-shift) + other.num, other.den)
@@ -460,87 +509,6 @@ def _coerce_rational(value):
     return NotImplemented
 
 
-class QLaurent:
-    """q**shift * body, with body having a nonzero constant term.
-
-    Canonical form: the shift absorbs every factor of q, so body(0) != 0
-    unless the value is zero, which is stored as (0, shift=0).
-    """
-
-    __slots__ = ("body", "shift")
-
-    def __init__(self, body: QPoly, shift: int = 0):
-        body = _coerce_poly(body)
-        if body.is_zero:
-            self.body, self.shift = ZERO, 0
-            return
-        v = 0
-        while body.coeffs[v] == 0:
-            v += 1
-        self.body = QPoly(body.coeffs[v:])
-        self.shift = shift + v
-
-    @property
-    def is_zero(self) -> bool:
-        return self.body.is_zero
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QLaurent):
-            return NotImplemented
-        return self.body == other.body and self.shift == other.shift
-
-    def __hash__(self):
-        return hash((self.body, self.shift))
-
-    def __neg__(self):
-        return QLaurent(-self.body, self.shift)
-
-    def __mul__(self, other):
-        if isinstance(other, QLaurent):
-            return QLaurent(self.body * other.body, self.shift + other.shift)
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QLaurent(self.body * other, self.shift)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if isinstance(other, (QPoly, int)):
-            other = QLaurent(_coerce_poly(other))
-        if not isinstance(other, QLaurent):
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        base = min(self.shift, other.shift)
-        return QLaurent(self.body.shift(self.shift - base)
-                        + other.body.shift(other.shift - base), base)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, QLaurent)
-                       else -_coerce_poly(other))
-
-    def as_rational(self) -> QRational:
-        if self.shift >= 0:
-            return QRational(self.body.shift(self.shift))
-        return QRational(self.body, monomial(-self.shift))
-
-    def __str__(self) -> str:
-        if self.shift == 0:
-            return str(self.body)
-        return f"q^{self.shift}*({self.body})"
-
-    def __repr__(self) -> str:
-        return f"QLaurent({self.body!r}, {self.shift!r})"
-
-
-LAURENT_ONE = QLaurent(ONE)
-
-
 @dataclass(frozen=True)
 class PowerParam:
     """A signed symbolic power of q: sign * q**exponent, exponent in Z."""
@@ -568,30 +536,15 @@ def neg_qpow(exponent: int) -> PowerParam:
     return PowerParam(-1, exponent)
 
 
-def _one_minus(sign: int, exponent: int) -> QLaurent:
-    # 1 - sign*q^exponent, as a Laurent polynomial
-    if exponent >= 0:
-        if exponent == 0:
-            return QLaurent(QPoly([1 - sign]))
-        cs = [1] + [0] * (exponent - 1) + [-sign]
-        return QLaurent(QPoly(cs))
-    # q^e * (q^{-e} - sign)
-    return QLaurent(monomial(-exponent) - sign, exponent)
-
-
-def pochhammer(a: PowerParam, base_exp: int, k: int) -> QLaurent:
-    """Product of k factors (1 - a*q**(base_exp*j)), j = 0..k-1."""
+def pochhammer(a: PowerParam, base_exp: int, k: int) -> QRational:
+    """Product of k factors (1 - a*q**(base_exp*j)), j = 0..k-1; its
+    denominator is a power of q when a factor has a negative exponent."""
     if base_exp < 1:
         raise ValueError("base_exp must be a positive integer")
     if k < 0:
         raise ValueError("pochhammer length must be non-negative")
-    result = LAURENT_ONE
-    for j in range(k):
-        factor = _one_minus(a.sign, a.exponent + base_exp * j)
-        if factor.is_zero:
-            return QLaurent(ZERO)
-        result = result * factor
-    return result
+    coef, shift, tops, bottoms = _factors(base_exp, (a, 0, k))
+    return QRational(coef * q_quotient(tops, bottoms, ""), monomial(-shift))
 
 
 _GAUSS_CACHE: dict[tuple[int, int, int], QPoly] = {}
@@ -645,33 +598,25 @@ def phi_eval(upper: Sequence[PowerParam], lower: Sequence[PowerParam],
 
     # Every term is placed over the common denominator (Q;Q)_M prod(b;Q)_M:
     # the m-th numerator picks up the "tail" factors from index m to M-1.
-    den = pochhammer(qpow(base_exp), base_exp, M)
-    for b in lower:
-        den = den * pochhammer(b, base_exp, M)
+    big_q = qpow(base_exp)
+    coef, den_shift, tops, bottoms = _factors(
+        base_exp, *((b, 0, M) for b in (big_q, *lower)))
+    den = coef * q_quotient(tops, bottoms, "")
 
-    def tail(param: PowerParam, frm: int) -> QLaurent:
-        out = LAURENT_ONE
-        for j in range(frm, M):
-            out = out * _one_minus(param.sign, param.exponent + base_exp * j)
-        return out
-
-    total = QLaurent(ZERO)
+    terms = []
     for m in range(M + 1):
-        num = LAURENT_ONE
-        for a in upper:
-            num = num * pochhammer(a, base_exp, m)
-            if num.is_zero:
-                break
+        coef, shift, tops, bottoms = _factors(
+            base_exp, *((a, 0, m) for a in upper),
+            *((b, m, M) for b in (big_q, *lower)))
+        num = q_quotient(tops, bottoms, "")
         if num.is_zero:
             continue
-        num = num * tail(qpow(base_exp), m)
-        for b in lower:
-            num = num * tail(b, m)
         sign = (-1 if (m * excess) % 2 else 1) * (z.sign ** m)
-        exp = excess * base_exp * (m * (m - 1) // 2) + m * z.exponent
-        total = total + num * QLaurent(QPoly([sign]), exp)
+        shift += excess * base_exp * (m * (m - 1) // 2) + m * z.exponent
+        terms.append((shift, sign * coef * num))
 
-    delta = total.shift - den.shift
-    if delta >= 0:
-        return QRational(total.body.shift(delta), den.body)
-    return QRational(total.body, den.body.shift(-delta))
+    low = min((shift for shift, _ in terms), default=den_shift)
+    total = sum((num.shift(shift - low) for shift, num in terms), ZERO)
+    if low >= den_shift:
+        return QRational(total.shift(low - den_shift), den)
+    return QRational(total, den.shift(den_shift - low))

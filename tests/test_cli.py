@@ -189,6 +189,31 @@ class TestOracle:
         assert code == 1
         assert "MISMATCH" in out
 
+    @pytest.mark.parametrize("value", ["abc", "-5", ""])
+    def test_malformed_guard_variable_is_usage_error(self, capsys, monkeypatch,
+                                                     value):
+        monkeypatch.setenv("PFES_MAX_ENUM", value)
+        code, _, err = run_cli(capsys, "oracle", "rank-stratum", "--p", "2",
+                               "--n", "4", "--rank", "2")
+        assert code == 2
+        assert err.startswith("error: PFES_MAX_ENUM must be a non-negative integer")
+
+    def test_negative_guard_flag_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "oracle", "rank-stratum", "--p", "2",
+                               "--n", "4", "--rank", "2", "--max-enum", "-1")
+        assert code == 2
+        assert err.startswith("error: max_enum must be a non-negative integer")
+
+    def test_cut_parameters_checked_before_counting(self, capsys, monkeypatch):
+        def no_count(*args, **kwargs):
+            raise AssertionError("counted before checking the cut parameters")
+
+        monkeypatch.setattr(cli, "count_cut_stratum", no_count)
+        code, _, err = run_cli(capsys, "oracle", "cut-stratum", "--p", "2",
+                               "--n", "5", "--rank", "0", "--alpha-rank", "2")
+        assert code == 2
+        assert "k must satisfy 1 <= k" in err
+
     def test_bad_prime_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "oracle", "rank-stratum", "--p", "4",
                              "--n", "4", "--rank", "2")

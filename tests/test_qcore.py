@@ -1,5 +1,6 @@
-"""Exact-arithmetic core: polynomials, rationals, Laurent values, Pochhammer
-symbols, Gaussian binomials and the terminating series summator."""
+"""Exact-arithmetic core: polynomials, rationals, Pochhammer symbols,
+products and quotients of (1 - q^a) factors, Gaussian binomials and the
+terminating series summator."""
 
 import math
 from fractions import Fraction
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pfes.qcore import (
-    ONE, ZERO, Q, QLaurent, QPoly, QRational, PowerParam,
+    ONE, ZERO, Q, QPoly, QRational, PowerParam,
     LowerParamPole, NotDivisible, NotPolynomial, ZeroDenominator,
     _SPARSE_TERMS,
     gauss_binomial, geometric_series, monomial, neg_qpow, phi_eval,
-    pochhammer, poly_exact_div, q_product, q_quotient, qpow,
+    pochhammer, poly_exact_div, q_divide, q_product, q_quotient, qpow,
 )
 
 
@@ -294,28 +295,27 @@ def phi_by_definition(upper, lower, b, z, max_terms, x):
 class TestPochhammer:
     def test_two_factor_product(self):
         got = pochhammer(qpow(1), 1, 2)
-        assert got == QLaurent((1 - Q) * (1 - monomial(2)))
-        assert got.body == QPoly([1, -1, -1, 1])
+        assert got == QRational((1 - Q) * (1 - monomial(2)))
+        assert got.as_poly() == QPoly([1, -1, -1, 1])
 
     def test_unit_argument_kills_product(self):
         assert pochhammer(qpow(0), 2, 1).is_zero
         assert pochhammer(qpow(0), 2, 3).is_zero
 
     def test_negated_argument(self):
-        assert pochhammer(neg_qpow(1), 1, 2) == QLaurent((1 + Q) * (1 + monomial(2)))
+        assert pochhammer(neg_qpow(1), 1, 2) == QRational((1 + Q) * (1 + monomial(2)))
 
     def test_empty_product_is_one(self):
-        assert pochhammer(qpow(7), 3, 0) == QLaurent(ONE)
+        assert pochhammer(qpow(7), 3, 0) == QRational(ONE)
 
     def test_negative_exponent_gets_laurent_shift(self):
-        got = pochhammer(qpow(-2), 2, 1)  # 1 - q^-2 = q^-2 (q^2 - 1)
-        assert got.shift == -2
-        assert got.body == monomial(2) - 1
+        # 1 - q^-2 = (q^2 - 1) / q^2
+        assert pochhammer(qpow(-2), 2, 1) == QRational(monomial(2) - 1, monomial(2))
 
     @given(power_params, st.integers(1, 3), st.integers(0, 5))
     @settings(max_examples=150, deadline=None)
     def test_matches_factor_by_factor_product(self, a, b, k):
-        got = pochhammer(a, b, k).as_rational()
+        got = pochhammer(a, b, k)
         for x in (2, 3):
             assert value_at(got, x) == pochhammer_by_definition(a, b, k, x)
 
@@ -388,8 +388,8 @@ exponent_lists = st.lists(st.integers(1, 9), max_size=5)
 
 
 class TestQProducts:
-    """q_product and q_quotient against an explicit (1 - q^a) loop and
-    poly_exact_div."""
+    """q_product, q_quotient and q_divide against an explicit (1 - q^a)
+    loop and poly_exact_div."""
 
     @given(exponent_lists)
     def test_product_matches_schoolbook(self, exponents):
@@ -439,30 +439,29 @@ class TestQProducts:
         assert info.value.den == ONE - monomial(2)
         assert "dual weight (k=1, i=2, n=7)" in str(info.value)
 
+    @given(small_polys, exponent_lists)
+    def test_divide_inverts_product(self, a, bottoms):
+        assert q_divide(a * q_product(bottoms), bottoms, "") == a
+
+    def test_divide_by_a_non_factor_raises_with_context(self):
+        num = ONE - monomial(3)
+        with pytest.raises(NotPolynomial) as info:
+            q_divide(num, [2], "triangular solve (k=2, i=1, n=7)")
+        assert info.value.num == num
+        assert info.value.den == ONE - monomial(2)
+        assert "triangular solve (k=2, i=1, n=7)" in str(info.value)
+
+    def test_divide_zero_numerator(self):
+        assert q_divide(ZERO, [3, 1, 4], "") == ZERO
+
+    def test_divide_by_a_zero_bottom_raises(self):
+        with pytest.raises(ZeroDenominator):
+            q_divide(ONE - Q, [1, 0], "")
+
     @pytest.mark.parametrize("b", [1, 2, 3])
     @pytest.mark.parametrize("m", range(0, 7))
     def test_geometric_series_is_a_binomial(self, m, b):
         assert geometric_series(m, b) == gauss_binomial(m, 1, b)
-
-
-class TestQLaurent:
-    def test_shift_is_maximal(self):
-        l = QLaurent(QPoly([0, 0, 3, 1]), -1)
-        assert l.shift == 1
-        assert l.body == QPoly([3, 1])
-
-    def test_zero_has_zero_shift(self):
-        assert QLaurent(ZERO, 5).shift == 0
-
-    def test_as_rational_negative_shift(self):
-        l = QLaurent(QPoly([1, 1]), -2)
-        r = l.as_rational()
-        assert r == QRational(QPoly([1, 1]), monomial(2))
-
-    def test_addition_aligns_shifts(self):
-        a = QLaurent(ONE, -1)   # q^-1
-        b = QLaurent(ONE, 0)    # 1
-        assert a + b == QLaurent(QPoly([1, 1]), -1)
 
 
 class TestPhiEval:

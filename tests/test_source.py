@@ -3,7 +3,8 @@
 Library invariants raise explicit errors: `python -O` strips `assert`
 statements, so none may appear in the package source.  No module imports a
 name it never uses; `__init__.py` is exempt, since its imports are the
-package's exports.
+package's exports.  Exact division by products of (1 - q^a) stays inside
+`qcore`: no other module names the general `poly_exact_div`.
 """
 
 import ast
@@ -40,4 +41,18 @@ def test_no_unused_imports_in_library():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name}"
                   for name, line in imported.items() if name not in used]
+    assert not found, found
+
+
+def test_general_division_only_in_qcore():
+    found = []
+    for path in SOURCES:
+        if path.name == "qcore.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or getattr(node, "name", None))
+            if name == "poly_exact_div":
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
     assert not found, found
