@@ -154,6 +154,9 @@ def cmd_verify(args) -> int:
     for name in names:
         for point in suites.SUITES[name].grid(_suite_bounds(name, args)):
             tasks.append((name, point))
+    if not tasks:
+        raise RangeError(f"verify {args.suite}: no grid points within the "
+                         "given bounds")
     start = time.perf_counter()
     rows: list[dict] = []
     if args.parallel:
@@ -197,15 +200,16 @@ def cmd_oracle(args) -> int:
         params = {"p": p, "n": n, "dim": args.dim, "alpha_rank": args.alpha_rank}
         if args.alpha_rank % 2:
             raise RangeError("--alpha-rank must be even")
-        alpha = SkewFormFp.standard(p, n, args.alpha_rank // 2)
-        count = count_isotropic(p, n, args.dim, alpha, args.max_enum)
-        if args.alpha_rank == 0 or args.dim < 2:
-            symbolic = gauss_binomial(n, args.dim, 1)(p)
-        elif args.dim % 2 == 0:
-            symbolic = isotropic_E(args.dim // 2, args.alpha_rank // 2, n)(p)
-        else:
+        plain = args.alpha_rank == 0 or args.dim < 2
+        if not plain and args.dim % 2:
             raise RangeError("no symbolic counterpart for odd --dim with a "
                              "nonzero form; use an even subspace dimension")
+        alpha = SkewFormFp.standard(p, n, args.alpha_rank // 2)
+        count = count_isotropic(p, n, args.dim, alpha, args.max_enum)
+        if plain:
+            symbolic = gauss_binomial(n, args.dim, 1)(p)
+        else:
+            symbolic = isotropic_E(args.dim // 2, args.alpha_rank // 2, n)(p)
     else:  # cut-stratum
         params = {"p": p, "n": n, "rank": args.rank, "alpha_rank": args.alpha_rank}
         if args.alpha_rank % 2 or args.alpha_rank < 2:

@@ -12,11 +12,20 @@ than a tautology.
 Verifiers return IdentityReport values instead of raising, so grid runs can
 aggregate failures.  Points where a hypergeometric reduction degenerates
 (a denominator parameter hits a pole) are reported as skipped.
+
+Each value is computed once per key it depends on, with functools.cache:
+f_closed and f_circ per CutParams, _smooth_lhs_sum per (k, n), and the two
+smooth-part reports (cut-recursion-smooth-part of verify_AC_BD and
+phi-2phi1-smooth-part of verify_phi_reductions) per (k, n), so the (n, k, i)
+grid repeats them for every i without recomputing.  Values are immutable,
+so the memos are invisible in the results.  solve_newcor keeps its own
+memo per (i, n), extended on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .qcore import (
     ONE, ZERO, QPoly, QRational, LowerParamPole,
@@ -110,6 +119,7 @@ def dual_local_weight(k: int, i: int, n: int) -> QPoly:
                       f"dual weight (k={k}, i={i}, n={n})")
 
 
+@cache
 def f_closed(params: CutParams) -> QPoly:
     """Closed form of the weighted E-function of the rank <= 2k locus cut by
     a hyperplane pairing against a rank-2i form."""
@@ -119,6 +129,7 @@ def f_closed(params: CutParams) -> QPoly:
     return first + second
 
 
+@cache
 def f_circ(params: CutParams) -> QPoly:
     """E-function of the rank exactly 2k part of the cut, obtained from the
     closed weighted values by the alternating binomial inversion."""
@@ -226,6 +237,7 @@ def verify_hj(a: int, b: int) -> IdentityReport:
     return _report("hj", (a, b), QRational(lhs), rhs)
 
 
+@cache
 def _smooth_lhs_sum(k: int, n: int) -> QRational:
     """Recursion left side fed with the smooth (first) summands of the
     closed cut formula, extended to the vanishing index-zero value."""
@@ -249,17 +261,35 @@ def _cut_lhs_sum(k: int, i: int, n: int) -> QRational:
     return QRational(total, q_product(den).shift(1))
 
 
+@cache
+def _smooth_recursion_report(k: int, n: int) -> IdentityReport:
+    """The smooth half of the triangular recursion."""
+    return _report("cut-recursion-smooth-part", (k, n),
+                   _smooth_lhs_sum(k, n), QRational(_smooth_rhs(k, n)))
+
+
 def verify_AC_BD(params: CutParams) -> list[IdentityReport]:
     """Split the triangular recursion (with f given by its closed form) into
     its smooth part and its isotropic part and check both halves exactly.
     The isotropic right side is evaluated through the finite kernel-dimension
     sum, not through any series form."""
     n, k, i = params.n, params.k, params.i
-    smooth = _report("cut-recursion-smooth-part", (k, n),
-                     _smooth_lhs_sum(k, n), QRational(_smooth_rhs(k, n)))
+    smooth = _smooth_recursion_report(k, n)
     cut = _report("cut-recursion-isotropic-part", (k, i, n),
                   _cut_lhs_sum(k, i, n), QRational(_cut_rhs(k, i, n)))
     return [smooth, cut]
+
+
+@cache
+def _phi_smooth_report(k: int, n: int) -> IdentityReport:
+    """The 2phi1 rewrite of the smooth recursion sum."""
+    lhs = QRational(ONE - monomial(1)) * _smooth_lhs_sum(k, n)
+    upper = [qpow(-2 * k), qpow(-n - 1 + 2 * k)]
+    phi_big = phi_eval(upper, [qpow(1)], 2, qpow(n + 2), k)
+    phi_small = phi_eval(upper, [qpow(1)], 2, qpow(2), k)
+    rhs = QRational(gauss_binomial((n - 1) // 2, k, 2)) * (
+        phi_big - QRational(monomial(n * k - 1)) * phi_small)
+    return _report("phi-2phi1-smooth-part", (k, n), lhs, rhs)
 
 
 def verify_phi_reductions(params: CutParams) -> list[IdentityReport]:
@@ -271,16 +301,7 @@ def verify_phi_reductions(params: CutParams) -> list[IdentityReport]:
     failed; the rewrites only claim validity away from those poles.
     """
     n, k, i = params.n, params.k, params.i
-    half = params.half_dim
-    reports = []
-
-    lhs_a = QRational(ONE - monomial(1)) * _smooth_lhs_sum(k, n)
-    upper = [qpow(-2 * k), qpow(-n - 1 + 2 * k)]
-    phi_big = phi_eval(upper, [qpow(1)], 2, qpow(n + 2), k)
-    phi_small = phi_eval(upper, [qpow(1)], 2, qpow(2), k)
-    rhs_a = QRational(gauss_binomial(half, k, 2)) * (
-        phi_big - QRational(monomial(n * k - 1)) * phi_small)
-    reports.append(_report("phi-2phi1-smooth-part", (k, n), lhs_a, rhs_a))
+    reports = [_phi_smooth_report(k, n)]
 
     try:
         phi_b = phi_eval([qpow(-2 * k), qpow(1 - n + 2 * i), qpow(1 - 2 * k)],

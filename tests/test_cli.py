@@ -144,6 +144,21 @@ class TestVerify:
         assert code == 0
         assert " SKIP" in out
 
+    def test_empty_grid_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "newrec", "--max-n", "3")
+        assert code == 2
+        assert "points" not in out
+        assert err.startswith("error: verify newrec: no grid points")
+
+    def test_all_with_some_empty_grids_still_runs(self, capsys):
+        # newrec, phi and the other odd-n suites have no points at n <= 3,
+        # but relg, hj and the rest still do
+        code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "3")
+        assert code == 0
+        assert "newrec" not in out
+        assert out.splitlines()[-1].startswith("suite all: ")
+        assert " 0 failed, 0 skipped" in out.splitlines()[-1]
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         # force a mismatch to exercise the failure path
         monkeypatch.setitem(
@@ -213,6 +228,17 @@ class TestOracle:
                                "--n", "5", "--rank", "0", "--alpha-rank", "2")
         assert code == 2
         assert "k must satisfy 1 <= k" in err
+
+    def test_odd_isotropic_dimension_checked_before_counting(self, capsys,
+                                                             monkeypatch):
+        def no_count(*args, **kwargs):
+            raise AssertionError("counted before checking the dimension")
+
+        monkeypatch.setattr(cli, "count_isotropic", no_count)
+        code, _, err = run_cli(capsys, "oracle", "isotropic", "--p", "3",
+                               "--n", "9", "--dim", "3", "--alpha-rank", "2")
+        assert code == 2
+        assert "no symbolic counterpart for odd --dim" in err
 
     def test_bad_prime_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "oracle", "rank-stratum", "--p", "4",

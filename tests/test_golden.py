@@ -1,9 +1,10 @@
 """Behaviour lock: every `pfes verify <suite> --format json` report at the
 default bounds is byte-identical to the one pinned in bench/golden.json,
 serially and with --parallel, and so is every report at `--max-n 17`, whose
-high-degree products take the Kronecker multiply.  The pinned bytes include
-the exact set of skipped `phi` points, so a pass that turns into a skip is
-caught too."""
+high-degree products take the Kronecker multiply.  Each --parallel worker
+fills its own memos, so the parallel runs show that they give the serial
+bytes.  The pinned bytes include the exact set of skipped `phi` points, so a
+pass that turns into a skip is caught too."""
 
 import contextlib
 import hashlib
@@ -35,7 +36,8 @@ GOLDEN = json.loads((BENCH / "golden.json").read_text())
     ("verify-default", ()),
     ("verify-default", ("--parallel",)),
     ("verify-wide", ()),
-], ids=["serial", "parallel", "wide-serial"])
+    ("verify-wide", ("--parallel",)),
+], ids=["serial", "parallel", "wide-serial", "wide-parallel"])
 def test_verify_reports_match_golden(workload, extra):
     args = (*WORKLOADS.VERIFY_ARGS[workload], *extra)
     mismatched = []

@@ -156,6 +156,61 @@ class TestSolveNewcorMemo:
             solve_newcor(*args)
 
 
+CUT_MEMOS = ("f_closed", "f_circ", "_smooth_lhs_sum",
+             "_smooth_recursion_report", "_phi_smooth_report")
+
+SMALL_CUT_GRID = [CutParams(n, k, i) for n in (5, 7, 9, 11)
+                  for k in range(1, (n - 1) // 2 + 1)
+                  for i in range(1, (n - 1) // 2 + 1)]
+
+
+def clear_cut_memos():
+    for name in CUT_MEMOS:
+        getattr(identities, name).cache_clear()
+
+
+def cut_values(params):
+    return (f_closed(params), f_circ(params), verify_newrec(params),
+            verify_AC_BD(params), verify_phi_reductions(params))
+
+
+class TestCutMemos:
+    @pytest.fixture(autouse=True)
+    def empty_memos(self):
+        clear_cut_memos()
+        yield
+        clear_cut_memos()
+
+    def test_memoized_values_match_fresh_computation(self):
+        # one pass over the grid fills the memos, so later points are served
+        # values cached at earlier ones; each must equal a cold computation
+        warm = {params: cut_values(params) for params in SMALL_CUT_GRID}
+        for params in SMALL_CUT_GRID:
+            clear_cut_memos()
+            assert cut_values(params) == warm[params], params
+
+    def test_each_key_is_computed_once(self):
+        for params in SMALL_CUT_GRID:
+            cut_values(params)
+        pairs = {(params.k, params.n) for params in SMALL_CUT_GRID}
+        misses = {name: getattr(identities, name).cache_info().misses
+                  for name in CUT_MEMOS}
+        assert misses == {
+            "f_closed": len(SMALL_CUT_GRID), "f_circ": len(SMALL_CUT_GRID),
+            "_smooth_lhs_sum": len(pairs),
+            "_smooth_recursion_report": len(pairs),
+            "_phi_smooth_report": len(pairs)}
+
+    def test_smooth_rows_do_not_depend_on_i(self):
+        rows = {}
+        for params in SMALL_CUT_GRID:
+            clear_cut_memos()
+            smooth = (verify_AC_BD(params)[0], verify_phi_reductions(params)[0])
+            assert smooth[0].identity_name == "cut-recursion-smooth-part"
+            assert smooth[1].identity_name == "phi-2phi1-smooth-part"
+            assert rows.setdefault((params.k, params.n), smooth) == smooth, params
+
+
 class TestHj:
     def test_empty_sum_side(self):
         for b in range(0, 6):
