@@ -9,18 +9,20 @@ a skew matrix is the largest size of a principal minor with a nonzero
 Pfaffian, so no elimination is needed.
 
 A census walks every skew form (all p^m digit strings, in index order, in
-batches from `digit_batches`) and tallies them by (rank, pairing-with-alpha
-== 0) into an int64 array of shape (n+1, 2).  It keeps the int8 ranks of
-the last (p, n) it swept, p^m bytes, so another alpha at the same (p, n)
-costs only the pairing and a bincount.
+batches of `_BATCH` from `digit_batches`) and tallies them by (rank,
+pairing-with-alpha == 0) into an int64 array of shape (n+1, 2).  Its one
+memo, `_ranked`, an lru_cache of size 1 keyed by (p, n), keeps the int8
+ranks of the last (p, n) swept, p^m bytes, so another alpha at the same
+(p, n) costs only the pairing and a bincount.
 
 `isotropic` counts the subspaces on which a form vanishes, streaming each
-pivot pattern's reduced echelon bases in batches built from the digits of
-their free entries.
+pivot pattern's reduced echelon bases in batches of at most `_BATCH`,
+built from the digits of their free entries.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -116,33 +118,29 @@ def rank(digits, p: int, n: int) -> np.ndarray:
     return ranks
 
 
-_RANKS: dict[tuple[int, int], np.ndarray] = {}
+_BATCH = 1 << 16
 
 
-def _ranked(p: int, n: int, batch: int) -> np.ndarray:
-    """Ranks of all p^m forms in index order, for the last (p, n) only."""
-    ranks = _RANKS.get((p, n))
-    if ranks is None:
-        _RANKS.clear()
-        m = n * (n - 1) // 2
-        ranks = np.empty(p ** m, np.int8)
-        lo = 0
-        for digits in digit_batches(p, m, batch, kernel_dtype(p, n)):
-            ranks[lo:lo + digits.shape[1]] = rank(digits, p, n)
-            lo += digits.shape[1]
-        _RANKS[p, n] = ranks
+@lru_cache(maxsize=1)
+def _ranked(p: int, n: int) -> np.ndarray:
+    """Ranks of all p^m forms in index order, kept for the last (p, n)."""
+    m = n * (n - 1) // 2
+    ranks = np.empty(p ** m, np.int8)
+    lo = 0
+    for digits in digit_batches(p, m, _BATCH, kernel_dtype(p, n)):
+        ranks[lo:lo + digits.shape[1]] = rank(digits, p, n)
+        lo += digits.shape[1]
     return ranks
 
 
-def census(p: int, n: int, alpha: tuple[int, ...],
-           batch: int = 1 << 16) -> np.ndarray:
+def census(p: int, n: int, alpha: tuple[int, ...]) -> np.ndarray:
     """Tally all skew forms by (rank, <form, alpha> == 0 mod p)."""
     m = n * (n - 1) // 2
-    ranks = _ranked(p, n, batch)
+    ranks = _ranked(p, n)
     alpha = np.array(alpha, np.int64)
     counts = np.zeros((n + 1, 2), np.int64)
     lo, low_pairing = 0, None
-    for digits in digit_batches(p, m, batch, kernel_dtype(p, n)):
+    for digits in digit_batches(p, m, _BATCH, kernel_dtype(p, n)):
         # <form, alpha> is a low part, the same in every batch, plus a high
         # part that is constant within a batch: the first batch has every
         # high digit 0, and column 0 of each batch every low digit
@@ -158,15 +156,12 @@ def census(p: int, n: int, alpha: tuple[int, ...],
     return counts
 
 
-_ISOTROPIC_BATCH = 1 << 16
-
-
 def isotropic(p: int, n: int, d: int, form) -> int:
     """Number of d-dimensional subspaces of F_p^n on which the skew form with
     n x n matrix A = `form` vanishes.  For each pivot pattern, the reduced
     echelon bases x_0..x_{d-1} are built from the digits of their free
-    entries, at most `_ISOTROPIC_BATCH` at a time; a basis counts when
-    every Gram entry x_r^T A x_s (r < s) is 0 mod p."""
+    entries, at most `_BATCH` at a time; a basis counts when every Gram
+    entry x_r^T A x_s (r < s) is 0 mod p."""
     dtype = kernel_dtype(p, n)
     a = (np.array(form, np.int64) % p).astype(dtype)
     count = 0
@@ -177,7 +172,7 @@ def isotropic(p: int, n: int, d: int, form) -> int:
             cols = [c for c in range(pivots[r] + 1, n) if c not in pivots]
             free.append(list(zip(range(width, width + len(cols)), cols)))
             width += len(cols)
-        for digits in digit_batches(p, width, _ISOTROPIC_BATCH, dtype):
+        for digits in digit_batches(p, width, _BATCH, dtype):
             image = [None]  # image[s] = A x_s mod p, needed for s >= 1
             for s in range(1, d):
                 col = np.repeat(a[:, pivots[s], None], digits.shape[1], axis=1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .qcore import (
     ZERO, QPoly, QRational, gauss_binomial, geometric_series, q_quotient,
@@ -69,29 +70,20 @@ def grassmannian_E(k: int, n: int) -> QPoly:
     return gauss_binomial(n, k, 1)
 
 
-_NONDEG_CACHE: dict[int, QPoly] = {}
-
-
+@cache
 def nondeg_skew_E(i: int) -> QPoly:
     """E-polynomial of the nondegenerate skew forms on a 2i-dimensional
     space, up to scaling.
 
     Defined by the triangular system expressing the full space of nonzero
-    skew forms on C^(2r) as the union of its rank strata; values are
-    memoized (the cache is idempotent and safe for concurrent use).
+    skew forms on C^(2i) as the union of its rank strata; memoized per i.
+    Taking s = 1..i-1 in ascending order keeps the recursion two deep.
     """
     _require(i >= 1, f"need i >= 1, got {i}")
-    cached = _NONDEG_CACHE.get(i)
-    if cached is not None:
-        return cached
-    for r in range(1, i + 1):
-        if r in _NONDEG_CACHE:
-            continue
-        total = geometric_series(r * (2 * r - 1))
-        for s in range(1, r):
-            total = total - _NONDEG_CACHE[s] * grassmannian_E(2 * s, 2 * r)
-        _NONDEG_CACHE[r] = total
-    return _NONDEG_CACHE[i]
+    total = geometric_series(i * (2 * i - 1))
+    for s in range(1, i):
+        total = total - nondeg_skew_E(s) * grassmannian_E(2 * s, 2 * i)
+    return total
 
 
 def rank_stratum_E(i: int, n: int) -> QPoly:

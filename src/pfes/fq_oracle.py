@@ -8,15 +8,18 @@ gives an implementation-independent check of every formula.
 
 Full sweeps respect a hard enumeration guard (default 2^24 candidate
 forms or subspaces, overridable via PFES_MAX_ENUM or a max_enum argument)
-and raise TooLarge rather than truncating silently.  The guard also bounds
-memory: the numpy kernels in `_kernels` keep one int8 rank per form of the
-last (p, n) swept, and stream subspaces in fixed-size batches.
+and raise TooLarge rather than truncating silently; the guard runs on
+every call, ahead of the census memo `_census_counts`, a functools.cache
+keyed by (p, n, alpha).  It also bounds memory: the numpy kernels in
+`_kernels` keep one int8 rank per form of the last (p, n) swept, and
+stream subspaces in fixed-size batches.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -140,18 +143,25 @@ def pairing(w: SkewFormFp, alpha: SkewFormFp) -> int:
     return sum(a * b for a, b in zip(w.entries, alpha.entries)) % w.p
 
 
-_CENSUS_CACHE: dict[tuple[int, int, tuple[int, ...]], np.ndarray] = {}
-
-
 def _census(p: int, n: int, alpha: tuple[int, ...], max_enum) -> np.ndarray:
     m = n * (n - 1) // 2
     _enum_guard(p ** m, f"sweep of all skew forms on F_{p}^{n}", max_enum)
-    key = (p, n, alpha)
-    cached = _CENSUS_CACHE.get(key)
-    if cached is None:
-        cached = _kernels.census(p, n, alpha)
-        _CENSUS_CACHE[key] = cached
-    return cached
+    return _census_counts(p, n, alpha)
+
+
+@cache
+def _census_counts(p: int, n: int, alpha: tuple[int, ...]) -> np.ndarray:
+    return _kernels.census(p, n, alpha)
+
+
+def _projective_points(forms: int, p: int, rank: int) -> int:
+    """Projective points among `forms` skew forms of rank `rank`: the zero
+    form is dropped at rank 0, and the rest split into lines of p - 1."""
+    if rank == 0:
+        forms -= 1  # the zero form is not a projective point
+    if forms % (p - 1):
+        raise RuntimeError(f"{forms} forms do not split into lines over F_{p}")
+    return forms // (p - 1)
 
 
 def count_rank_stratum(p: int, n: int, rank: int,
@@ -163,12 +173,7 @@ def count_rank_stratum(p: int, n: int, rank: int,
     _require(rank % 2 == 0 and 0 <= rank <= n,
              f"rank must be even with 0 <= rank <= n, got {rank}")
     census = _census(p, n, SkewFormFp.zero(p, n).entries, max_enum)
-    forms = int(census[rank].sum())
-    if rank == 0:
-        forms -= 1  # the zero form is not a projective point
-    if forms % (p - 1):
-        raise RuntimeError(f"{forms} forms do not split into lines over F_{p}")
-    return forms // (p - 1)
+    return _projective_points(int(census[rank].sum()), p, rank)
 
 
 def count_cut_stratum(p: int, n: int, rank_w: int, alpha: SkewFormFp,
@@ -180,12 +185,7 @@ def count_cut_stratum(p: int, n: int, rank_w: int, alpha: SkewFormFp,
     _require(rank_w % 2 == 0 and 0 <= rank_w <= n,
              f"rank must be even with 0 <= rank <= n, got {rank_w}")
     census = _census(p, n, alpha.entries, max_enum)
-    forms = int(census[rank_w, 1])
-    if rank_w == 0:
-        forms -= 1
-    if forms % (p - 1):
-        raise RuntimeError(f"{forms} forms do not split into lines over F_{p}")
-    return forms // (p - 1)
+    return _projective_points(int(census[rank_w, 1]), p, rank_w)
 
 
 def count_isotropic(p: int, n: int, dim_sub: int, alpha: SkewFormFp,

@@ -14,12 +14,12 @@ aggregate failures.  Points where a hypergeometric reduction degenerates
 (a denominator parameter hits a pole) are reported as skipped.
 
 Each value is computed once per key it depends on, with functools.cache:
-f_closed and f_circ per CutParams, _smooth_lhs_sum per (k, n), and the two
+f_closed and f_circ per CutParams; isotropic_E, _cut_lhs_sum and the
+triangular solve _newcor per (k, i, n); _smooth_lhs_sum and the two
 smooth-part reports (cut-recursion-smooth-part of verify_AC_BD and
 phi-2phi1-smooth-part of verify_phi_reductions) per (k, n), so the (n, k, i)
 grid repeats them for every i without recomputing.  Values are immutable,
-so the memos are invisible in the results.  solve_newcor keeps its own
-memo per (i, n), extended on demand.
+so the memos are invisible in the results.
 """
 
 from __future__ import annotations
@@ -82,6 +82,7 @@ def _skipped(name, point, note) -> IdentityReport:
     return IdentityReport(name, tuple(point), zero, zero, True, True, note)
 
 
+@cache
 def isotropic_E(k: int, i: int, n: int) -> QPoly:
     """E-polynomial of the 2k-dimensional subspaces isotropic for a skew
     form of rank 2i on n-space.
@@ -194,30 +195,27 @@ def _recursion_sum(k: int, n: int, js: range, value) -> tuple[QPoly, list[int]]:
     return total, den
 
 
-_NEWCOR_CACHE: dict[tuple[int, int], list[QPoly]] = {}
-
-
 def solve_newcor(k_max: int, i: int, n: int) -> list[QPoly]:
     """Solve the triangular recursion for the weighted cut E-functions at
     k = 1..k_max, using only Grassmannian and isotropic E-polynomials and
     the recursion coefficients.
 
     This path is independent of f_closed, so termwise agreement with it is a
-    genuine verification of the closed formula.  The longest solution per
-    (i, n) is memoized and extended on demand; each call gets a fresh list.
+    genuine verification of the closed formula.  Each call gets a fresh list.
     """
     half = (n - 1) // 2
     _require(n >= 5 and n % 2 == 1, f"n must be odd and >= 5, got {n}")
     _require(1 <= k_max <= half, f"need 1 <= k_max <= (n-1)/2, got {k_max}")
     _require(1 <= i <= half, f"need 1 <= i <= (n-1)/2, got {i}")
-    solved = list(_NEWCOR_CACHE.get((i, n), ()))
-    for k in range(len(solved) + 1, k_max + 1):
-        rhs = _smooth_rhs(k, n) + _cut_rhs(k, i, n)
-        acc, den = _recursion_sum(k, n, range(1, k), lambda j: solved[j - 1])
-        solved.append(rhs - q_divide(
-            acc, den, f"triangular solve (k={k}, i={i}, n={n})"))
-    _NEWCOR_CACHE[i, n] = solved
-    return solved[:k_max]
+    return [_newcor(k, i, n) for k in range(1, k_max + 1)]
+
+
+@cache
+def _newcor(k: int, i: int, n: int) -> QPoly:
+    """The triangular solve at k, fed with its own values at j < k."""
+    rhs = _smooth_rhs(k, n) + _cut_rhs(k, i, n)
+    acc, den = _recursion_sum(k, n, range(1, k), lambda j: _newcor(j, i, n))
+    return rhs - q_divide(acc, den, f"triangular solve (k={k}, i={i}, n={n})")
 
 
 def verify_hj(a: int, b: int) -> IdentityReport:
@@ -252,6 +250,7 @@ def _smooth_lhs_sum(k: int, n: int) -> QRational:
     return QRational(total, q_product(den).shift(1))
 
 
+@cache
 def _cut_lhs_sum(k: int, i: int, n: int) -> QRational:
     """Recursion left side fed with the dual-weight (second) summands."""
     half = (n - 1) // 2

@@ -79,11 +79,12 @@ class TestNondegSkew:
             assert total == projective_E(r * (2 * r - 1) - 1)
 
     def test_threaded_memo_is_consistent(self):
-        import pfes.efun as efun
-        efun._NONDEG_CACHE.clear()
+        nondeg_skew_E.cache_clear()
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda _: nondeg_skew_E(6), range(16)))
         assert all(r == results[0] for r in results)
+        # one entry per i = 1..6, however the threads interleaved
+        assert nondeg_skew_E.cache_info().currsize == 6
 
 
 class TestRankStratum:

@@ -101,43 +101,58 @@ class TestCensusKernels:
         got = _kernels.census(p, n, alpha.entries)
         assert (got == want).all()
 
-    def test_batched_sweep_combines_tallies(self, monkeypatch):
+    @pytest.fixture
+    def cold_ranks(self):
+        _kernels._ranked.cache_clear()
+        yield
+        _kernels._ranked.cache_clear()
+
+    def test_batched_sweep_combines_tallies(self, monkeypatch, cold_ranks):
         alpha = SkewFormFp.standard(3, 4, 1)
         want = brute_force_census(3, 4, alpha)
         for batch in (1 << 16, 17, 1):
-            # an empty rank store makes each batch size rank afresh
-            monkeypatch.setattr(_kernels, "_RANKS", {})
-            got = _kernels.census(3, 4, alpha.entries, batch=batch)
+            # an empty rank memo makes each batch size rank afresh
+            _kernels._ranked.cache_clear()
+            monkeypatch.setattr(_kernels, "_BATCH", batch)
+            got = _kernels.census(3, 4, alpha.entries)
             assert (got == want).all(), batch
         # with ranks stored, another batch size only changes the tally loop
-        assert (_kernels.census(3, 4, alpha.entries, batch=5) == want).all()
+        monkeypatch.setattr(_kernels, "_BATCH", 5)
+        assert (_kernels.census(3, 4, alpha.entries) == want).all()
+        assert _kernels._ranked.cache_info().hits == 1
 
     @pytest.mark.parametrize("p,n,batch", [(2, 5, 1 << 16), (3, 4, 17),
                                            (5, 4, 700)])
-    def test_second_alpha_reuses_ranks(self, monkeypatch, p, n, batch):
+    def test_second_alpha_reuses_ranks(self, monkeypatch, cold_ranks,
+                                       p, n, batch):
         calls = []
 
         def counted_rank(digits, p_, n_):
             calls.append(digits.shape[1])
             return rank(digits, p_, n_)
 
-        monkeypatch.setattr(_kernels, "_RANKS", {})
         monkeypatch.setattr(_kernels, "rank", counted_rank)
+        monkeypatch.setattr(_kernels, "_BATCH", batch)
         rng = random.Random(7 * p + n)
         moved = SkewFormFp.standard(p, n, 2).conjugated(
             random_invertible(p, n, rng))
-        first = _kernels.census(p, n, SkewFormFp.standard(p, n, 1).entries,
-                                batch=batch)
+        first = _kernels.census(p, n, SkewFormFp.standard(p, n, 1).entries)
         assert (first == brute_force_census(
             p, n, SkewFormFp.standard(p, n, 1))).all()
         assert sum(calls) == p ** (n * (n - 1) // 2)
         ranked = len(calls)
-        second = _kernels.census(p, n, moved.entries, batch=batch)
+        second = _kernels.census(p, n, moved.entries)
         assert (second == brute_force_census(p, n, moved)).all()
         assert len(calls) == ranked
-        # only the last (p, n) keeps its ranks
+        # only the last (p, n) keeps its ranks: (p, n) is ranked again after
+        # another (p, n), which is itself kept
         _kernels.census(2, 3, (1, 0, 1))
-        assert list(_kernels._RANKS) == [(2, 3)]
+        assert _kernels._ranked.cache_info().currsize == 1
+        swept = len(calls)
+        _kernels.census(2, 3, (0, 1, 1))
+        assert len(calls) == swept
+        _kernels.census(p, n, moved.entries)
+        assert sum(calls[swept:]) == p ** (n * (n - 1) // 2)
 
 
 def forms_as_digits(forms):
@@ -217,6 +232,11 @@ class TestRankStratumCounts:
         with pytest.raises(TooLarge):
             count_rank_stratum(2, 4, 2, max_enum=5)
 
+    def test_guard_holds_for_a_memoized_census(self):
+        count_rank_stratum(2, 4, 2)
+        with pytest.raises(TooLarge):
+            count_rank_stratum(2, 4, 2, max_enum=5)
+
     def test_parameter_validation(self):
         with pytest.raises(RangeError):
             count_rank_stratum(4, 4, 2)
@@ -257,7 +277,7 @@ class TestIsotropicCounts:
                 # batches of p^2 bases split every pivot pattern with more
                 # than two free entries
                 with monkeypatch.context() as m:
-                    m.setattr(_kernels, "_ISOTROPIC_BATCH", p * p + 1)
+                    m.setattr(_kernels, "_BATCH", p * p + 1)
                     got = _kernels.isotropic(p, n, d, moved.matrix())
                 assert got == want, (i, d)
 

@@ -129,8 +129,10 @@ class TestSolveNewcor:
 
 class TestSolveNewcorMemo:
     @pytest.fixture(autouse=True)
-    def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(identities, "_NEWCOR_CACHE", {})
+    def empty_memo(self):
+        identities._newcor.cache_clear()
+        yield
+        identities._newcor.cache_clear()
 
     @pytest.mark.parametrize("short_first", [True, False])
     def test_shorter_solve_is_a_prefix(self, short_first):
@@ -140,6 +142,8 @@ class TestSolveNewcorMemo:
             full, short = solve_newcor(5, 2, 11), solve_newcor(2, 2, 11)
         assert short == full[:2]
         assert full == [f_closed(CutParams(11, k, 2)) for k in range(1, 6)]
+        # each k of (i, n) = (2, 11) is solved once, whichever call came first
+        assert identities._newcor.cache_info().misses == 5
 
     def test_returned_list_is_fresh(self):
         got = solve_newcor(3, 2, 9)
@@ -156,8 +160,9 @@ class TestSolveNewcorMemo:
             solve_newcor(*args)
 
 
-CUT_MEMOS = ("f_closed", "f_circ", "_smooth_lhs_sum",
-             "_smooth_recursion_report", "_phi_smooth_report")
+CUT_MEMOS = ("f_closed", "f_circ", "isotropic_E", "_cut_lhs_sum",
+             "_smooth_lhs_sum", "_smooth_recursion_report",
+             "_phi_smooth_report")
 
 SMALL_CUT_GRID = [CutParams(n, k, i) for n in (5, 7, 9, 11)
                   for k in range(1, (n - 1) // 2 + 1)
@@ -197,6 +202,8 @@ class TestCutMemos:
                   for name in CUT_MEMOS}
         assert misses == {
             "f_closed": len(SMALL_CUT_GRID), "f_circ": len(SMALL_CUT_GRID),
+            "isotropic_E": len(SMALL_CUT_GRID),
+            "_cut_lhs_sum": len(SMALL_CUT_GRID),
             "_smooth_lhs_sum": len(pairs),
             "_smooth_recursion_report": len(pairs),
             "_phi_smooth_report": len(pairs)}

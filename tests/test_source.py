@@ -4,7 +4,10 @@ Library invariants raise explicit errors: `python -O` strips `assert`
 statements, so none may appear in the package source.  No module imports a
 name it never uses; `__init__.py` is exempt, since its imports are the
 package's exports.  Exact division by products of (1 - q^a) stays inside
-`qcore`: no other module names the general `poly_exact_div`.
+`qcore`: no other module names the general `poly_exact_div`.  Memos are
+functools caches on the functions they memoize: no module binds an empty
+dict at module level, except `qcore._GAUSS_CACHE`, which the benchmark's
+tracer reads to count Gaussian-binomial misses.
 """
 
 import ast
@@ -55,4 +58,29 @@ def test_general_division_only_in_qcore():
                     or getattr(node, "name", None))
             if name == "poly_exact_div":
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert not found, found
+
+
+def _is_empty_dict(node) -> bool:
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "dict" and not node.args and not node.keywords)
+
+
+def test_no_module_level_dict_memos():
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            names = [getattr(target, "id", None) for target in targets]
+            if (node.value is not None and _is_empty_dict(node.value)
+                    and names != ["_GAUSS_CACHE"]):
+                found.append(f"{path.name}:{node.lineno} {names}")
     assert not found, found
