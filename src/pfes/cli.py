@@ -41,25 +41,6 @@ EXIT_RESOURCE = 3
 # ---------------------------------------------------------------------------
 # rendering
 
-def poly_latex(p: QPoly) -> str:
-    if p.is_zero:
-        return "0"
-    parts = []
-    for e in range(p.degree, -1, -1):
-        c = p.coeffs[e]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else ("+" if parts else "")
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            var = "uv" if e == 1 else f"(uv)^{e}"
-            body = var if mag == 1 else f"{mag}{var}"
-        parts.append(sign + body)
-    return "".join(parts)
-
-
 def poly_json(p: QPoly) -> dict:
     return {"var": "q", "coeffs": list(p.coeffs)}
 
@@ -119,7 +100,7 @@ def cmd_compute(args) -> int:
     if args.format == "plain":
         print(value)
     elif args.format == "latex":
-        print(value if isinstance(value, int) else poly_latex(value))
+        print(value if isinstance(value, int) else value.render("uv"))
     else:
         entry = {"name": args.target, "passed": None}
         if isinstance(value, int):

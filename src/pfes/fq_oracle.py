@@ -82,7 +82,7 @@ class SkewFormFp:
     @classmethod
     def standard(cls, p: int, n: int, i: int) -> "SkewFormFp":
         """Block form e_0^e_1 + e_2^e_3 + ... of rank 2i."""
-        _require(0 <= 2 * i <= n, f"rank 2i must satisfy 0 <= 2i <= n")
+        _require(0 <= 2 * i <= n, f"need 0 <= 2i <= n, got i={i}, n={n}")
         entries = [0] * (n * (n - 1) // 2)
         index = {rc: e for e, rc in enumerate(pair_index(n))}
         for t in range(i):

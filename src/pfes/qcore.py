@@ -199,9 +199,12 @@ class QPoly:
     def is_palindromic(self) -> bool:
         return self.coeffs == tuple(reversed(self.coeffs))
 
-    def __str__(self) -> str:
+    def render(self, var: str = "q") -> str:
+        """The terms from the top degree down, with q spelled var and q**e
+        spelled var^e, or (var)^e when var is more than one letter."""
         if self.is_zero:
             return "0"
+        power = "{}^{}" if len(var) == 1 else "({})^{}"
         parts = []
         for e in range(self.degree, -1, -1):
             c = self.coeffs[e]
@@ -212,10 +215,12 @@ class QPoly:
             if e == 0:
                 body = str(mag)
             else:
-                var = "q" if e == 1 else f"q^{e}"
-                body = var if mag == 1 else f"{mag}{var}"
+                name = var if e == 1 else power.format(var, e)
+                body = name if mag == 1 else f"{mag}{name}"
             parts.append(sign + body)
         return "".join(parts)
+
+    __str__ = render
 
     def __repr__(self) -> str:
         return f"QPoly({self.coeffs!r})"
@@ -352,28 +357,25 @@ def q_divide(num: QPoly, bottoms: Iterable[int], context: str) -> QPoly:
     return QPoly(cs)
 
 
-def _factors(base_exp: int, *groups) -> tuple[int, int, list[int], list[int]]:
-    """The product, over the groups (a, start, stop), of the factors
-    (1 - a*q**(base_exp*j)) for start <= j < stop, as (coef, shift, tops,
-    bottoms): the product is coef * q**shift * q_quotient(tops, bottoms).
+def _factors(powers: Iterable[PowerParam]) -> tuple[int, QPoly]:
+    """The product of the factors (1 - a) over the signed powers a, as
+    (shift, p): the product is q**shift * p.
 
-    The quotient is exact, and ZERO when a factor is 1 - q**0.
+    p is exact, and ZERO when some a is q**0.
     """
     coef, shift, tops, bottoms = 1, 0, [], []
-    for a, start, stop in groups:
-        s = a.sign
-        for j in range(start, stop):
-            e = a.exponent + base_exp * j
-            if e < 0:  # 1 - s*q**e = -s*q**e * (1 - s*q**-e)
-                coef, shift, e = -s * coef, shift + e, -e
-            if s == 1:
-                tops.append(e)
-            elif e == 0:  # 1 + q**0
-                coef *= 2
-            else:  # 1 + q**e = (1 - q**2e) / (1 - q**e)
-                tops.append(2 * e)
-                bottoms.append(e)
-    return coef, shift, tops, bottoms
+    for a in powers:
+        s, e = a.sign, a.exponent
+        if e < 0:  # 1 - s*q**e = -s*q**e * (1 - s*q**-e)
+            coef, shift, e = -s * coef, shift + e, -e
+        if s == 1:
+            tops.append(e)
+        elif e == 0:  # 1 + q**0
+            coef *= 2
+        else:  # 1 + q**e = (1 - q**2e) / (1 - q**e)
+            tops.append(2 * e)
+            bottoms.append(e)
+    return shift, coef * q_quotient(tops, bottoms, "")
 
 
 def _valuation(p: QPoly) -> int:
@@ -543,8 +545,8 @@ def pochhammer(a: PowerParam, base_exp: int, k: int) -> QRational:
         raise ValueError("base_exp must be a positive integer")
     if k < 0:
         raise ValueError("pochhammer length must be non-negative")
-    coef, shift, tops, bottoms = _factors(base_exp, (a, 0, k))
-    return QRational(coef * q_quotient(tops, bottoms, ""), monomial(-shift))
+    shift, product = _factors(a.shifted(base_exp * j) for j in range(k))
+    return QRational(product, monomial(-shift))
 
 
 _GAUSS_CACHE: dict[tuple[int, int, int], QPoly] = {}
@@ -580,6 +582,12 @@ def phi_eval(upper: Sequence[PowerParam], lower: Sequence[PowerParam],
     with Q = q**base_exp.  For a terminating series whose upper-parameter
     tail vanishes by max_terms, the partial sum is the full sum.
 
+    Term m+1 is term m times the ratio
+    prod(1 - a*Q^m) / ((1 - Q^(m+1)) prod(1 - b*Q^m)) * (-Q^m)^(1+s-r) * z,
+    so the sum is 1 + r_0 (1 + r_1 (1 + ... (1 + r_(max_terms-1)))), which
+    is built inside out as one fraction (Gasper-Rahman, Basic
+    Hypergeometric Series, 1.2).  A zero ratio ends the series there.
+
     Raises LowerParamPole when a lower parameter equals Q**(-m) for some
     0 <= m < max_terms, which would zero a denominator factor.
     """
@@ -588,35 +596,22 @@ def phi_eval(upper: Sequence[PowerParam], lower: Sequence[PowerParam],
     if max_terms < 0:
         raise ValueError("max_terms must be non-negative")
     for b in lower:
-        if (b.sign == 1 and b.exponent <= 0 and b.exponent % base_exp == 0
-                and (-b.exponent) // base_exp < max_terms):
+        if qpow(0) in (b.shifted(base_exp * m) for m in range(max_terms)):
             raise LowerParamPole(f"lower parameter {b} vanishes a denominator "
                                  f"factor within {max_terms} terms")
-    n_up, n_low = len(upper), len(lower)
-    excess = 1 + n_low - n_up
-    M = max_terms
-
-    # Every term is placed over the common denominator (Q;Q)_M prod(b;Q)_M:
-    # the m-th numerator picks up the "tail" factors from index m to M-1.
+    excess = 1 + len(lower) - len(upper)
+    sign = (-1) ** (excess % 2) * z.sign
     big_q = qpow(base_exp)
-    coef, den_shift, tops, bottoms = _factors(
-        base_exp, *((b, 0, M) for b in (big_q, *lower)))
-    den = coef * q_quotient(tops, bottoms, "")
-
-    terms = []
-    for m in range(M + 1):
-        coef, shift, tops, bottoms = _factors(
-            base_exp, *((a, 0, m) for a in upper),
-            *((b, m, M) for b in (big_q, *lower)))
-        num = q_quotient(tops, bottoms, "")
-        if num.is_zero:
+    num = den = ONE
+    for m in reversed(range(max_terms)):
+        up_shift, up = _factors(a.shifted(base_exp * m) for a in upper)
+        if up.is_zero:  # the series ends at term m
+            num = den = ONE
             continue
-        sign = (-1 if (m * excess) % 2 else 1) * (z.sign ** m)
-        shift += excess * base_exp * (m * (m - 1) // 2) + m * z.exponent
-        terms.append((shift, sign * coef * num))
-
-    low = min((shift for shift, _ in terms), default=den_shift)
-    total = sum((num.shift(shift - low) for shift, num in terms), ZERO)
-    if low >= den_shift:
-        return QRational(total.shift(low - den_shift), den)
-    return QRational(total, den.shift(den_shift - low))
+        down_shift, down = _factors(b.shifted(base_exp * m)
+                                    for b in (big_q, *lower))
+        s = excess * base_exp * m + z.exponent + up_shift - down_shift
+        den = down.shift(max(-s, 0)) * den
+        step = up.shift(max(s, 0)) * num
+        num = den + step if sign == 1 else den - step
+    return QRational(num, den)

@@ -88,6 +88,10 @@ class TestSkewRank:
                 for i in range(0, n // 2 + 1):
                     assert skew_rank(SkewFormFp.standard(p, n, i)) == 2 * i
 
+    def test_standard_rank_beyond_n_names_the_values(self):
+        with pytest.raises(RangeError, match=r"got i=4, n=7"):
+            SkewFormFp.standard(2, 7, 4)
+
     def test_entries_reduced_mod_p(self):
         form = SkewFormFp(3, 3, (4, -1, 3))
         assert form.entries == (1, 2, 0)

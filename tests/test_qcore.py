@@ -106,6 +106,10 @@ class TestQPoly:
         assert str(QPoly([0, 0, -1, 0, 0, 1])) == "q^5-q^2"
         assert str(ZERO) == "0"
 
+    def test_render_spells_the_variable(self):
+        assert QPoly([1, -1, 0, 2]).render("uv") == "2(uv)^3-uv+1"
+        assert QPoly([0, 3]).render("t") == "3t"
+
     @given(small_polys, small_polys, small_polys)
     @settings(max_examples=60, deadline=None)
     def test_ring_axioms(self, a, b, c):
@@ -290,6 +294,21 @@ def phi_by_definition(upper, lower, b, z, max_terms, x):
         term *= ((-1) ** m * big_q ** (m * (m - 1) // 2)) ** excess
         total += term * (z.sign * Fraction(x) ** z.exponent) ** m
     return total
+
+
+# The phi_eval calls of identities.verify_phi_reductions at CutParams(n, k, i)
+PHI_SUITE_CALLS = {
+    "2phi1-big": lambda k, i, n: (
+        [qpow(-2 * k), qpow(-n - 1 + 2 * k)], [qpow(1)], 2, qpow(n + 2), k),
+    "2phi1-small": lambda k, i, n: (
+        [qpow(-2 * k), qpow(-n - 1 + 2 * k)], [qpow(1)], 2, qpow(2), k),
+    "3phi2": lambda k, i, n: (
+        [qpow(-2 * k), qpow(1 - n + 2 * i), qpow(1 - 2 * k)],
+        [qpow(1 - n), qpow(n + 3 - 4 * k)], 2, qpow(n + 2 - 2 * i), k),
+    "3phi1": lambda k, i, n: (
+        [qpow(-2 * k), qpow(-i), neg_qpow(-i)],
+        [qpow(n + 1 - 2 * i - 2 * k)], 1, neg_qpow(n + 1), 2 * k),
+}
 
 
 class TestPochhammer:
@@ -503,8 +522,33 @@ class TestPhiEval:
             assert value_at(got, x) == phi_by_definition(upper, lower, base, z,
                                                          max_terms, x)
 
-    def test_negative_series_excess_uses_laurent_weights(self):
-        # one upper parameter, no lower parameter: excess factor power -? no:
-        # r=2, s=0 gives excess -1 and negative q-powers in the weights
-        got = phi_eval([qpow(-2), neg_qpow(-2)], [], 1, qpow(1), 2)
-        assert isinstance(got, QRational)
+    def test_negative_series_excess_matches_definition(self):
+        # two upper parameters and no lower one: excess -1, so the ratio's
+        # power of q is negative and goes into the denominator
+        args = ([qpow(-2), neg_qpow(-2)], [], 1, qpow(1), 2)
+        got = phi_eval(*args)
+        for x in (2, 3):
+            assert value_at(got, x) == phi_by_definition(*args, x)
+
+    def test_upper_factor_vanishing_mid_series_matches_definition(self):
+        # (q^-2; q)_m is zero from m = 3 on, well inside the 6 terms asked for
+        args = ([qpow(-2)], [qpow(3)], 1, qpow(1), 6)
+        got = phi_eval(*args)
+        for x in (2, 3):
+            assert value_at(got, x) == phi_by_definition(*args, x)
+
+    @pytest.mark.parametrize("n", range(5, 14, 2))
+    @pytest.mark.parametrize("shape", sorted(PHI_SUITE_CALLS))
+    def test_matches_definition_on_the_phi_suite_calls(self, shape, n):
+        checked = 0
+        for k in range(1, (n + 1) // 2):
+            for i in range(1, (n + 1) // 2):
+                args = PHI_SUITE_CALLS[shape](k, i, n)
+                try:
+                    got = phi_eval(*args)
+                except LowerParamPole:
+                    continue
+                checked += 1
+                for x in (2, 3):
+                    assert value_at(got, x) == phi_by_definition(*args, x)
+        assert checked
