@@ -7,8 +7,8 @@ json (a versioned RunReport with sorted keys).  Exit codes: 0 all pass,
 
 The one configurable setting, the oracle's enumeration guard, is read
 from --max-enum, then PFES_MAX_ENUM, then its default.  Verification
-reports never embed wall-clock timing (it goes to stderr), so serial and
---parallel runs of the same command emit byte-identical reports.
+reports never embed wall-clock timing (it goes to stderr), so two runs of
+the same command emit byte-identical reports.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__, suites
 from .qcore import (
@@ -124,29 +123,19 @@ def _suite_bounds(name: str, args) -> dict:
     return bounds
 
 
-def _run_point(task):
-    suite, point = task
-    return suites.SUITES[suite].runner(point)
-
-
 def cmd_verify(args) -> int:
     names = list(suites.SUITES) if args.suite == "all" else [args.suite]
     tasks = []
     for name in names:
         for point in suites.SUITES[name].grid(_suite_bounds(name, args)):
-            tasks.append((name, point))
+            tasks.append((suites.SUITES[name].runner, point))
     if not tasks:
         raise RangeError(f"verify {args.suite}: no grid points within the "
                          "given bounds")
     start = time.perf_counter()
     rows: list[dict] = []
-    if args.parallel:
-        with ProcessPoolExecutor() as pool:
-            for batch in pool.map(_run_point, tasks):
-                rows.extend(batch)
-    else:
-        for task in tasks:
-            rows.extend(_run_point(task))
+    for runner, point in tasks:
+        rows.extend(runner(point))
     elapsed_ms = int((time.perf_counter() - start) * 1000)
 
     failed = sum(1 for row in rows if not row["passed"])
@@ -236,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--max-r", dest="max_r", type=int, default=None)
     ver.add_argument("--max-b", dest="max_b", type=int, default=None)
     ver.add_argument("--max-k", dest="max_k", type=int, default=None)
-    ver.add_argument("--parallel", action="store_true")
     ver.add_argument("--format", choices=("plain", "json"), default="plain")
     ver.set_defaults(handler=cmd_verify)
 

@@ -139,7 +139,7 @@ def skew_rank(form: SkewFormFp) -> int:
 def pairing(w: SkewFormFp, alpha: SkewFormFp) -> int:
     """Coordinate pairing sum_{r<c} w_rc alpha_rc mod p."""
     _require(w.p == alpha.p and w.n == alpha.n,
-             "pairing needs forms over the same field and dimension")
+             f"got w over F_{w.p}^{w.n} and alpha over F_{alpha.p}^{alpha.n}")
     return sum(a * b for a, b in zip(w.entries, alpha.entries)) % w.p
 
 
@@ -181,7 +181,7 @@ def count_cut_stratum(p: int, n: int, rank_w: int, alpha: SkewFormFp,
     """Number of projectivized rank-`rank_w` forms w with <w, alpha> = 0."""
     _require(_small_prime(p), f"p must be a small prime, got {p}")
     _require(alpha.p == p and alpha.n == n,
-             "alpha must live over the same field and dimension")
+             f"got alpha over F_{alpha.p}^{alpha.n}, need F_{p}^{n}")
     _require(rank_w % 2 == 0 and 0 <= rank_w <= n,
              f"rank must be even with 0 <= rank <= n, got {rank_w}")
     census = _census(p, n, alpha.entries, max_enum)
@@ -195,7 +195,7 @@ def count_isotropic(p: int, n: int, dim_sub: int, alpha: SkewFormFp,
     _require(_small_prime(p), f"p must be a small prime, got {p}")
     _require(0 <= dim_sub <= n, f"need 0 <= dim_sub <= n, got {dim_sub}")
     _require(alpha.p == p and alpha.n == n,
-             "alpha must live over the same field and dimension")
+             f"got alpha over F_{alpha.p}^{alpha.n}, need F_{p}^{n}")
     total = gauss_binomial(n, dim_sub, 1)(p)
     _enum_guard(total, f"sweep of {dim_sub}-subspaces of F_{p}^{n}", max_enum)
     if dim_sub < 2:

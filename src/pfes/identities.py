@@ -13,13 +13,14 @@ Verifiers return IdentityReport values instead of raising, so grid runs can
 aggregate failures.  Points where a hypergeometric reduction degenerates
 (a denominator parameter hits a pole) are reported as skipped.
 
-Each value is computed once per key it depends on, with functools.cache:
-f_closed and f_circ per CutParams; isotropic_E, _cut_lhs_sum and the
-triangular solve _newcor per (k, i, n); _smooth_lhs_sum and the two
-smooth-part reports (cut-recursion-smooth-part of verify_AC_BD and
-phi-2phi1-smooth-part of verify_phi_reductions) per (k, n), so the (n, k, i)
-grid repeats them for every i without recomputing.  Values are immutable,
-so the memos are invisible in the results.
+Each value is computed once per key it depends on, with functools.cache,
+and a part that does not depend on i is cached apart, once per (k, n):
+isotropic_E, _cut_lhs_sum, _f_circ_dual and the triangular solve _newcor
+per (k, i, n); _closed_smooth, _f_circ_smooth, _newrec_smooth,
+_smooth_lhs_sum and the two smooth-part reports per (k, n); the recursion
+coefficients _recursion_terms per (k, n, start, stop).  f_closed and f_circ
+are not cached: each adds its cached smooth half to its i-dependent half.
+Values are immutable, so the memos are invisible in the results.
 """
 
 from __future__ import annotations
@@ -121,28 +122,44 @@ def dual_local_weight(k: int, i: int, n: int) -> QPoly:
 
 
 @cache
+def _closed_smooth(k: int, n: int) -> QPoly:
+    """The i-independent (first) summand of the closed cut formula."""
+    return geometric_series(n * k - 1) * _rank_locus_weight(0, k, n)
+
+
 def f_closed(params: CutParams) -> QPoly:
     """Closed form of the weighted E-function of the rank <= 2k locus cut by
     a hyperplane pairing against a rank-2i form."""
     n, k, i = params.n, params.k, params.i
-    first = geometric_series(n * k - 1) * _rank_locus_weight(0, k, n)
-    second = monomial(n * k - 1) * dual_local_weight(k, i, n)
-    return first + second
+    return _closed_smooth(k, n) + dual_local_weight(k, i, n).shift(n * k - 1)
 
 
-@cache
+def _inversion(k: int, n: int, js: range, value) -> QPoly:
+    """Sum over j in js of (-1)^(k-j) q^((k-j)(k-j-1)) [(n-1)/2-j, k-j]_{q^2}
+    value(j): the binomial inversion taking weighted cut values at j to the
+    single-stratum value at k."""
+    return sum(((-1) ** (k - j) * value(j).shift((k - j) * (k - j - 1))
+                * gauss_binomial((n - 1) // 2 - j, k - j, 2) for j in js), ZERO)
+
+
 def f_circ(params: CutParams) -> QPoly:
     """E-function of the rank exactly 2k part of the cut, obtained from the
     closed weighted values by the alternating binomial inversion."""
-    n, k, i = params.n, params.k, params.i
-    half = params.half_dim
-    total = ZERO
-    for j in range(1, k + 1):
-        term = (f_closed(CutParams(n, j, i))
-                * monomial((k - j) * (k - j - 1))
-                * gauss_binomial(half - j, k - j, 2))
-        total = total + ((-1) ** (k - j)) * term
-    return total
+    return (_f_circ_smooth(params.k, params.n)
+            + _f_circ_dual(params.k, params.i, params.n))
+
+
+@cache
+def _f_circ_smooth(k: int, n: int) -> QPoly:
+    """Inversion of the smooth summands of f_closed at j = 1..k."""
+    return _inversion(k, n, range(1, k + 1), lambda j: _closed_smooth(j, n))
+
+
+@cache
+def _f_circ_dual(k: int, i: int, n: int) -> QPoly:
+    """Inversion of the dual summands of f_closed, zero for j > (n-1)/2 - i."""
+    return _inversion(k, n, range(1, min(k, (n - 1) // 2 - i) + 1),
+                      lambda j: dual_local_weight(j, i, n).shift(n * j - 1))
 
 
 def verify_newrec(params: CutParams) -> IdentityReport:
@@ -150,11 +167,17 @@ def verify_newrec(params: CutParams) -> IdentityReport:
     resolution: a Grassmannian-weighted sum of single-stratum cuts against
     the projective-bundle count with its isotropic correction."""
     n, k, i = params.n, params.k, params.i
-    lhs = ZERO
-    for p in range(1, k + 1):
-        lhs = lhs + grassmannian_E(n - 2 * k, n - 2 * p) * f_circ(CutParams(n, p, i))
+    lhs = sum((grassmannian_E(n - 2 * k, n - 2 * p) * _f_circ_dual(p, i, n)
+               for p in range(1, k + 1)), _newrec_smooth(k, n))
     rhs = _smooth_rhs(k, n) + _cut_rhs(k, i, n)
     return _report("newrec", (k, i, n), QRational(lhs), QRational(rhs))
+
+
+@cache
+def _newrec_smooth(k: int, n: int) -> QPoly:
+    """The i-independent part of verify_newrec's left side."""
+    return sum((grassmannian_E(n - 2 * k, n - 2 * p) * _f_circ_smooth(p, n)
+                for p in range(1, k + 1)), ZERO)
 
 
 def _smooth_rhs(k: int, n: int) -> QPoly:
@@ -162,24 +185,34 @@ def _smooth_rhs(k: int, n: int) -> QPoly:
 
 
 def _cut_rhs(k: int, i: int, n: int) -> QPoly:
-    return monomial(2 * k * k - k - 1) * isotropic_E(k, i, n)
+    return isotropic_E(k, i, n).shift(2 * k * k - k - 1)
 
 
-def _recursion_sum(k: int, n: int, js: range, value) -> tuple[QPoly, list[int]]:
+def _recursion_sum(k: int, n: int, js: range, value) -> tuple[QPoly, tuple[int, ...]]:
     """Sum over j in js of value(j) times the coefficient of f_j in the
-    triangular recursion at k,
+    triangular recursion at k, as (numerator, denominator exponents); value
+    is called only for the j whose coefficient does not vanish."""
+    terms, den = _recursion_terms(k, n, js.start, js.stop)
+    return sum((value(j).shift(shift) * coefficient
+                for j, shift, coefficient in terms), ZERO), den
+
+
+@cache
+def _recursion_terms(k: int, n: int, start: int, stop: int):
+    """The coefficients of f_j, start <= j < stop, in the triangular
+    recursion at k,
 
         q^(2(k-j)^2-(k-j)) (1 - q^(n+1-2k)) (q^(n+3-4k+2j); q^2)_{2k-2j}
         / ((1 - q^(n+1-2j)) (q;q)_{2k-2j}),
 
-    over the common denominator (q;q)_top * prod_{j in js} (1 - q^(n+1-2j)),
-    top = 2k - 2*js.start.  Returns the numerator and the exponent list of
-    the denominator.  value is called only for the j whose coefficient does
-    not vanish.
+    over the common denominator (q;q)_top * prod_j (1 - q^(n+1-2j)),
+    top = 2k - 2*start: the nonzero terms (j, s, c), the coefficient being
+    q^s * c over it, and the exponent list of the denominator.
     """
-    top = 2 * (k - js.start)
-    den = [*range(1, top + 1), *(n + 1 - 2 * j for j in js)]
-    total = ZERO
+    js = range(start, stop)
+    top = 2 * (k - start)
+    den = (*range(1, top + 1), *(n + 1 - 2 * j for j in js))
+    terms = []
     for j in js:
         # (1 - q^(n+1-2k)), (q^(n+3-4k+2j); q^2)_{2k-2j} (zero when it
         # reaches 1 - q^0), (q;q)_top/(q;q)_{2k-2j} and the other j's linear
@@ -189,10 +222,9 @@ def _recursion_sum(k: int, n: int, js: range, value) -> tuple[QPoly, list[int]]:
              *range(2 * k - 2 * j + 1, top + 1),
              *(n + 1 - 2 * jp for jp in js if jp != j)],
             (), f"recursion coefficient (k={k}, j={j}, n={n})")
-        if coefficient.is_zero:
-            continue
-        total = total + value(j).shift(2 * (k - j) ** 2 - (k - j)) * coefficient
-    return total, den
+        if not coefficient.is_zero:
+            terms.append((j, 2 * (k - j) ** 2 - (k - j), coefficient))
+    return tuple(terms), den
 
 
 def solve_newcor(k_max: int, i: int, n: int) -> list[QPoly]:

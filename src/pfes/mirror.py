@@ -22,10 +22,10 @@ from .qcore import (
     ZERO, QPoly, QRational, geometric_series, monomial, q_quotient,
 )
 from .efun import (
-    _rank_locus_weight, _require,
-    grassmannian_E, local_contribution, pf_stringy_rodland,
+    _require, grassmannian_E, local_contribution, pf_stringy_rodland,
 )
-from .identities import IdentityReport, _report, dual_local_weight, solve_newcor
+from .identities import (IdentityReport, _closed_smooth, _report,
+                         dual_local_weight, solve_newcor)
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def main_main_check(n: int, k: int) -> MirrorCheckReport:
     half = (n - 1) // 2
     _require(1 <= k <= half - 1, f"need 1 <= k <= (n-3)/2, got k={k}, n={n}")
     k_dual = half - k
-    first = geometric_series(n * k - 1) * _rank_locus_weight(0, k, n)
+    first = _closed_smooth(k, n)
     strata = []
     y_weights = []
     duality_ok = True

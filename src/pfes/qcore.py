@@ -28,6 +28,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 class NotDivisible(Exception):
     """Polynomial division left a remainder.
@@ -149,16 +151,17 @@ class QPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZERO
-        terms_a = [(i, c) for i, c in enumerate(a) if c]
-        terms_b = [(j, c) for j, c in enumerate(b) if c]
-        if len(terms_a) > len(terms_b):
-            terms_a, terms_b = terms_b, terms_a
-        if len(terms_a) > _SPARSE_TERMS:
+        terms = min(len(a) - a.count(0), len(b) - b.count(0))
+        if terms > _SPARSE_TERMS:
             # Kronecker substitution: 2**(8*width) > 2 * max|a| * max|b| * terms
             width = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-                     + len(terms_a).bit_length()) // 8 + 1
+                     + terms.bit_length()) // 8 + 1
+            if width <= 8:  # a numpy integer width
+                width = 1 << (width - 1).bit_length()
             return QPoly(_unpack(_pack(a, width) * _pack(b, width),
                                  width, len(a) + len(b) - 1))
+        terms_a = [(i, c) for i, c in enumerate(a) if c]
+        terms_b = [(j, c) for j, c in enumerate(b) if c]
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in terms_a:
             for j, cb in terms_b:
@@ -237,17 +240,23 @@ def _halves(width: int, count: int) -> int:
 
 
 def _pack(coeffs: Sequence[int], width: int) -> int:
-    """The polynomial's value at 2**(8*width); needs |c| < 2**(8*width-1)."""
-    half = 1 << (8 * width - 1)
-    packed = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
-    return int.from_bytes(packed, "little") - _halves(width, len(coeffs))
+    """The polynomial's value at 2**(8*width); needs |c| < 2**(8*width-1).
+    Flipping the top bit of a two's complement digit adds 2**(8*width-1)."""
+    if width <= 8:
+        raw = np.array(coeffs, f"<i{width}").tobytes()
+    else:
+        raw = b"".join(c.to_bytes(width, "little", signed=True) for c in coeffs)
+    halves = _halves(width, len(coeffs))
+    return (int.from_bytes(raw, "little") ^ halves) - halves
 
 
 def _unpack(value: int, width: int, count: int) -> list[int]:
     """The count symmetric base-2**(8*width) digits of value, lowest first."""
-    raw = (value + _halves(width, count)).to_bytes(width * count, "little")
-    half = 1 << (8 * width - 1)
-    return [int.from_bytes(raw[t:t + width], "little") - half
+    halves = _halves(width, count)
+    raw = ((value + halves) ^ halves).to_bytes(width * count, "little")
+    if width <= 8:
+        return np.frombuffer(raw, f"<i{width}").tolist()
+    return [int.from_bytes(raw[t:t + width], "little", signed=True)
             for t in range(0, width * count, width)]
 
 
@@ -436,6 +445,8 @@ class QRational:
         other = _coerce_rational(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den == other.den:
+            return self.num == other.num
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):

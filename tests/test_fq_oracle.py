@@ -365,6 +365,11 @@ class TestCutStratumCounts:
         alpha = SkewFormFp.standard(2, 7, 1)
         assert count_cut_stratum(2, 7, 2, alpha) == f_circ(CutParams(7, 1, 1))(2)
 
+    def test_alpha_over_another_space_is_named(self):
+        alpha = SkewFormFp.standard(3, 5, 1)
+        with pytest.raises(RangeError, match=r"got alpha over F_3\^5, need F_2\^7$"):
+            count_cut_stratum(2, 7, 2, alpha)
+
 
 class TestPairing:
     def test_orthogonal_blocks(self):
@@ -375,3 +380,8 @@ class TestPairing:
     def test_self_pairing_of_unit_block(self):
         w = SkewFormFp.standard(3, 4, 1)
         assert pairing(w, w) == 1
+
+    def test_forms_over_different_spaces_are_named(self):
+        w, alpha = SkewFormFp.standard(2, 7, 1), SkewFormFp.standard(3, 5, 1)
+        with pytest.raises(RangeError, match=r"w over F_2\^7 and alpha over F_3\^5"):
+            pairing(w, alpha)

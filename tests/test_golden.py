@@ -1,10 +1,8 @@
 """Behaviour lock: every `pfes verify <suite> --format json` report at the
-default bounds is byte-identical to the one pinned in bench/golden.json,
-serially and with --parallel, and so is every report at `--max-n 17`, whose
-high-degree products take the Kronecker multiply.  Each --parallel worker
-fills its own memos, so the parallel runs show that they give the serial
-bytes.  The pinned bytes include the exact set of skipped `phi` points, so a
-pass that turns into a skip is caught too."""
+default bounds is byte-identical to the one pinned in bench/golden.json, and
+so is every report at `--max-n 17`, whose high-degree products take the
+Kronecker multiply.  The pinned bytes include the exact set of skipped `phi`
+points, so a pass that turns into a skip is caught too."""
 
 import contextlib
 import hashlib
@@ -32,14 +30,10 @@ WORKLOADS = _load_workloads()
 GOLDEN = json.loads((BENCH / "golden.json").read_text())
 
 
-@pytest.mark.parametrize("workload, extra", [
-    ("verify-default", ()),
-    ("verify-default", ("--parallel",)),
-    ("verify-wide", ()),
-    ("verify-wide", ("--parallel",)),
-], ids=["serial", "parallel", "wide-serial", "wide-parallel"])
-def test_verify_reports_match_golden(workload, extra):
-    args = (*WORKLOADS.VERIFY_ARGS[workload], *extra)
+@pytest.mark.parametrize("workload", ["verify-default", "verify-wide"],
+                         ids=["serial", "wide-serial"])
+def test_verify_reports_match_golden(workload):
+    args = WORKLOADS.VERIFY_ARGS[workload]
     mismatched = []
     for suite in WORKLOADS.SUITE_ORDER:
         out = io.StringIO()

@@ -89,6 +89,19 @@ class TestFCirc:
                                          * gauss_binomial(half - p, k - p, 2))
                     assert total == f_closed(CutParams(n, k, i))
 
+    def test_alternating_inversion_of_f_closed(self):
+        for n in range(5, 16, 2):
+            half = (n - 1) // 2
+            for k in range(1, half + 1):
+                for i in range(1, half + 1):
+                    total = ZERO
+                    for j in range(1, k + 1):
+                        term = (f_closed(CutParams(n, j, i))
+                                * monomial((k - j) * (k - j - 1))
+                                * gauss_binomial(half - j, k - j, 2))
+                        total = total + ((-1) ** (k - j)) * term
+                    assert f_circ(CutParams(n, k, i)) == total, (n, k, i)
+
 
 class TestNewrec:
     @pytest.mark.parametrize("n,k,i", [(5, 1, 1), (7, 2, 1), (9, 3, 2)])
@@ -160,9 +173,10 @@ class TestSolveNewcorMemo:
             solve_newcor(*args)
 
 
-CUT_MEMOS = ("f_closed", "f_circ", "isotropic_E", "_cut_lhs_sum",
-             "_smooth_lhs_sum", "_smooth_recursion_report",
-             "_phi_smooth_report")
+CUT_MEMOS = ("isotropic_E", "_cut_lhs_sum", "_smooth_lhs_sum",
+             "_smooth_recursion_report", "_phi_smooth_report", "_closed_smooth",
+             "_f_circ_smooth", "_f_circ_dual", "_newrec_smooth",
+             "_recursion_terms", "_newcor")
 
 SMALL_CUT_GRID = [CutParams(n, k, i) for n in (5, 7, 9, 11)
                   for k in range(1, (n - 1) // 2 + 1)
@@ -176,7 +190,8 @@ def clear_cut_memos():
 
 def cut_values(params):
     return (f_closed(params), f_circ(params), verify_newrec(params),
-            verify_AC_BD(params), verify_phi_reductions(params))
+            verify_AC_BD(params), verify_phi_reductions(params),
+            solve_newcor(params.k, params.i, params.n))
 
 
 class TestCutMemos:
@@ -200,13 +215,16 @@ class TestCutMemos:
         pairs = {(params.k, params.n) for params in SMALL_CUT_GRID}
         misses = {name: getattr(identities, name).cache_info().misses
                   for name in CUT_MEMOS}
+        per_point = ("isotropic_E", "_cut_lhs_sum", "_f_circ_dual", "_newcor")
+        per_pair = ("_smooth_lhs_sum", "_smooth_recursion_report",
+                    "_phi_smooth_report", "_closed_smooth", "_f_circ_smooth",
+                    "_newrec_smooth")
         assert misses == {
-            "f_closed": len(SMALL_CUT_GRID), "f_circ": len(SMALL_CUT_GRID),
-            "isotropic_E": len(SMALL_CUT_GRID),
-            "_cut_lhs_sum": len(SMALL_CUT_GRID),
-            "_smooth_lhs_sum": len(pairs),
-            "_smooth_recursion_report": len(pairs),
-            "_phi_smooth_report": len(pairs)}
+            **dict.fromkeys(per_point, len(SMALL_CUT_GRID)),
+            **dict.fromkeys(per_pair, len(pairs)),
+            # js = range(0, k+1) for the split recursion sums and
+            # range(1, k) for the triangular solve
+            "_recursion_terms": 2 * len(pairs)}
 
     def test_smooth_rows_do_not_depend_on_i(self):
         rows = {}

@@ -3,11 +3,13 @@ products and quotients of (1 - q^a) factors, Gaussian binomials and the
 terminating series summator."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pfes import qcore
 from pfes.qcore import (
     ONE, ZERO, Q, QPoly, QRational, PowerParam,
     LowerParamPole, NotDivisible, NotPolynomial, ZeroDenominator,
@@ -142,6 +144,52 @@ class TestQPoly:
         alternating = QPoly([(-1) ** t * 2 ** 200 for t in range(300)])
         assert alternating * alternating == schoolbook_mul(alternating, alternating)
 
+    # (coefficient bound, nonzero terms of the sparser operand, digit width):
+    # 2 * bound.bit_length() + terms.bit_length() bits give width
+    # bits // 8 + 1 bytes, rounded up to 1, 2, 4 or 8; wider digits are
+    # packed one coefficient at a time
+    @pytest.mark.parametrize("bound, terms, width", [
+        (1, 20, 1), (31, 20, 2), (511, 20, 4), (2 ** 29 - 1, 20, 8),
+        (2 ** 40, 300, 12),
+    ], ids=["1-byte", "2-byte", "3-byte-as-4", "8-byte", "wide"])
+    def test_each_digit_width_matches_schoolbook(self, monkeypatch, bound,
+                                                 terms, width):
+        widths = []
+        pack = qcore._pack
+        monkeypatch.setattr(qcore, "_pack",
+                            lambda cs, w: widths.append(w) or pack(cs, w))
+        rng = random.Random(bound)
+
+        def operand(count):
+            # both extreme coefficients, and zeros between the terms
+            cs = [rng.randint(-bound, bound) or bound for _ in range(count)]
+            cs[0], cs[-1] = -bound, bound
+            return QPoly([x for c in cs for x in (c, 0)])
+
+        pairs = [(operand(terms), operand(terms + 7)),
+                 # every product coefficient at its largest magnitude
+                 (QPoly([-bound] * terms), QPoly([bound] * terms)),
+                 (QPoly([bound] * terms), QPoly([bound] * (terms + 3)))]
+        for a, b in pairs:
+            expected = schoolbook_mul(a, b)
+            assert a * b == expected
+            assert b * a == expected
+        assert set(widths) == {width}
+
+    @pytest.mark.parametrize("terms, kronecker", [
+        (_SPARSE_TERMS, False), (_SPARSE_TERMS + 1, True)])
+    def test_sparse_switch_counts_nonzero_terms(self, monkeypatch, terms,
+                                                kronecker):
+        packed = []
+        pack = qcore._pack
+        monkeypatch.setattr(qcore, "_pack",
+                            lambda cs, w: packed.append(w) or pack(cs, w))
+        sparse = QPoly([0, 0, 0, -5] * terms)  # terms nonzero, zeros between
+        dense = QPoly(range(1, 60))
+        for a, b in ((sparse, dense), (dense, sparse)):
+            assert a * b == schoolbook_mul(a, b)
+        assert bool(packed) == kronecker
+
     def test_equal_values_hash_equally(self):
         assert hash(QPoly([3])) == hash(3)
         assert hash(ZERO) == hash(0)
@@ -208,6 +256,12 @@ class TestQRational:
         r = QRational(ONE, 1 - Q)  # denominator has negative leading term
         assert r.den == Q - 1
         assert r.num == -ONE
+
+    def test_equal_denominators_compare_numerators(self):
+        den = QPoly([1, -1, 0, 2])
+        assert QRational(QPoly([3, 1]), den) == QRational(QPoly([3, 1]), den)
+        assert QRational(QPoly([3, 1]), den) != QRational(QPoly([3, 2]), den)
+        assert QRational(Q, den) != QRational(ONE, den)
 
     def test_cross_multiplied_equality(self):
         a = QRational((monomial(2) - 1) * QPoly([1, 1, 1]), (Q - 1) * QPoly([1, 1, 1]))
