@@ -5,11 +5,11 @@ __version__ = "0.1.0"
 
 from .qcore import (
     QPoly, QRational, PowerParam,
-    NotDivisible, NotPolynomial, ZeroDenominator, LowerParamPole,
+    NotPolynomial, ZeroDenominator, LowerParamPole,
     pochhammer, gauss_binomial, phi_eval, qpow, neg_qpow,
 )
 from .efun import (
-    PfaffianParams, StratumContribution, RangeError,
+    PfaffianParams, RangeError,
     projective_E, grassmannian_E, nondeg_skew_E, rank_stratum_E,
     discrepancy, local_contribution,
     pf_stringy_closed, pf_stringy_recursive, pf_stringy_rodland,

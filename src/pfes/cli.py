@@ -5,10 +5,10 @@ Output formats: plain (bare value / per-point lines), latex (powers of uv),
 json (a versioned RunReport with sorted keys).  Exit codes: 0 all pass,
 1 verification failure, 2 usage or parameter error, 3 resource guard.
 
-The one configurable setting, the oracle's enumeration guard, is read
-from --max-enum, then PFES_MAX_ENUM, then its default.  Verification
-reports never embed wall-clock timing (it goes to stderr), so two runs of
-the same command emit byte-identical reports.
+The one configurable setting, the oracle's enumeration guard, is
+--max-enum; nothing is read from the environment.  Verification reports
+never embed wall-clock timing (it goes to stderr), so two runs of the
+same command emit byte-identical reports.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import time
 
 from . import __version__, suites
 from .qcore import (
-    QPoly, LowerParamPole, NotDivisible, NotPolynomial, ZeroDenominator,
+    QPoly, LowerParamPole, NotPolynomial, ZeroDenominator,
     gauss_binomial,
 )
 from .efun import (
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--dim", type=int, default=0)
     orc.add_argument("--alpha-rank", dest="alpha_rank", type=int, default=0)
     orc.add_argument("--max-enum", dest="max_enum", type=int, default=None,
-                     help="override the enumeration guard (also PFES_MAX_ENUM)")
+                     help="override the enumeration guard")
     orc.add_argument("--format", choices=("plain", "json"), default="plain")
     orc.set_defaults(handler=cmd_oracle)
 
@@ -258,7 +258,7 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         _emit_error(fmt, str(exc), args.command)
         return EXIT_RESOURCE
-    except (NotPolynomial, NotDivisible, ZeroDenominator, LowerParamPole) as exc:
+    except (NotPolynomial, ZeroDenominator, LowerParamPole) as exc:
         _emit_error(fmt, str(exc), args.command)
         return EXIT_FAIL
 

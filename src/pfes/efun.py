@@ -5,17 +5,17 @@ space.
 
 Conventions: everything is a function of the single variable q, strata of
 skew forms are keyed by rank 2i, and the ambient dimension n is odd unless a
-function says otherwise.
+function says otherwise.  Each polynomial is a quotient of products of
+factors (1 - q^a), or a finite sum of such quotients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from .qcore import (
-    ZERO, QPoly, QRational, gauss_binomial, geometric_series, q_quotient,
+    ZERO, QPoly, gauss_binomial, geometric_series, q_product, q_quotient,
 )
 
 
@@ -42,21 +42,6 @@ class PfaffianParams:
         _require(1 <= self.k <= (self.n - 1) // 2,
                  f"k must satisfy 1 <= k <= (n-1)/2, got k={self.k}, n={self.n}")
 
-    @property
-    def half_dim(self) -> int:
-        return (self.n - 1) // 2
-
-
-@dataclass(frozen=True)
-class StratumContribution:
-    """One summand of the stratified stringy E-function: the E-polynomial of
-    a rank stratum times its local stringy weight."""
-
-    rank_half: int
-    stratum_E: QPoly
-    weight: QRational
-    product: QRational
-
 
 def projective_E(k: int) -> QPoly:
     """E-polynomial of projective k-space: (q^(k+1) - 1)/(q - 1)."""
@@ -70,20 +55,18 @@ def grassmannian_E(k: int, n: int) -> QPoly:
     return gauss_binomial(n, k, 1)
 
 
-@cache
 def nondeg_skew_E(i: int) -> QPoly:
     """E-polynomial of the nondegenerate skew forms on a 2i-dimensional
-    space, up to scaling.
+    space, up to scaling:
+    (-1)^(i-1) q^(i(i-1)) prod_{j=2}^{i} (1 - q^(2j-1)).
 
-    Defined by the triangular system expressing the full space of nonzero
-    skew forms on C^(2i) as the union of its rank strata; memoized per i.
-    Taking s = 1..i-1 in ascending order keeps the recursion two deep.
+    This is MacWilliams' count of nondegenerate alternating matrices
+    (Amer. Math. Monthly 76, 1969) divided by q - 1.  The sum over s <= i
+    of nondeg_skew_E(s) [2i, 2s]_q is the projective space of nonzero skew
+    forms on C^(2i), which the oddeven suite checks.
     """
     _require(i >= 1, f"need i >= 1, got {i}")
-    total = geometric_series(i * (2 * i - 1))
-    for s in range(1, i):
-        total = total - nondeg_skew_E(s) * grassmannian_E(2 * s, 2 * i)
-    return total
+    return (-1) ** (i - 1) * q_product(range(3, 2 * i, 2)).shift(i * (i - 1))
 
 
 def rank_stratum_E(i: int, n: int) -> QPoly:
@@ -128,29 +111,14 @@ def pf_stringy_closed(params: PfaffianParams) -> QPoly:
     return geometric_series(n * k) * _rank_locus_weight(0, k, n)
 
 
-def pf_stringy_strata(params: PfaffianParams) -> tuple[StratumContribution, ...]:
-    """The stratum-by-stratum summands whose total is the stringy E-function."""
-    n, k = params.n, params.k
-    out = []
-    for i in range(1, k + 1):
-        stratum = rank_stratum_E(i, n)
-        weight = local_contribution(i, k, n)
-        out.append(StratumContribution(
-            rank_half=i,
-            stratum_E=stratum,
-            weight=QRational(weight),
-            product=QRational(stratum * weight),
-        ))
-    return tuple(out)
-
-
 def pf_stringy_recursive(params: PfaffianParams) -> QPoly:
-    """Stringy E-function assembled stratum by stratum; must agree with the
-    closed form (that agreement is the inductive content of the formula)."""
-    total = ZERO
-    for contribution in pf_stringy_strata(params):
-        total = total + contribution.stratum_E * contribution.weight.as_poly()
-    return total
+    """Stringy E-function assembled stratum by stratum, as the sum over
+    i = 1..k of the rank-2i stratum times its local weight; must agree with
+    the closed form (that agreement is the inductive content of the
+    formula)."""
+    n, k = params.n, params.k
+    return sum((rank_stratum_E(i, n) * local_contribution(i, k, n)
+                for i in range(1, k + 1)), ZERO)
 
 
 def pf_stringy_rodland(r: int) -> QPoly:

@@ -7,17 +7,17 @@ symbolic E-polynomial at q = p must reproduce these counts exactly, which
 gives an implementation-independent check of every formula.
 
 Full sweeps respect a hard enumeration guard (default 2^24 candidate
-forms or subspaces, overridable via PFES_MAX_ENUM or a max_enum argument)
-and raise TooLarge rather than truncating silently; the guard runs on
-every call, ahead of the census memo `_census_counts`, a functools.cache
-keyed by (p, n, alpha).  It also bounds memory: the numpy kernels in
+forms or subspaces, overridable by a max_enum argument, which the CLI's
+--max-enum passes on; nothing is read from the environment) and raise
+TooLarge rather than truncating silently; the guard runs on every call,
+ahead of the census memo `_census_counts`, a functools.cache keyed by
+(p, n, alpha).  It also bounds memory: the numpy kernels in
 `_kernels` keep one int8 rank per form of the last (p, n) swept, and
 stream subspaces in fixed-size batches.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cache
 
@@ -43,17 +43,12 @@ def _small_prime(p: int) -> bool:
 
 
 def _enum_guard(count: int, what: str, max_enum: int | None):
-    limit = max_enum
-    if limit is None:
-        raw = os.environ.get("PFES_MAX_ENUM", str(DEFAULT_MAX_ENUM))
-        _require(raw.strip().isdecimal(),
-                 f"PFES_MAX_ENUM must be a non-negative integer, got {raw!r}")
-        limit = int(raw)
+    limit = DEFAULT_MAX_ENUM if max_enum is None else max_enum
     _require(isinstance(limit, int) and limit >= 0,
              f"max_enum must be a non-negative integer, got {limit!r}")
     if count > limit:
         raise TooLarge(f"{what} needs {count} candidates, guard is {limit} "
-                       f"(override with PFES_MAX_ENUM or max_enum)")
+                       f"(override with --max-enum or max_enum)")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ _smooth_lhs_sum and the two smooth-part reports per (k, n); the recursion
 coefficients _recursion_terms per (k, n, start, stop).  f_closed and f_circ
 are not cached: each adds its cached smooth half to its i-dependent half.
 Values are immutable, so the memos are invisible in the results.
+Mixed products put the QRational first: QPoly.__mul__ returns
+NotImplemented for a QRational operand.
 """
 
 from __future__ import annotations
@@ -53,10 +55,6 @@ class CutParams:
                  f"k must satisfy 1 <= k <= (n-1)/2, got k={self.k}, n={self.n}")
         _require(1 <= self.i <= half,
                  f"i must satisfy 1 <= i <= (n-1)/2, got i={self.i}, n={self.n}")
-
-    @property
-    def half_dim(self) -> int:
-        return (self.n - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,7 @@ def isotropic_E(k: int, i: int, n: int) -> QPoly:
                           range(1, 2 * k - r + 1),
                           f"isotropic cell (k={k}, i={i}, n={n}, r={r})")
         total = total + (gauss_binomial(n - 2 * i, r, 1)
-                         * monomial((2 * k - r) * (n - 2 * i - r)) * cell)
+                         * cell).shift((2 * k - r) * (n - 2 * i - r))
     return total
 
 
@@ -170,7 +168,7 @@ def verify_newrec(params: CutParams) -> IdentityReport:
     lhs = sum((grassmannian_E(n - 2 * k, n - 2 * p) * _f_circ_dual(p, i, n)
                for p in range(1, k + 1)), _newrec_smooth(k, n))
     rhs = _smooth_rhs(k, n) + _cut_rhs(k, i, n)
-    return _report("newrec", (k, i, n), QRational(lhs), QRational(rhs))
+    return _report("newrec", (k, i, n), lhs, rhs)
 
 
 @cache
@@ -256,15 +254,14 @@ def verify_hj(a: int, b: int) -> IdentityReport:
     _require(0 <= a <= b, f"need 0 <= a <= b, got a={a}, b={b}")
     lhs = ZERO
     for s in range(0, a + 1):
-        term = (monomial(s * s - s)
-                * gauss_binomial(2 * b + 1 - 2 * s, 2 * a - 2 * s, 1)
-                * gauss_binomial(b, s, 2))
+        term = (gauss_binomial(2 * b + 1 - 2 * s, 2 * a - 2 * s, 1)
+                * gauss_binomial(b, s, 2)).shift(s * s - s)
         lhs = lhs + ((-1) ** s) * term
     closed_num = (pochhammer(qpow(2 * b - 4 * a + 4), 2, 2 * a)
-                  * (monomial(2 * a * a - a) * (ONE - monomial(2 * b - 2 * a + 2))))
+                  * (ONE - monomial(2 * b - 2 * a + 2)).shift(2 * a * a - a))
     closed_den = q_product([2 * b + 2, *range(1, 2 * a + 1)])
-    rhs = closed_num / QRational(closed_den)
-    return _report("hj", (a, b), QRational(lhs), rhs)
+    rhs = closed_num / closed_den
+    return _report("hj", (a, b), lhs, rhs)
 
 
 @cache
@@ -296,7 +293,7 @@ def _cut_lhs_sum(k: int, i: int, n: int) -> QRational:
 def _smooth_recursion_report(k: int, n: int) -> IdentityReport:
     """The smooth half of the triangular recursion."""
     return _report("cut-recursion-smooth-part", (k, n),
-                   _smooth_lhs_sum(k, n), QRational(_smooth_rhs(k, n)))
+                   _smooth_lhs_sum(k, n), _smooth_rhs(k, n))
 
 
 def verify_AC_BD(params: CutParams) -> list[IdentityReport]:
@@ -307,19 +304,19 @@ def verify_AC_BD(params: CutParams) -> list[IdentityReport]:
     n, k, i = params.n, params.k, params.i
     smooth = _smooth_recursion_report(k, n)
     cut = _report("cut-recursion-isotropic-part", (k, i, n),
-                  _cut_lhs_sum(k, i, n), QRational(_cut_rhs(k, i, n)))
+                  _cut_lhs_sum(k, i, n), _cut_rhs(k, i, n))
     return [smooth, cut]
 
 
 @cache
 def _phi_smooth_report(k: int, n: int) -> IdentityReport:
     """The 2phi1 rewrite of the smooth recursion sum."""
-    lhs = QRational(ONE - monomial(1)) * _smooth_lhs_sum(k, n)
+    lhs = _smooth_lhs_sum(k, n) * (ONE - monomial(1))
     upper = [qpow(-2 * k), qpow(-n - 1 + 2 * k)]
     phi_big = phi_eval(upper, [qpow(1)], 2, qpow(n + 2), k)
     phi_small = phi_eval(upper, [qpow(1)], 2, qpow(2), k)
-    rhs = QRational(gauss_binomial((n - 1) // 2, k, 2)) * (
-        phi_big - QRational(monomial(n * k - 1)) * phi_small)
+    rhs = ((phi_big - phi_small * monomial(n * k - 1))
+           * gauss_binomial((n - 1) // 2, k, 2))
     return _report("phi-2phi1-smooth-part", (k, n), lhs, rhs)
 
 
@@ -339,9 +336,9 @@ def verify_phi_reductions(params: CutParams) -> list[IdentityReport]:
                          [qpow(1 - n), qpow(n + 3 - 4 * k)],
                          2, qpow(n + 2 - 2 * i), k)
         pre_num = (pochhammer(qpow(n + 3 - 4 * k), 2, 2 * k)
-                   * (monomial(2 * k * k - k - 1) * (ONE - monomial(n + 1 - 2 * k))))
+                   * (ONE - monomial(n + 1 - 2 * k)).shift(2 * k * k - k - 1))
         pre_den = q_product([n + 1, *range(1, 2 * k + 1)])
-        rhs_b = pre_num / QRational(pre_den) * phi_b
+        rhs_b = pre_num / pre_den * phi_b
         reports.append(_report("phi-3phi2-cut-part", (k, i, n),
                                _cut_lhs_sum(k, i, n), rhs_b))
     except LowerParamPole as pole:
@@ -351,10 +348,9 @@ def verify_phi_reductions(params: CutParams) -> list[IdentityReport]:
         phi_d = phi_eval([qpow(-2 * k), qpow(-i), neg_qpow(-i)],
                          [qpow(n + 1 - 2 * i - 2 * k)],
                          1, neg_qpow(n + 1), 2 * k)
-        rhs_d = QRational(monomial(2 * k * k - k - 1)
-                          * gauss_binomial(n - 2 * i, 2 * k, 1)) * phi_d
+        rhs_d = phi_d * gauss_binomial(n - 2 * i, 2 * k, 1).shift(2 * k * k - k - 1)
         reports.append(_report("phi-3phi1-isotropic", (k, i, n),
-                               QRational(_cut_rhs(k, i, n)), rhs_d))
+                               _cut_rhs(k, i, n), rhs_d))
     except LowerParamPole as pole:
         reports.append(_skipped("phi-3phi1-isotropic", (k, i, n), str(pole)))
 

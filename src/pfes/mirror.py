@@ -34,8 +34,8 @@ class StratumComparison:
     the recursion-route value of the weighted cut E-function."""
 
     index: int
-    x_weight: QRational
-    y_weight: QRational
+    x_weight: QPoly
+    y_weight: QPoly
     equal: bool
 
 
@@ -64,7 +64,7 @@ def fiber_E_odd(k: int, n: int) -> QPoly:
     n-space by a skew form of corank 2k+1 (odd n)."""
     _require(n % 2 == 1 and n >= 3, f"n must be odd and >= 3, got {n}")
     _require(0 <= 2 * k + 1 <= n, f"need 0 <= 2k+1 <= n, got k={k}, n={n}")
-    first = geometric_series(k, 2) * monomial(n - 1)
+    first = geometric_series(k, 2).shift(n - 1)
     second = q_quotient([n - 1, n - 1], [1, 2], f"generic fiber (k={k}, n={n})")
     return first + second
 
@@ -73,7 +73,7 @@ def even_fiber_E(k: int, n: int) -> QPoly:
     """Even-n analogue of fiber_E_odd, for a form of corank 2k."""
     _require(n % 2 == 0 and n >= 4, f"n must be even and >= 4, got {n}")
     _require(k >= 0 and 2 * k <= n, f"need 0 <= 2k <= n, got k={k}, n={n}")
-    first = geometric_series(k, 2) * monomial(n - 2)
+    first = geometric_series(k, 2).shift(n - 2)
     second = q_quotient([n - 2, n], [1, 2], f"even generic fiber (k={k}, n={n})")
     return first + second
 
@@ -85,7 +85,7 @@ def grassmannian_frame_identity(n: int) -> IdentityReport:
     num = (monomial(n) - 1) * (monomial(n) - monomial(1))
     den = (monomial(2) - 1) * (monomial(2) - monomial(1))
     lhs = QRational(num, den)
-    return _report("grassmannian-frame", (n,), lhs, QRational(grassmannian_E(2, n)))
+    return _report("grassmannian-frame", (n,), lhs, grassmannian_E(2, n))
 
 
 def main_coefficient_check(k: int) -> IdentityReport:
@@ -94,10 +94,9 @@ def main_coefficient_check(k: int) -> IdentityReport:
     exactly the weight (q^2k-1)/(q^2-1) that the cut bookkeeping assigns to
     the corank-(2k+1) stratum."""
     _require(k >= 2, f"need k >= 2, got {k}")
-    lhs = (QRational(pf_stringy_rodland(k))
-           * QRational(monomial(1) - 1, monomial(2 * k * k - k - 1) - 1))
-    return _report("main-coefficient", (k,), lhs,
-                   QRational(geometric_series(k, 2)))
+    lhs = QRational(pf_stringy_rodland(k) * (monomial(1) - 1),
+                    monomial(2 * k * k - k - 1) - 1)
+    return _report("main-coefficient", (k,), lhs, geometric_series(k, 2))
 
 
 def main_main_check(n: int, k: int) -> MirrorCheckReport:
@@ -122,10 +121,9 @@ def main_main_check(n: int, k: int) -> MirrorCheckReport:
     duality_ok = True
     for i in range(1, half + 1):
         s_i = local_contribution(i, k_dual, n) if i <= k_dual else ZERO
-        x_val = first + monomial(n * k - 1) * s_i
+        x_val = first + s_i.shift(n * k - 1)
         y_val = solve_newcor(k, i, n)[-1]
-        strata.append(StratumComparison(i, QRational(x_val), QRational(y_val),
-                                        x_val == y_val))
+        strata.append(StratumComparison(i, x_val, y_val, x_val == y_val))
         dual_transcription = dual_local_weight(k, i, n)
         y_weights.append(dual_transcription)
         if dual_transcription != s_i:
@@ -159,7 +157,7 @@ def even_anomaly_check() -> IdentityReport:
     required = QPoly([1, 0, 1])
     passed = (not actual.is_polynomial
               and actual == stated
-              and hypothetical == QRational(required)
+              and hypothetical == required
               and 2 * 2 * 2 - 2 * 2 - 1 != 2 * 2 * 2 - 3 * 2)
     return IdentityReport(
         "even-anomaly", (), hypothetical, QRational(required), passed,

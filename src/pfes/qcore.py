@@ -31,21 +31,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
-class NotDivisible(Exception):
-    """Polynomial division left a remainder.
-
-    Carries both operands so that a failed divisibility (= polynomiality)
-    claim can be reported with full context.
-    """
-
-    def __init__(self, num, den):
-        self.num = num
-        self.den = den
-        super().__init__(f"({num}) is not divisible by ({den})")
-
-
 class NotPolynomial(Exception):
-    """A quantity that must reduce to a polynomial failed to do so."""
+    """An exact division num/den, of a quantity that must reduce to a
+    polynomial, left a remainder; carries num, den and a context label."""
 
     def __init__(self, num, den, context=""):
         self.num = num
@@ -79,12 +67,6 @@ class QPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "QPoly":
-        if exponent < 0:
-            raise ValueError("QPoly exponents must be non-negative")
-        return cls([0] * exponent + [coefficient])
 
     @property
     def degree(self) -> int:
@@ -274,7 +256,9 @@ Q = QPoly([0, 1])
 
 
 def monomial(exponent: int, coefficient: int = 1) -> QPoly:
-    return QPoly.monomial(exponent, coefficient)
+    if exponent < 0:
+        raise ValueError("QPoly exponents must be non-negative")
+    return QPoly([0] * exponent + [coefficient])
 
 
 def geometric_series(m: int, base_exp: int = 1) -> QPoly:
@@ -288,13 +272,13 @@ def geometric_series(m: int, base_exp: int = 1) -> QPoly:
 
 
 def poly_exact_div(num: QPoly, den: QPoly) -> QPoly:
-    """Exact quotient num/den in Z[q]; raises NotDivisible otherwise."""
+    """Exact quotient num/den in Z[q]; raises NotPolynomial otherwise."""
     if den.is_zero:
         raise ZeroDenominator("division by the zero polynomial")
     if num.is_zero:
         return ZERO
     if num.degree < den.degree:
-        raise NotDivisible(num, den)
+        raise NotPolynomial(num, den)
     rem = list(num.coeffs)
     dd = den.degree
     dlc = den.lc
@@ -305,12 +289,12 @@ def poly_exact_div(num: QPoly, den: QPoly) -> QPoly:
             continue
         head, tail = divmod(c, dlc)
         if tail:
-            raise NotDivisible(num, den)
+            raise NotPolynomial(num, den)
         quo[i] = head
         for j, dc in enumerate(den.coeffs):
             rem[i + j] -= head * dc
     if any(rem):
-        raise NotDivisible(num, den)
+        raise NotPolynomial(num, den)
     return QPoly(quo)
 
 
@@ -436,10 +420,7 @@ class QRational:
         divide num."""
         if self.den == ONE:
             return self.num
-        try:
-            return poly_exact_div(self.num, self.den)
-        except NotDivisible:
-            raise NotPolynomial(self.num, self.den) from None
+        return poly_exact_div(self.num, self.den)
 
     def __eq__(self, other) -> bool:
         other = _coerce_rational(other)

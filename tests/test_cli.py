@@ -198,15 +198,6 @@ class TestOracle:
         assert code == 1
         assert "MISMATCH" in out
 
-    @pytest.mark.parametrize("value", ["abc", "-5", ""])
-    def test_malformed_guard_variable_is_usage_error(self, capsys, monkeypatch,
-                                                     value):
-        monkeypatch.setenv("PFES_MAX_ENUM", value)
-        code, _, err = run_cli(capsys, "oracle", "rank-stratum", "--p", "2",
-                               "--n", "4", "--rank", "2")
-        assert code == 2
-        assert err.startswith("error: PFES_MAX_ENUM must be a non-negative integer")
-
     def test_negative_guard_flag_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "rank-stratum", "--p", "2",
                                "--n", "4", "--rank", "2", "--max-enum", "-1")

@@ -224,13 +224,8 @@ class TestRankStratumCounts:
         assert count_rank_stratum(2, 6, 6) == nondeg_skew_E(3)(2)
 
     def test_guard(self):
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge, match="override with --max-enum or max_enum"):
             count_rank_stratum(3, 8, 2)
-
-    def test_guard_env_override(self, monkeypatch):
-        monkeypatch.setenv("PFES_MAX_ENUM", "10")
-        with pytest.raises(TooLarge):
-            count_rank_stratum(2, 4, 2)
 
     def test_guard_argument_override(self):
         with pytest.raises(TooLarge):

@@ -105,7 +105,7 @@ class TestMainMain:
         k_dual = 3 - 2
         for comparison in report.per_stratum:
             if comparison.index > k_dual:
-                assert comparison.x_weight == QRational(first_only)
+                assert comparison.x_weight == first_only
                 assert comparison.equal
 
     def test_weight_duality_across_complementary_ranks(self):

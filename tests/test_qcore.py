@@ -7,12 +7,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from pfes import qcore
 from pfes.qcore import (
     ONE, ZERO, Q, QPoly, QRational, PowerParam,
-    LowerParamPole, NotDivisible, NotPolynomial, ZeroDenominator,
+    LowerParamPole, NotPolynomial, ZeroDenominator,
     _SPARSE_TERMS,
     gauss_binomial, geometric_series, monomial, neg_qpow, phi_eval,
     pochhammer, poly_exact_div, q_divide, q_product, q_quotient, qpow,
@@ -43,6 +43,11 @@ def gauss_binomial_by_partitions(m, r, b):
 
 
 small_polys = st.lists(st.integers(-9, 9), max_size=6).map(QPoly)
+
+# For tests on large operands: the same examples are drawn, but a failure is
+# reported as found, since shrinking a broken multiply's failing 300-term
+# operands takes minutes.
+NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
 
 
 def schoolbook_mul(a, b):
@@ -128,7 +133,7 @@ class TestQPoly:
         ((_SPARSE_TERMS - 1, _SPARSE_TERMS + 2), (_SPARSE_TERMS - 1, _SPARSE_TERMS + 2)),
     ], ids=["sparse", "kronecker", "boundary"])
     @given(data=st.data())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, phases=NO_SHRINK)
     def test_product_matches_schoolbook(self, terms_a, terms_b, data):
         a, b = terms_of(data, *terms_a), terms_of(data, *terms_b)
         expected = schoolbook_mul(a, b)
@@ -225,7 +230,7 @@ class TestExactDivision:
 
     def test_remainder_raises_with_operands(self):
         num, den = monomial(2) + 1, Q - 1
-        with pytest.raises(NotDivisible) as err:
+        with pytest.raises(NotPolynomial) as err:
             poly_exact_div(num, den)
         assert err.value.num == num
         assert err.value.den == den
@@ -296,7 +301,7 @@ class TestQRational:
         assert (half / half) == QRational(ONE)
 
     @given(data=st.data())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, phases=NO_SHRINK)
     def test_value_ignores_common_factors(self, data):
         a, b = planted(data)
         multiple = data.draw(st.booleans())
@@ -313,7 +318,7 @@ class TestQRational:
             assert not multiple
             with pytest.raises(NotPolynomial):
                 r.as_poly()
-            with pytest.raises(NotDivisible):
+            with pytest.raises(NotPolynomial):
                 poly_exact_div(a, b)
 
 
@@ -473,7 +478,7 @@ class TestQProducts:
         num, den = schoolbook_product(tops), schoolbook_product(bottoms)
         try:
             expected = poly_exact_div(num, den)
-        except NotDivisible:
+        except NotPolynomial:
             with pytest.raises(NotPolynomial, match="cell 7"):
                 q_quotient(tops, bottoms, "cell 7")
         else:

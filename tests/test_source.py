@@ -7,7 +7,8 @@ package's exports.  Exact division by products of (1 - q^a) stays inside
 `qcore`: no other module names the general `poly_exact_div`.  Memos are
 functools caches on the functions they memoize: no module binds an empty
 dict at module level, except `qcore._GAUSS_CACHE`, which the benchmark's
-tracer reads to count Gaussian-binomial misses.
+tracer reads to count Gaussian-binomial misses.  Settings come from
+arguments and flags only: no module reads `os.environ` or `os.getenv`.
 """
 
 import ast
@@ -83,4 +84,21 @@ def test_no_module_level_dict_memos():
             if (node.value is not None and _is_empty_dict(node.value)
                     and names != ["_GAUSS_CACHE"]):
                 found.append(f"{path.name}:{node.lineno} {names}")
+    assert not found, found
+
+
+def test_no_module_reads_the_environment():
+    readers = {"environ", "getenv"}
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}"
+                      for name in sorted(names & readers)]
     assert not found, found
