@@ -9,6 +9,9 @@ The one configurable setting, the oracle's enumeration guard, is
 --max-enum; nothing is read from the environment.  Verification reports
 never embed wall-clock timing (it goes to stderr), so two runs of the
 same command emit byte-identical reports.
+
+Only the oracle command loads `fq_oracle`, and numpy with it; compute and
+verify run on the symbolic layers alone.
 """
 
 from __future__ import annotations
@@ -24,12 +27,11 @@ from .qcore import (
     gauss_binomial,
 )
 from .efun import (
-    PfaffianParams, RangeError, discrepancy, grassmannian_E,
+    PfaffianParams, RangeError, TooLarge, discrepancy, grassmannian_E,
     local_contribution, nondeg_skew_E, pf_stringy_closed, rank_stratum_E,
 )
 from .identities import CutParams, f_circ, f_closed, isotropic_E
 from .mirror import even_fiber_E, fiber_E_odd
-from .fq_oracle import SkewFormFp, TooLarge, count_cut_stratum, count_isotropic, count_rank_stratum
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -160,10 +162,11 @@ def cmd_verify(args) -> int:
 # oracle
 
 def cmd_oracle(args) -> int:
+    from . import fq_oracle  # numpy loads here, for the oracle only
     p, n = args.p, args.n
     if args.target == "rank-stratum":
         params = {"p": p, "n": n, "rank": args.rank}
-        count = count_rank_stratum(p, n, args.rank, args.max_enum)
+        count = fq_oracle.count_rank_stratum(p, n, args.rank, args.max_enum)
         symbolic = (0 if args.rank == 0
                     else rank_stratum_E(args.rank // 2, n)(p))
     elif args.target == "isotropic":
@@ -174,8 +177,8 @@ def cmd_oracle(args) -> int:
         if not plain and args.dim % 2:
             raise RangeError("no symbolic counterpart for odd --dim with a "
                              "nonzero form; use an even subspace dimension")
-        alpha = SkewFormFp.standard(p, n, args.alpha_rank // 2)
-        count = count_isotropic(p, n, args.dim, alpha, args.max_enum)
+        alpha = fq_oracle.SkewFormFp.standard(p, n, args.alpha_rank // 2)
+        count = fq_oracle.count_isotropic(p, n, args.dim, alpha, args.max_enum)
         if plain:
             symbolic = gauss_binomial(n, args.dim, 1)(p)
         else:
@@ -185,8 +188,8 @@ def cmd_oracle(args) -> int:
         if args.alpha_rank % 2 or args.alpha_rank < 2:
             raise RangeError("--alpha-rank must be even and positive")
         cut = CutParams(n, args.rank // 2, args.alpha_rank // 2)
-        alpha = SkewFormFp.standard(p, n, args.alpha_rank // 2)
-        count = count_cut_stratum(p, n, args.rank, alpha, args.max_enum)
+        alpha = fq_oracle.SkewFormFp.standard(p, n, args.alpha_rank // 2)
+        count = fq_oracle.count_cut_stratum(p, n, args.rank, alpha, args.max_enum)
         symbolic = f_circ(cut)(p)
 
     match = count == symbolic

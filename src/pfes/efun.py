@@ -7,6 +7,11 @@ Conventions: everything is a function of the single variable q, strata of
 skew forms are keyed by rank 2i, and the ambient dimension n is odd unless a
 function says otherwise.  Each polynomial is a quotient of products of
 factors (1 - q^a), or a finite sum of such quotients.
+
+The package's two parameter errors live here: RangeError, for a value
+outside a quantity's domain, and TooLarge, for a finite-field enumeration
+beyond its guard (raised by `fq_oracle`, caught by the CLI without loading
+that module).
 """
 
 from __future__ import annotations
@@ -21,6 +26,10 @@ from .qcore import (
 
 class RangeError(ValueError):
     """A parameter fell outside the domain of the requested quantity."""
+
+
+class TooLarge(Exception):
+    """A finite-field enumeration would exceed its guard."""
 
 
 def _require(condition: bool, message: str):

@@ -1,4 +1,4 @@
-"""Brute-force point counting over small prime fields.
+"""Brute-force point counting over prime fields F_p, p < 2^31.
 
 Every polynomial-count stratum handled by the symbolic layer has a
 counting counterpart here: rank strata of skew forms, isotropic subspaces
@@ -9,37 +9,43 @@ gives an implementation-independent check of every formula.
 Full sweeps respect a hard enumeration guard (default 2^24 candidate
 forms or subspaces, overridable by a max_enum argument, which the CLI's
 --max-enum passes on; nothing is read from the environment) and raise
-TooLarge rather than truncating silently; the guard runs on every call,
+TooLarge rather than truncating silently.  The guard runs on every call,
 ahead of the census memo `_census_counts`, a functools.cache keyed by
-(p, n, alpha).  It also bounds memory: the numpy kernels in
-`_kernels` keep one int8 rank per form of the last (p, n) swept, and
-stream subspaces in fixed-size batches.
+(p, n, alpha).  It also bounds memory: the numpy kernels in `_kernels`
+keep one int8 rank per form of the last (p, n) swept, and stream
+subspaces in fixed-size batches.  TooLarge is defined in `efun`, next to
+RangeError, so the CLI catches it without loading this module; it is
+re-exported here.
+
+This module and `_kernels` are the only ones that import numpy.  The
+package loads this one on first use, so the symbolic commands never load
+numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import isqrt
 
 import numpy as np
 
 from .qcore import gauss_binomial
-from .efun import _require
+from .efun import TooLarge, _require
 from . import _kernels
 from ._kernels import pair_index
 
-
-class TooLarge(Exception):
-    """An enumeration would exceed the configured guard."""
-
-
 DEFAULT_MAX_ENUM = 1 << 24
 
+# Below 2^31, (p-1)^2 (n-1), the bound of the kernels' sums, fits int64
+# whenever n <= 3; where it does not, a sweep has over 2^120 candidates.
+_PRIME_BOUND = 1 << 31
 
-def _small_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+def _require_prime(p: int):
+    _require(2 <= p < _PRIME_BOUND
+             and all(p % d for d in range(2, isqrt(p) + 1)),
+             f"p must be a prime below 2^31, got {p}")
 
 
 def _enum_guard(count: int, what: str, max_enum: int | None):
@@ -62,7 +68,7 @@ class SkewFormFp:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        _require(_small_prime(self.p), f"p must be a small prime, got {self.p}")
+        _require_prime(self.p)
         _require(self.n >= 1, f"need n >= 1, got {self.n}")
         m = self.n * (self.n - 1) // 2
         _require(len(self.entries) == m,
@@ -163,7 +169,7 @@ def count_rank_stratum(p: int, n: int, rank: int,
                        max_enum: int | None = None) -> int:
     """Number of rank-`rank` points of the projectivized space of skew forms
     on F_p^n (nonzero forms up to scaling)."""
-    _require(_small_prime(p), f"p must be a small prime, got {p}")
+    _require_prime(p)
     _require(n >= 1, f"need n >= 1, got {n}")
     _require(rank % 2 == 0 and 0 <= rank <= n,
              f"rank must be even with 0 <= rank <= n, got {rank}")
@@ -174,7 +180,7 @@ def count_rank_stratum(p: int, n: int, rank: int,
 def count_cut_stratum(p: int, n: int, rank_w: int, alpha: SkewFormFp,
                       max_enum: int | None = None) -> int:
     """Number of projectivized rank-`rank_w` forms w with <w, alpha> = 0."""
-    _require(_small_prime(p), f"p must be a small prime, got {p}")
+    _require_prime(p)
     _require(alpha.p == p and alpha.n == n,
              f"got alpha over F_{alpha.p}^{alpha.n}, need F_{p}^{n}")
     _require(rank_w % 2 == 0 and 0 <= rank_w <= n,
@@ -187,7 +193,7 @@ def count_isotropic(p: int, n: int, dim_sub: int, alpha: SkewFormFp,
                     max_enum: int | None = None) -> int:
     """Number of dim_sub-dimensional subspaces of F_p^n on which alpha
     restricts to zero, by sweeping canonical echelon bases."""
-    _require(_small_prime(p), f"p must be a small prime, got {p}")
+    _require_prime(p)
     _require(0 <= dim_sub <= n, f"need 0 <= dim_sub <= n, got {dim_sub}")
     _require(alpha.p == p and alpha.n == n,
              f"got alpha over F_{alpha.p}^{alpha.n}, need F_{p}^{n}")

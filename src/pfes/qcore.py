@@ -23,12 +23,12 @@ integers, hence arbitrary precision; nothing here ever rounds.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Sequence
-
-import numpy as np
 
 
 class NotPolynomial(Exception):
@@ -138,7 +138,7 @@ class QPoly:
             # Kronecker substitution: 2**(8*width) > 2 * max|a| * max|b| * terms
             width = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
                      + terms.bit_length()) // 8 + 1
-            if width <= 8:  # a numpy integer width
+            if width <= 8:  # an array item size
                 width = 1 << (width - 1).bit_length()
             return QPoly(_unpack(_pack(a, width) * _pack(b, width),
                                  width, len(a) + len(b) - 1))
@@ -215,6 +215,9 @@ class QPoly:
 # formed term by term; denser products go through one big-integer multiply.
 _SPARSE_TERMS = 16
 
+# Digits of 1, 2, 4 or 8 bytes go through an array of this signed typecode.
+_TYPECODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
 
 def _halves(width: int, count: int) -> int:
     # 2**(8*width-1) in each of count base-2**(8*width) digits
@@ -225,7 +228,10 @@ def _pack(coeffs: Sequence[int], width: int) -> int:
     """The polynomial's value at 2**(8*width); needs |c| < 2**(8*width-1).
     Flipping the top bit of a two's complement digit adds 2**(8*width-1)."""
     if width <= 8:
-        raw = np.array(coeffs, f"<i{width}").tobytes()
+        digits = array(_TYPECODES[width], coeffs)
+        if sys.byteorder == "big":
+            digits.byteswap()
+        raw = digits.tobytes()
     else:
         raw = b"".join(c.to_bytes(width, "little", signed=True) for c in coeffs)
     halves = _halves(width, len(coeffs))
@@ -237,7 +243,10 @@ def _unpack(value: int, width: int, count: int) -> list[int]:
     halves = _halves(width, count)
     raw = ((value + halves) ^ halves).to_bytes(width * count, "little")
     if width <= 8:
-        return np.frombuffer(raw, f"<i{width}").tolist()
+        digits = array(_TYPECODES[width], raw)
+        if sys.byteorder == "big":
+            digits.byteswap()
+        return digits.tolist()
     return [int.from_bytes(raw[t:t + width], "little", signed=True)
             for t in range(0, width * count, width)]
 

@@ -1,18 +1,31 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
-from pfes import cli, suites
+import pfes
+from pfes import cli, fq_oracle, suites
 from pfes.efun import (
     PfaffianParams, discrepancy, grassmannian_E, local_contribution,
     nondeg_skew_E, pf_stringy_closed, rank_stratum_E,
 )
 from pfes.identities import CutParams, f_circ, f_closed, isotropic_E
 from pfes.mirror import even_fiber_E, fiber_E_odd
+
+
+def run_python(*argv):
+    """Run a fresh interpreter that imports this pfes."""
+    src = str(Path(pfes.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def run_cli(capsys, *argv):
@@ -191,7 +204,7 @@ class TestOracle:
         assert "guard" in err
 
     def test_mismatch_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "count_rank_stratum",
+        monkeypatch.setattr(fq_oracle, "count_rank_stratum",
                             lambda *a, **kw: 12345)
         code, out, _ = run_cli(capsys, "oracle", "rank-stratum", "--p", "2",
                                "--n", "4", "--rank", "4")
@@ -208,7 +221,7 @@ class TestOracle:
         def no_count(*args, **kwargs):
             raise AssertionError("counted before checking the cut parameters")
 
-        monkeypatch.setattr(cli, "count_cut_stratum", no_count)
+        monkeypatch.setattr(fq_oracle, "count_cut_stratum", no_count)
         code, _, err = run_cli(capsys, "oracle", "cut-stratum", "--p", "2",
                                "--n", "5", "--rank", "0", "--alpha-rank", "2")
         assert code == 2
@@ -219,7 +232,7 @@ class TestOracle:
         def no_count(*args, **kwargs):
             raise AssertionError("counted before checking the dimension")
 
-        monkeypatch.setattr(cli, "count_isotropic", no_count)
+        monkeypatch.setattr(fq_oracle, "count_isotropic", no_count)
         code, _, err = run_cli(capsys, "oracle", "isotropic", "--p", "3",
                                "--n", "9", "--dim", "3", "--alpha-rank", "2")
         assert code == 2
@@ -230,13 +243,48 @@ class TestOracle:
                              "--n", "4", "--rank", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("p, n, extra", [
+        (2 ** 1100 + 1, 4, ()),             # beyond a float
+        (10 ** 18 + 3, 4, ()),              # a prime, but trial division is long
+        (3037000507, 2, ("--max-enum", "100000000000")),  # past int64 sums
+    ])
+    def test_huge_prime_is_usage_error(self, capsys, p, n, extra):
+        code, _, err = run_cli(capsys, "oracle", "rank-stratum", "--p", str(p),
+                               "--n", str(n), "--rank", "2", *extra)
+        assert code == 2
+        assert err.startswith("error: p must be a prime below 2^31")
+
 
 class TestConsoleScript:
     def test_entry_point_installed(self):
+        # without the console script on PATH, run the module it points to
+        argv = ["compute", "grassmannian", "--k", "2", "--n", "4"]
         exe = shutil.which("pfes")
-        if exe is None:
-            pytest.skip("console script not on PATH")
-        proc = subprocess.run([exe, "compute", "grassmannian", "--k", "2",
-                               "--n", "4"], capture_output=True, text=True)
+        if exe:
+            proc = subprocess.run([exe, *argv], capture_output=True, text=True)
+        else:
+            proc = run_python("-m", "pfes.cli", *argv)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "q^4+q^3+2q^2+q+1"
+
+
+class TestNumpyStaysUnloaded:
+    def test_only_the_oracle_loads_numpy(self):
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+            from pfes import cli
+            codes, loaded = [], []
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                codes.append(cli.main(["verify", "all"]))
+                codes.append(cli.main(["compute", "pf-stringy", "--n", "7",
+                                       "--k", "2"]))
+                loaded.append("numpy" in sys.modules)
+                codes.append(cli.main(["oracle", "rank-stratum", "--p", "2",
+                                       "--n", "4", "--rank", "4"]))
+                loaded.append("numpy" in sys.modules)
+            print(codes, loaded)
+        """)
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[0, 0, 0] [False, True]\n"

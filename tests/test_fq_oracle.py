@@ -7,7 +7,8 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from pfes import _kernels
+import pfes
+from pfes import _kernels, efun, fq_oracle
 from pfes._kernels import kernel_dtype, rank
 from pfes.efun import RangeError, nondeg_skew_E, rank_stratum_E
 from pfes.identities import CutParams, f_circ, isotropic_E
@@ -242,6 +243,20 @@ class TestRankStratumCounts:
         with pytest.raises(RangeError):
             count_rank_stratum(2, 4, 3)
 
+    @pytest.mark.parametrize("p, n, max_enum", [
+        (2 ** 1100 + 1, 4, None),            # beyond a float
+        (10 ** 18 + 3, 4, None),             # a prime, but trial division is long
+        (3037000507, 2, 100_000_000_000),    # a prime past the int64 sums
+    ])
+    def test_huge_prime_is_a_range_error(self, p, n, max_enum):
+        with pytest.raises(RangeError, match=r"^p must be a prime below 2\^31"):
+            count_rank_stratum(p, n, 2, max_enum)
+
+    def test_primes_are_bounded_at_two_to_the_31(self):
+        assert SkewFormFp.zero(2 ** 31 - 1, 2).p == 2 ** 31 - 1
+        with pytest.raises(RangeError, match=r"below 2\^31, got 2147483659$"):
+            SkewFormFp.zero(2 ** 31 + 11, 2)
+
 
 class TestSubspaceEnumeration:
     @pytest.mark.parametrize("p,n,d", [(2, 4, 2), (3, 4, 2), (2, 5, 3)])
@@ -380,3 +395,21 @@ class TestPairing:
         w, alpha = SkewFormFp.standard(2, 7, 1), SkewFormFp.standard(3, 5, 1)
         with pytest.raises(RangeError, match=r"w over F_2\^7 and alpha over F_3\^5"):
             pairing(w, alpha)
+
+
+class TestLazyExports:
+    @pytest.mark.parametrize("name", ["SkewFormFp", "skew_rank",
+                                      "count_rank_stratum", "count_isotropic",
+                                      "count_cut_stratum"])
+    def test_package_name_is_the_oracle_object(self, name):
+        assert getattr(pfes, name) is getattr(fq_oracle, name)
+
+    def test_package_module_is_the_oracle(self):
+        assert pfes.fq_oracle is fq_oracle
+
+    def test_too_large_is_defined_once(self):
+        assert pfes.TooLarge is fq_oracle.TooLarge is efun.TooLarge
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            pfes.no_such_name

@@ -9,6 +9,8 @@ functools caches on the functions they memoize: no module binds an empty
 dict at module level, except `qcore._GAUSS_CACHE`, which the benchmark's
 tracer reads to count Gaussian-binomial misses.  Settings come from
 arguments and flags only: no module reads `os.environ` or `os.getenv`.
+numpy serves the finite-field oracle only: no module but `_kernels` and
+`fq_oracle` imports it, and the package loads `fq_oracle` on first use.
 """
 
 import ast
@@ -101,4 +103,23 @@ def test_no_module_reads_the_environment():
                 continue
             found += [f"{path.name}:{node.lineno} {name}"
                       for name in sorted(names & readers)]
+    assert not found, found
+
+
+def test_only_the_oracle_modules_import_numpy():
+    allowed = {"_kernels.py", "fq_oracle.py"}
+    found = []
+    for path in SOURCES:
+        if path.name in allowed:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {module}" for module in modules
+                      if module.split(".")[0] == "numpy"]
     assert not found, found
