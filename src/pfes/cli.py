@@ -6,9 +6,9 @@ json (a versioned RunReport with sorted keys).  Exit codes: 0 all pass,
 1 verification failure, 2 usage or parameter error, 3 resource guard.
 
 The one configurable setting, the oracle's enumeration guard, is
---max-enum; nothing is read from the environment.  Verification reports
-never embed wall-clock timing (it goes to stderr), so two runs of the
-same command emit byte-identical reports.
+--max-enum; nothing is read from the environment.  Reports never embed
+wall-clock timing (compute and verify print it to stderr), so two runs of
+the same command emit byte-identical reports.
 
 Only the oracle command loads `fq_oracle`, and numpy with it; compute and
 verify run on the symbolic layers alone.
@@ -50,13 +50,13 @@ def render_report(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _run_report(command: str, parameters: dict, results: list, timing_ms) -> dict:
+def _run_report(command: str, parameters: dict, results: list) -> dict:
     return {
         "version": __version__,
         "command": command,
         "parameters": {k: parameters[k] for k in sorted(parameters)},
         "results": results,
-        "timing_ms": timing_ms,
+        "timing_ms": None,
     }
 
 
@@ -108,36 +108,27 @@ def cmd_compute(args) -> int:
             entry["value"] = value
         else:
             entry["poly"] = poly_json(value)
-        sys.stdout.write(render_report(
-            _run_report("compute", params, [entry], elapsed_ms)))
+        sys.stdout.write(render_report(_run_report("compute", params, [entry])))
+    print(f"compute completed in {elapsed_ms} ms", file=sys.stderr)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # verify
 
-def _suite_bounds(name: str, args) -> dict:
-    bounds = dict(suites.SUITES[name].defaults)
-    for key in bounds:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            bounds[key] = flag
-    return bounds
-
-
 def cmd_verify(args) -> int:
     names = list(suites.SUITES) if args.suite == "all" else [args.suite]
-    tasks = []
-    for name in names:
-        for point in suites.SUITES[name].grid(_suite_bounds(name, args)):
-            tasks.append((suites.SUITES[name].runner, point))
-    if not tasks:
-        raise RangeError(f"verify {args.suite}: no grid points within the "
-                         "given bounds")
     start = time.perf_counter()
     rows: list[dict] = []
-    for runner, point in tasks:
-        rows.extend(runner(point))
+    for name in names:
+        run = suites.SUITES[name]
+        # pass on the given flags this suite takes; it ignores the rest
+        bounds = {key: getattr(args, key) for key in run.__kwdefaults__ or {}
+                  if getattr(args, key) is not None}
+        rows.extend(run(**bounds))
+    if not rows:
+        raise RangeError(f"verify {args.suite}: no grid points within the "
+                         "given bounds")
     elapsed_ms = int((time.perf_counter() - start) * 1000)
 
     failed = sum(1 for row in rows if not row["passed"])
@@ -145,7 +136,7 @@ def cmd_verify(args) -> int:
     passed = len(rows) - failed - skipped
     if args.format == "json":
         sys.stdout.write(render_report(_run_report(
-            "verify", {"suite": args.suite}, rows, None)))
+            "verify", {"suite": args.suite}, rows)))
     else:
         for row in rows:
             status = ("SKIP" if row["skipped"]
@@ -197,7 +188,7 @@ def cmd_oracle(args) -> int:
         row = {"name": args.target, "count": count, "symbolic": symbolic,
                "passed": match}
         sys.stdout.write(render_report(_run_report(
-            "oracle", params, [row], None)))
+            "oracle", params, [row])))
     else:
         print(f"count={count} symbolic={symbolic} {'MATCH' if match else 'MISMATCH'}")
     return EXIT_OK if match else EXIT_FAIL

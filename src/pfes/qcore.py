@@ -152,19 +152,6 @@ class QPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "QPoly":
-        if exponent < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def __call__(self, x):
         """Evaluate at x by Horner's rule (exact for int/Fraction input)."""
         acc = 0

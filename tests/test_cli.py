@@ -1,7 +1,9 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
+import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -64,6 +66,15 @@ class TestCompute:
         assert report["results"][0]["poly"] == {"var": "q",
                                                 "coeffs": [1, 1, 2, 2, 1, 1]}
         assert cli.render_report(report) == out
+
+    def test_json_report_is_untimed(self, capsys):
+        argv = ["compute", "f-circ", "--k", "12", "--i", "3", "--n", "33",
+                "--format", "json"]
+        _, first, err = run_cli(capsys, *argv)
+        _, second, _ = run_cli(capsys, *argv)
+        assert first == second
+        assert json.loads(first)["timing_ms"] is None
+        assert "compute completed in" in err
 
     @pytest.mark.parametrize("target, params, expected", [
         ("grassmannian", {"k": 2, "n": 5}, lambda: grassmannian_E(2, 5)),
@@ -168,14 +179,68 @@ class TestVerify:
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         # force a mismatch to exercise the failure path
-        monkeypatch.setitem(
-            suites.SUITES, "hj",
-            suites.Suite(suites.SUITES["hj"].grid,
-                         lambda point: [suites._row("hj(broken)", False)],
-                         suites.SUITES["hj"].defaults))
+        def broken(*, max_b=8):
+            yield suites._row("hj(broken)", False)
+
+        monkeypatch.setitem(suites.SUITES, "hj", broken)
         code, out, _ = run_cli(capsys, "verify", "hj", "--max-b", "0")
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("suite, flag, value", [
+        ("hj", "--max-n", "9"), ("relg", "--max-n", "9"),
+        ("even-anomaly", "--max-n", "3"),
+    ])
+    def test_bound_the_suite_does_not_take_is_ignored(self, capsys, suite,
+                                                      flag, value):
+        code, plain, _ = run_cli(capsys, "verify", suite)
+        assert code == 0
+        code, flagged, _ = run_cli(capsys, "verify", suite, flag, value)
+        assert code == 0
+        assert flagged == plain
+
+
+def _verify_parser():
+    (subparsers,) = [action for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    return subparsers.choices["verify"]
+
+
+class TestRegistry:
+    def test_suite_bounds_are_the_parser_bounds(self):
+        bounds = set()
+        for run in suites.SUITES.values():
+            bounds |= set(run.__kwdefaults__ or {})
+        flags = {action.dest for action in _verify_parser()._actions
+                 if any(s.startswith("--max-") for s in action.option_strings)}
+        assert bounds == flags
+
+    def test_default_bounds(self):
+        defaults = {name: run.__kwdefaults__ or {}
+                    for name, run in suites.SUITES.items()}
+        assert defaults == {
+            "relg": {"max_r": 8}, "oddeven": {"max_r": 8},
+            "sum": {"max_r": 8}, "technical": {"max_n": 17},
+            "stpf": {"max_n": 15}, "pfst2k": {"max_n": 17},
+            "newrec": {"max_n": 13}, "newcor": {"max_n": 13},
+            "hj": {"max_b": 8}, "ac-bd": {"max_n": 11},
+            "phi": {"max_n": 11}, "main-coeff": {"max_k": 10},
+            "main-main": {"max_n": 13}, "even-anomaly": {},
+        }
+
+    def test_suite_choices_are_the_registry(self):
+        (suite,) = [action for action in _verify_parser()._actions
+                    if action.dest == "suite"]
+        assert list(suite.choices) == sorted(suites.SUITES) + ["all"]
+
+    @pytest.mark.parametrize("label, names", [
+        ("Verify suites:", sorted(suites.SUITES) + ["all"]),
+        ("Compute targets:", sorted(cli._COMPUTE)),
+    ])
+    def test_readme_lists_every_name(self, label, names):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = re.search(re.escape(label) + r"(.*?)\.\s", readme, re.S)
+        assert sorted(re.findall(r"`([^`]+)`", listed.group(1))) == sorted(names)
 
 
 class TestOracle:
