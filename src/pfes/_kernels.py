@@ -4,16 +4,20 @@ A batch of forms on F_p^n is an (m, B) array of base-p digits, m =
 n(n-1)/2: row e holds entry e of the strict upper triangle (in
 `pair_index` order) for all B forms, so each entry's row is contiguous.
 `rank` ranks such a batch through the Pfaffians of principal minors,
-built bottom-up over subsets and reduced mod p at each level; the rank of
-a skew matrix is the largest size of a principal minor with a nonzero
-Pfaffian, so no elimination is needed.
+built bottom-up over subsets; the rank of a skew matrix is the largest
+size of a principal minor with a nonzero Pfaffian, so no elimination is
+needed.  One subset recursion serves every p; only its lanes differ.  For
+p = 2 the digit rows are packed into uint64 words, 64 forms to a word (bit
+slicing, as in M4RI), a product is & and a sum or difference ^; for odd p
+each form has an integer lane, reduced mod p at each level.
 
 A census walks every skew form (all p^m digit strings, in index order, in
-batches of `_BATCH` from `digit_batches`) and tallies them by (rank,
-pairing-with-alpha == 0) into an int64 array of shape (n+1, 2).  Its one
-memo, `_ranked`, an lru_cache of size 1 keyed by (p, n), keeps the int8
-ranks of the last (p, n) swept, p^m bytes, so another alpha at the same
-(p, n) costs only the pairing and a bincount.
+batches of `_BATCH` forms from `digit_batches`) and tallies them by (rank,
+pairing-with-alpha == 0) into an int64 array of shape (n+1, 2), counting
+each even rank's forms and its forms of pairing 0 with `count_nonzero`.
+Its one memo, `_ranked`, an lru_cache of size 1 keyed by (p, n), keeps the
+int8 ranks of the last (p, n) swept, p^m bytes, so another alpha at the
+same (p, n) costs only the pairing and the counts.
 
 `isotropic` counts the subspaces on which a form vanishes, streaming each
 pivot pattern's reduced echelon bases in batches of at most `_BATCH`,
@@ -37,8 +41,8 @@ def pair_index(n: int) -> list[tuple[int, int]]:
 
 def kernel_dtype(p: int, n: int):
     """The smallest integer dtype holding (p-1)^2 (n-1).  That bounds every
-    partial sum in `rank` and `isotropic`: each adds at most n-1 products
-    of two residues mod p."""
+    partial sum in `isotropic` and in `rank`'s odd-p lanes: each adds at
+    most n-1 products of two residues mod p."""
     bound = (p - 1) ** 2 * max(n - 1, 1)
     for dtype in _DTYPES:
         if bound <= np.iinfo(dtype).max:
@@ -83,37 +87,51 @@ def rank(digits, p: int, n: int) -> np.ndarray:
     """Ranks (int8) of the B skew forms on F_p^n given as an (m, B) array of
     digit rows with entries in [0, p).  Pfaffians of principal minors are
     built bottom-up over subsets S = (s0 < s1 < ...),
-    Pf(S) = sum_{j>=1} (-1)^(j+1) a_{s0,sj} Pf(S minus {s0,sj}),
-    each level reduced mod p."""
+    Pf(S) = sum_{j>=1} (-1)^(j+1) a_{s0,sj} Pf(S minus {s0,sj}).
+    For p = 2 each row is packed into uint64 words, 64 forms to a word, so a
+    product is &, a sum or a difference is ^, and nothing is reduced; for
+    odd p each form has its own integer lane, reduced mod p at each level."""
     m = n * (n - 1) // 2
-    dtype = kernel_dtype(p, n)
-    a = np.asarray(digits).astype(dtype, copy=False)
+    a = np.asarray(digits)
     if a.ndim != 2 or a.shape[0] != m:
         raise ValueError(f"need an ({m}, B) digit array for n = {n}, "
                          f"got shape {a.shape}")
     size = a.shape[1]
     ranks = np.zeros(size, np.int8)
+    if p == 2:
+        bits = np.zeros((m, -(-size // 64) * 8), np.uint8)
+        bits[:, :-(-size // 8)] = np.packbits(a, axis=1, bitorder="little")
+        a = bits.view(np.uint64)
+        times, plus, minus = np.bitwise_and, np.bitwise_xor, np.bitwise_xor
+    else:
+        a = a.astype(kernel_dtype(p, n), copy=False)
+        times, plus, minus = np.multiply, np.add, np.subtract
+
+    def mark(seen, s):
+        """Rank s for each form whose lane in `seen` is nonzero."""
+        if p == 2:
+            seen = np.unpackbits(seen.view(np.uint8), count=size,
+                                 bitorder="little")
+        ranks[seen != 0] = s
+
     entry = {rc: a[e] for e, rc in enumerate(pair_index(n))}
-    seen = np.zeros(size, dtype)
+    seen = np.zeros(a.shape[1], a.dtype)
     for pf in entry.values():
         seen |= pf
-    ranks[seen != 0] = 2
-    prev, term = entry, np.empty(size, dtype)
+    mark(seen, 2)
+    prev, term = entry, np.empty_like(seen)
     for s in range(4, n + 1, 2):
         cur = {}
         seen[:] = 0
         for sub in combinations(range(n), s):
-            acc = entry[sub[0], sub[1]] * prev[sub[2:]]
+            acc = times(entry[sub[0], sub[1]], prev[sub[2:]])
             for j in range(2, s):
-                np.multiply(entry[sub[0], sub[j]], prev[sub[1:j] + sub[j + 1:]],
-                            out=term)
-                if j % 2:
-                    acc += term
-                else:
-                    acc -= term
-            seen |= _mod(acc, p)
+                times(entry[sub[0], sub[j]], prev[sub[1:j] + sub[j + 1:]],
+                      out=term)
+                (plus if j % 2 else minus)(acc, term, out=acc)
+            seen |= acc if p == 2 else _mod(acc, p)
             cur[sub] = acc
-        ranks[seen != 0] = s
+        mark(seen, s)
         prev = cur
     return ranks
 
@@ -147,11 +165,13 @@ def census(p: int, n: int, alpha: tuple[int, ...]) -> np.ndarray:
         if low_pairing is None:
             low_pairing = (alpha @ digits) % p
         target = -int(alpha @ digits[:, 0]) % p
+        zero = low_pairing == target
         block = ranks[lo:lo + digits.shape[1]]
         lo += digits.shape[1]
-        counts[:, 0] += np.bincount(block, minlength=n + 1)
-        counts[:, 1] += np.bincount(block[low_pairing == target],
-                                    minlength=n + 1)
+        for r in range(0, n + 1, 2):
+            at_r = block == r
+            counts[r, 0] += np.count_nonzero(at_r)
+            counts[r, 1] += np.count_nonzero(at_r & zero)
     counts[:, 0] -= counts[:, 1]
     return counts
 

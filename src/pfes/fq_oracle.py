@@ -9,13 +9,15 @@ gives an implementation-independent check of every formula.
 Full sweeps respect a hard enumeration guard (default 2^24 candidate
 forms or subspaces, overridable by a max_enum argument, which the CLI's
 --max-enum passes on; nothing is read from the environment) and raise
-TooLarge rather than truncating silently.  The guard runs on every call,
-ahead of the census memo `_census_counts`, a functools.cache keyed by
-(p, n, alpha).  It also bounds memory: the numpy kernels in `_kernels`
-keep one int8 rank per form of the last (p, n) swept, and stream
-subspaces in fixed-size batches.  TooLarge is defined in `efun`, next to
-RangeError, so the CLI catches it without loading this module; it is
-re-exported here.
+TooLarge rather than truncating silently.  It sizes a subspace sweep by
+an exact integer product at q = p, not by a Gaussian binomial
+polynomial, and states a count too long to print in decimal by its power
+of 2.  The guard runs on every call, ahead of the census memo
+`_census_counts`, a functools.cache keyed by (p, n, alpha).  It also
+bounds memory: the numpy kernels in `_kernels` keep one int8 rank per
+form of the last (p, n) swept, and stream subspaces in fixed-size
+batches.  TooLarge is defined in `efun`, next to RangeError, so the CLI
+catches it without loading this module; it is re-exported here.
 
 This module and `_kernels` are the only ones that import numpy.  The
 package loads this one on first use, so the symbolic commands never load
@@ -30,7 +32,6 @@ from math import isqrt
 
 import numpy as np
 
-from .qcore import gauss_binomial
 from .efun import TooLarge, _require
 from . import _kernels
 from ._kernels import pair_index
@@ -48,13 +49,23 @@ def _require_prime(p: int):
              f"p must be a prime below 2^31, got {p}")
 
 
+def _decimal(count: int) -> str:
+    """count in decimal, or its size where Python's int-to-str digit limit
+    refuses it."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"at least 2^{count.bit_length() - 1}"
+
+
 def _enum_guard(count: int, what: str, max_enum: int | None):
     limit = DEFAULT_MAX_ENUM if max_enum is None else max_enum
     _require(isinstance(limit, int) and limit >= 0,
              f"max_enum must be a non-negative integer, got {limit!r}")
     if count > limit:
-        raise TooLarge(f"{what} needs {count} candidates, guard is {limit} "
-                       f"(override with --max-enum or max_enum)")
+        raise TooLarge(f"{what} needs {_decimal(count)} candidates, guard is "
+                       f"{_decimal(limit)} (override with --max-enum or "
+                       f"max_enum)")
 
 
 @dataclass(frozen=True)
@@ -105,8 +116,13 @@ class SkewFormFp:
         return tuple(tuple(row) for row in mat)
 
     def conjugated(self, g) -> "SkewFormFp":
-        """Pull back along the basis change g: entries of g^T A g."""
+        """Pull back along the basis change g, an n x n matrix invertible
+        mod p: entries of g^T A g."""
         n, p = self.n, self.p
+        _require(len(g) == n and all(len(row) == n for row in g),
+                 f"g must have {n} rows of {n} entries, got rows of lengths "
+                 f"{[len(row) for row in g]}")
+        _require(_rank_mod(g, p) == n, f"g is singular mod {p}")
         a = self.matrix()
         ag = [[sum(a[r][t] * g[t][c] for t in range(n)) % p for c in range(n)]
               for r in range(n)]
@@ -115,11 +131,10 @@ class SkewFormFp:
         return SkewFormFp.from_matrix(p, gag)
 
 
-def skew_rank(form: SkewFormFp) -> int:
-    """Rank over F_p by Gaussian elimination; always even."""
-    p, n = form.p, form.n
-    mat = [list(row) for row in form.matrix()]
-    rank = 0
+def _rank_mod(rows, p: int) -> int:
+    """Rank over F_p of a square integer matrix, by Gaussian elimination."""
+    mat = [[x % p for x in row] for row in rows]
+    n, rank = len(mat), 0
     for col in range(n):
         piv = next((r for r in range(rank, n) if mat[r][col]), None)
         if piv is None:
@@ -132,6 +147,12 @@ def skew_rank(form: SkewFormFp) -> int:
             if f:
                 mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
         rank += 1
+    return rank
+
+
+def skew_rank(form: SkewFormFp) -> int:
+    """Rank over F_p by Gaussian elimination; always even."""
+    rank = _rank_mod(form.matrix(), form.p)
     if rank % 2:
         raise RuntimeError("skew-symmetric rank must be even")
     return rank
@@ -189,6 +210,16 @@ def count_cut_stratum(p: int, n: int, rank_w: int, alpha: SkewFormFp,
     return _projective_points(int(census[rank_w, 1]), p, rank_w)
 
 
+def _subspaces(p: int, n: int, d: int) -> int:
+    """Number of d-dimensional subspaces of F_p^n, the Gaussian binomial
+    [n, d] at q = p, as an exact integer: step i multiplies [n-d+i, i] by
+    (p^(n-d+i+1) - 1) / (p^(i+1) - 1), which gives [n-d+i+1, i+1]."""
+    count, d = 1, min(d, n - d)
+    for i in range(d):
+        count = count * (p ** (n - d + i + 1) - 1) // (p ** (i + 1) - 1)
+    return count
+
+
 def count_isotropic(p: int, n: int, dim_sub: int, alpha: SkewFormFp,
                     max_enum: int | None = None) -> int:
     """Number of dim_sub-dimensional subspaces of F_p^n on which alpha
@@ -197,7 +228,7 @@ def count_isotropic(p: int, n: int, dim_sub: int, alpha: SkewFormFp,
     _require(0 <= dim_sub <= n, f"need 0 <= dim_sub <= n, got {dim_sub}")
     _require(alpha.p == p and alpha.n == n,
              f"got alpha over F_{alpha.p}^{alpha.n}, need F_{p}^{n}")
-    total = gauss_binomial(n, dim_sub, 1)(p)
+    total = _subspaces(p, n, dim_sub)
     _enum_guard(total, f"sweep of {dim_sub}-subspaces of F_{p}^{n}", max_enum)
     if dim_sub < 2:
         return total  # a line (or the origin) is isotropic for any skew form

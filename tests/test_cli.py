@@ -268,6 +268,19 @@ class TestOracle:
         assert code == 3
         assert "guard" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("rank-stratum", "--p", "2", "--n", "200", "--rank", "2"),
+        ("isotropic", "--p", "2", "--n", "600", "--dim", "300",
+         "--alpha-rank", "2"),
+    ])
+    def test_guard_on_a_count_too_long_to_print(self, argv):
+        proc = run_python("-m", "pfes.cli", "oracle", *argv)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert re.fullmatch(r"error: sweep of .* needs at least 2\^\d+ "
+                            r"candidates, guard is 16777216 .*\n", proc.stderr)
+
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(fq_oracle, "count_rank_stratum",
                             lambda *a, **kw: 12345)

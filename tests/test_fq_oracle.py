@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pfes
-from pfes import _kernels, efun, fq_oracle
+from pfes import _kernels, efun, fq_oracle, qcore
 from pfes._kernels import kernel_dtype, rank
 from pfes.efun import RangeError, nondeg_skew_E, rank_stratum_E
 from pfes.identities import CutParams, f_circ, isotropic_E
@@ -98,6 +98,23 @@ class TestSkewRank:
         assert form.entries == (1, 2, 0)
 
 
+class TestConjugated:
+    @pytest.mark.parametrize("g", [
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[1, 0], [0, 1]],
+        [[1, 0, 0], [0, 1], [0, 0, 1]],
+    ])
+    def test_wrong_shape_is_a_range_error(self, g):
+        with pytest.raises(RangeError, match=r"^g must have 3 rows of 3 entries"):
+            SkewFormFp.standard(3, 3, 1).conjugated(g)
+
+    def test_singular_matrix_is_a_range_error(self):
+        # invertible over the integers (det 3), singular mod 3
+        g = [[1, 1, 0], [1, -2, 0], [0, 0, 1]]
+        with pytest.raises(RangeError, match=r"^g is singular mod 3$"):
+            SkewFormFp.standard(3, 3, 1).conjugated(g)
+
+
 class TestCensusKernels:
     @pytest.mark.parametrize("p,n", [(2, 4), (3, 4), (2, 5)])
     def test_kernels_match_pure_python(self, p, n):
@@ -160,6 +177,30 @@ class TestCensusKernels:
         assert sum(calls[swept:]) == p ** (n * (n - 1) // 2)
 
 
+def bincount_tally(p, n, alpha):
+    """Reference census tally: each form's pairing with alpha from its
+    index's base-p digits, and one bincount per column over `_ranked`."""
+    m = n * (n - 1) // 2
+    index = np.arange(p ** m, dtype=np.int64)
+    pairing = np.zeros(p ** m, np.int64)
+    for e, a in enumerate(alpha):
+        pairing += a * (index // p ** e % p)
+    zero = pairing % p == 0
+    ranks = _kernels._ranked(p, n)
+    return np.stack([np.bincount(ranks[~zero], minlength=n + 1),
+                     np.bincount(ranks[zero], minlength=n + 1)], axis=1)
+
+
+class TestTally:
+    @pytest.mark.parametrize("p,n", [(2, 6), (3, 5), (5, 4)])
+    def test_per_rank_counts_match_bincount(self, p, n):
+        m = n * (n - 1) // 2
+        rng = random.Random(97 * p + n)
+        for alpha in [(0,) * m, tuple(rng.randrange(p) for _ in range(m))]:
+            got = _kernels.census(p, n, alpha)
+            assert (got == bincount_tally(p, n, alpha)).all(), alpha
+
+
 def forms_as_digits(forms):
     """(m, B) digit rows of a list of forms on the same F_p^n."""
     return np.array([form.entries for form in forms], np.int64).T
@@ -182,6 +223,28 @@ class TestRank:
         want = [skew_rank(form) for form in forms]
         assert got.tolist() == want
         assert set(want[30:]) == set(range(0, n + 1, 2))
+
+    @pytest.mark.parametrize("n", [4, 7])
+    @pytest.mark.parametrize("size", [1, 63, 64, 65, 200])
+    def test_gf2_words_at_and_around_word_boundaries(self, size, n):
+        rng = random.Random(size * 10 + n)
+        m = n * (n - 1) // 2
+        forms = [SkewFormFp.standard(2, n, rng.randrange(n // 2 + 1))
+                 .conjugated(random_invertible(2, n, rng))
+                 if t % 2 else
+                 SkewFormFp(2, n, tuple(rng.randrange(2) for _ in range(m)))
+                 for t in range(size)]
+        got = rank(forms_as_digits(forms), 2, n)
+        assert got.dtype == np.int8
+        assert got.tolist() == [skew_rank(form) for form in forms]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_gf2_every_form_on_small_spaces(self, n):
+        m = n * (n - 1) // 2
+        forms = [SkewFormFp(2, n, entries)
+                 for entries in product(range(2), repeat=m)]
+        got = rank(forms_as_digits(forms), 2, n)
+        assert got.tolist() == [skew_rank(form) for form in forms]
 
     def test_dtype_is_the_smallest_that_holds_the_sums(self):
         # (p-1)^2 (n-1) against int8's 127
@@ -227,6 +290,17 @@ class TestRankStratumCounts:
     def test_guard(self):
         with pytest.raises(TooLarge, match="override with --max-enum or max_enum"):
             count_rank_stratum(3, 8, 2)
+
+    def test_guard_names_the_count(self):
+        with pytest.raises(TooLarge, match=rf"needs {3 ** 28} candidates, "
+                                           r"guard is 16777216 \("):
+            count_rank_stratum(3, 8, 2)
+
+    def test_guard_sizes_a_count_too_long_to_print(self):
+        # 2^19900 has more decimal digits than int-to-str conversion allows
+        with pytest.raises(TooLarge, match=r"needs at least 2\^19900 "
+                                           r"candidates, guard is 16777216"):
+            count_rank_stratum(2, 200, 2)
 
     def test_guard_argument_override(self):
         with pytest.raises(TooLarge):
@@ -305,6 +379,23 @@ class TestIsotropicCounts:
             count_isotropic(2, 9, 4, alpha, max_enum=10 ** 6)
         with pytest.raises(TooLarge):
             count_isotropic(2, 12, 6, SkewFormFp.standard(2, 12, 3))
+
+    def test_guard_needs_no_gaussian_binomial_polynomial(self, monkeypatch):
+        def no_polynomial(*args, **kwargs):
+            raise AssertionError("built the Gaussian binomial polynomial")
+
+        monkeypatch.setattr(qcore, "gauss_binomial", no_polynomial)
+        monkeypatch.setattr(fq_oracle, "gauss_binomial", no_polynomial,
+                            raising=False)
+        with pytest.raises(TooLarge, match=r"needs at least 2\^90001 "):
+            count_isotropic(2, 600, 300, SkewFormFp.standard(2, 600, 1))
+
+    @pytest.mark.parametrize("p", [2, 3, 131])
+    def test_subspace_count_is_the_gaussian_binomial(self, p):
+        for n in range(8):
+            for d in range(n + 1):
+                assert fq_oracle._subspaces(p, n, d) == \
+                    gauss_binomial(n, d, 1)(p), (n, d)
 
     def test_anchor_value(self):
         assert count_isotropic(2, 5, 2, SkewFormFp.standard(2, 5, 1)) == 91
