@@ -10,9 +10,9 @@ __version__ = "0.1.0"
 import importlib
 
 from .qcore import (
-    QPoly, QRational, PowerParam,
+    QPoly, PowerParam,
     NotPolynomial, ZeroDenominator, LowerParamPole,
-    pochhammer, gauss_binomial, phi_eval, qpow, neg_qpow,
+    gauss_binomial, phi_eval, qpow, neg_qpow,
 )
 from .efun import (
     PfaffianParams, RangeError, TooLarge,
@@ -21,13 +21,11 @@ from .efun import (
     pf_stringy_closed, pf_stringy_recursive, pf_stringy_rodland,
 )
 from .identities import (
-    CutParams, IdentityReport,
-    isotropic_E, f_closed, f_circ,
+    CutParams, isotropic_E, f_closed, f_circ,
     solve_newcor, verify_newrec, verify_hj, verify_AC_BD, verify_phi_reductions,
 )
 from .mirror import (
-    MirrorCheckReport, StratumComparison,
-    fiber_E_odd, even_fiber_E, grassmannian_frame_identity,
+    fiber_E_odd, even_fiber_E,
     main_coefficient_check, main_main_check, even_anomaly_check,
 )
 

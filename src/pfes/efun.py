@@ -96,12 +96,11 @@ def discrepancy(j: int, params: PfaffianParams) -> int:
 
 
 def _rank_locus_weight(p: int, k: int, n: int) -> QPoly:
-    # prod_{j=k+1-p}^{(n-1)/2-p} (q^2j - 1)/(q^(2j-2k+2p) - 1); p = 0 gives
-    # the weight-normalized product appearing in the closed stringy formula.
-    # For p > k the range reaches j = 0 and the weight is zero.
-    js = range(k + 1 - p, (n - 1) // 2 - p + 1)
-    return q_quotient((2 * j for j in js), (2 * j - 2 * k + 2 * p for j in js),
-                      f"local weight (p={p}, k={k}, n={n})")
+    # prod_{j=k+1-p}^{(n-1)/2-p} (q^2j - 1)/(q^(2j-2k+2p) - 1), which is
+    # the Gaussian binomial [(n-1)/2 - p, k - p] in q^2; p = 0 gives the
+    # weight-normalized product appearing in the closed stringy formula.
+    # For p > k the weight is zero.
+    return gauss_binomial((n - 1) // 2 - p, k - p, 2)
 
 
 def local_contribution(p: int, k: int, n: int) -> QPoly:

@@ -9,20 +9,21 @@ through a triangular recursion that never touches the closed form, so
 agreement between the two routes is a genuine cross-validation rather
 than a tautology.
 
-Verifiers return IdentityReport values instead of raising, so grid runs can
-aggregate failures.  Points where a hypergeometric reduction degenerates
+Verifiers return report rows instead of raising, so grid runs can
+aggregate failures: a row is a plain dict with keys name, passed, skipped
+and note, built by row.  Each check compares quotients of QPolys by
+cross-multiplication.  Points where a hypergeometric reduction degenerates
 (a denominator parameter hits a pole) are reported as skipped.
 
 Each value is computed once per key it depends on, with functools.cache,
 and a part that does not depend on i is cached apart, once per (k, n):
 isotropic_E, _cut_lhs_sum, _f_circ_dual and the triangular solve _newcor
 per (k, i, n); _closed_smooth, _f_circ_smooth, _newrec_smooth,
-_smooth_lhs_sum and the two smooth-part reports per (k, n); the recursion
+_smooth_lhs_sum and the two smooth-part rows per (k, n); the recursion
 coefficients _recursion_terms per (k, n, start, stop).  f_closed and f_circ
 are not cached: each adds its cached smooth half to its i-dependent half.
-Values are immutable, so the memos are invisible in the results.
-Mixed products put the QRational first: QPoly.__mul__ returns
-NotImplemented for a QRational operand.
+Values are immutable, and rows are never modified, so the memos are
+invisible in the results.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from dataclasses import dataclass
 from functools import cache
 
 from .qcore import (
-    ONE, ZERO, QPoly, QRational, LowerParamPole,
+    ONE, ZERO, QPoly, LowerParamPole,
     gauss_binomial, geometric_series, monomial, neg_qpow, phi_eval,
-    pochhammer, q_divide, q_product, q_quotient, qpow,
+    q_divide, q_product, q_quotient, qpow,
 )
 from .efun import _rank_locus_weight, _require, grassmannian_E
 
@@ -57,28 +58,10 @@ class CutParams:
                  f"i must satisfy 1 <= i <= (n-1)/2, got i={self.i}, n={self.n}")
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of one exact identity check at one parameter point."""
-
-    identity_name: str
-    parameter_point: tuple[int, ...]
-    lhs: QRational
-    rhs: QRational
-    passed: bool
-    skipped: bool = False
-    note: str = ""
-
-
-def _report(name, point, lhs, rhs, note="") -> IdentityReport:
-    lhs = lhs if isinstance(lhs, QRational) else QRational(lhs)
-    rhs = rhs if isinstance(rhs, QRational) else QRational(rhs)
-    return IdentityReport(name, tuple(point), lhs, rhs, lhs == rhs, note=note)
-
-
-def _skipped(name, point, note) -> IdentityReport:
-    zero = QRational(ZERO)
-    return IdentityReport(name, tuple(point), zero, zero, True, True, note)
+def row(name: str, passed: bool, skipped: bool = False, note: str = "") -> dict:
+    """One report row, as a suite yields it; a skipped row is also passed."""
+    return {"name": name, "passed": bool(passed), "skipped": bool(skipped),
+            "note": note}
 
 
 @cache
@@ -160,7 +143,7 @@ def _f_circ_dual(k: int, i: int, n: int) -> QPoly:
                       lambda j: dual_local_weight(j, i, n).shift(n * j - 1))
 
 
-def verify_newrec(params: CutParams) -> IdentityReport:
+def verify_newrec(params: CutParams) -> dict:
     """Check the two-projection count of the cut of the kernel-marked
     resolution: a Grassmannian-weighted sum of single-stratum cuts against
     the projective-bundle count with its isotropic correction."""
@@ -168,7 +151,7 @@ def verify_newrec(params: CutParams) -> IdentityReport:
     lhs = sum((grassmannian_E(n - 2 * k, n - 2 * p) * _f_circ_dual(p, i, n)
                for p in range(1, k + 1)), _newrec_smooth(k, n))
     rhs = _smooth_rhs(k, n) + _cut_rhs(k, i, n)
-    return _report("newrec", (k, i, n), lhs, rhs)
+    return row(f"newrec({k},{i},{n})", lhs == rhs)
 
 
 @cache
@@ -248,7 +231,7 @@ def _newcor(k: int, i: int, n: int) -> QPoly:
     return rhs - q_divide(acc, den, f"triangular solve (k={k}, i={i}, n={n})")
 
 
-def verify_hj(a: int, b: int) -> IdentityReport:
+def verify_hj(a: int, b: int) -> dict:
     """Check the alternating double-binomial sum against its summed
     Pochhammer-quotient closed form, exactly, for 0 <= a <= b."""
     _require(0 <= a <= b, f"need 0 <= a <= b, got a={a}, b={b}")
@@ -257,17 +240,20 @@ def verify_hj(a: int, b: int) -> IdentityReport:
         term = (gauss_binomial(2 * b + 1 - 2 * s, 2 * a - 2 * s, 1)
                 * gauss_binomial(b, s, 2)).shift(s * s - s)
         lhs = lhs + ((-1) ** s) * term
-    closed_num = (pochhammer(qpow(2 * b - 4 * a + 4), 2, 2 * a)
-                  * (ONE - monomial(2 * b - 2 * a + 2)).shift(2 * a * a - a))
+    # (q^(2b-4a+4); q^2)_{2a} (1 - q^(2b-2a+2)) q^(2a^2-a): the Pochhammer
+    # is zero when its range reaches 1 - q^0
+    closed_num = q_quotient(
+        [*range(2 * b - 4 * a + 4, 2 * b + 3, 2), 2 * b - 2 * a + 2], (),
+        "").shift(2 * a * a - a)
     closed_den = q_product([2 * b + 2, *range(1, 2 * a + 1)])
-    rhs = closed_num / closed_den
-    return _report("hj", (a, b), lhs, rhs)
+    return row(f"hj({a},{b})", lhs * closed_den == closed_num)
 
 
 @cache
-def _smooth_lhs_sum(k: int, n: int) -> QRational:
+def _smooth_lhs_sum(k: int, n: int) -> tuple[QPoly, QPoly]:
     """Recursion left side fed with the smooth (first) summands of the
-    closed cut formula, extended to the vanishing index-zero value."""
+    closed cut formula, extended to the vanishing index-zero value, as
+    (numerator, denominator)."""
     half = (n - 1) // 2
 
     def value(j):
@@ -276,51 +262,55 @@ def _smooth_lhs_sum(k: int, n: int) -> QRational:
         return lead * gauss_binomial(half, j, 2)
 
     total, den = _recursion_sum(k, n, range(0, k + 1), value)
-    return QRational(total, q_product(den).shift(1))
+    return total, q_product(den).shift(1)
 
 
 @cache
-def _cut_lhs_sum(k: int, i: int, n: int) -> QRational:
-    """Recursion left side fed with the dual-weight (second) summands."""
+def _cut_lhs_sum(k: int, i: int, n: int) -> tuple[QPoly, QPoly]:
+    """Recursion left side fed with the dual-weight (second) summands, as
+    (numerator, denominator)."""
     half = (n - 1) // 2
     total, den = _recursion_sum(
         k, n, range(0, k + 1),
         lambda j: gauss_binomial(half - i, j, 2).shift(n * j))
-    return QRational(total, q_product(den).shift(1))
+    return total, q_product(den).shift(1)
 
 
 @cache
-def _smooth_recursion_report(k: int, n: int) -> IdentityReport:
+def _smooth_recursion_row(k: int, n: int) -> dict:
     """The smooth half of the triangular recursion."""
-    return _report("cut-recursion-smooth-part", (k, n),
-                   _smooth_lhs_sum(k, n), _smooth_rhs(k, n))
+    num, den = _smooth_lhs_sum(k, n)
+    return row(f"cut-recursion-smooth-part({k},{n})",
+               num == _smooth_rhs(k, n) * den)
 
 
-def verify_AC_BD(params: CutParams) -> list[IdentityReport]:
+def verify_AC_BD(params: CutParams) -> list[dict]:
     """Split the triangular recursion (with f given by its closed form) into
     its smooth part and its isotropic part and check both halves exactly.
     The isotropic right side is evaluated through the finite kernel-dimension
     sum, not through any series form."""
     n, k, i = params.n, params.k, params.i
-    smooth = _smooth_recursion_report(k, n)
-    cut = _report("cut-recursion-isotropic-part", (k, i, n),
-                  _cut_lhs_sum(k, i, n), _cut_rhs(k, i, n))
-    return [smooth, cut]
+    num, den = _cut_lhs_sum(k, i, n)
+    cut = row(f"cut-recursion-isotropic-part({k},{i},{n})",
+              num == _cut_rhs(k, i, n) * den)
+    return [_smooth_recursion_row(k, n), cut]
 
 
 @cache
-def _phi_smooth_report(k: int, n: int) -> IdentityReport:
+def _phi_smooth_row(k: int, n: int) -> dict:
     """The 2phi1 rewrite of the smooth recursion sum."""
-    lhs = _smooth_lhs_sum(k, n) * (ONE - monomial(1))
+    num, den = _smooth_lhs_sum(k, n)
     upper = [qpow(-2 * k), qpow(-n - 1 + 2 * k)]
-    phi_big = phi_eval(upper, [qpow(1)], 2, qpow(n + 2), k)
-    phi_small = phi_eval(upper, [qpow(1)], 2, qpow(2), k)
-    rhs = ((phi_big - phi_small * monomial(n * k - 1))
-           * gauss_binomial((n - 1) // 2, k, 2))
-    return _report("phi-2phi1-smooth-part", (k, n), lhs, rhs)
+    big_num, big_den = phi_eval(upper, [qpow(1)], 2, qpow(n + 2), k)
+    small_num, small_den = phi_eval(upper, [qpow(1)], 2, qpow(2), k)
+    # (1 - q) num/den == (big - q^(nk-1) small) [(n-1)/2, k]_{q^2}
+    phi_num = big_num * small_den - (small_num * big_den).shift(n * k - 1)
+    return row(f"phi-2phi1-smooth-part({k},{n})",
+               (num * (ONE - monomial(1))) * (big_den * small_den)
+               == phi_num * gauss_binomial((n - 1) // 2, k, 2) * den)
 
 
-def verify_phi_reductions(params: CutParams) -> list[IdentityReport]:
+def verify_phi_reductions(params: CutParams) -> list[dict]:
     """Cross-check the three hypergeometric rewrites of the recursion sums
     against the direct finite sums.
 
@@ -329,29 +319,33 @@ def verify_phi_reductions(params: CutParams) -> list[IdentityReport]:
     failed; the rewrites only claim validity away from those poles.
     """
     n, k, i = params.n, params.k, params.i
-    reports = [_phi_smooth_report(k, n)]
+    rows = [_phi_smooth_row(k, n)]
 
+    name = f"phi-3phi2-cut-part({k},{i},{n})"
     try:
-        phi_b = phi_eval([qpow(-2 * k), qpow(1 - n + 2 * i), qpow(1 - 2 * k)],
-                         [qpow(1 - n), qpow(n + 3 - 4 * k)],
-                         2, qpow(n + 2 - 2 * i), k)
-        pre_num = (pochhammer(qpow(n + 3 - 4 * k), 2, 2 * k)
-                   * (ONE - monomial(n + 1 - 2 * k)).shift(2 * k * k - k - 1))
+        phi_num, phi_den = phi_eval(
+            [qpow(-2 * k), qpow(1 - n + 2 * i), qpow(1 - 2 * k)],
+            [qpow(1 - n), qpow(n + 3 - 4 * k)], 2, qpow(n + 2 - 2 * i), k)
+    except LowerParamPole as pole:
+        rows.append(row(name, True, True, str(pole)))
+    else:
+        # (q^(n+3-4k); q^2)_{2k} (1 - q^(n+1-2k)) q^(2k^2-k-1), zero when
+        # the Pochhammer reaches 1 - q^0, over (1 - q^(n+1)) (q;q)_{2k}
+        pre_num = q_quotient([*range(n + 3 - 4 * k, n + 3, 2), n + 1 - 2 * k],
+                             (), "").shift(2 * k * k - k - 1)
         pre_den = q_product([n + 1, *range(1, 2 * k + 1)])
-        rhs_b = pre_num / pre_den * phi_b
-        reports.append(_report("phi-3phi2-cut-part", (k, i, n),
-                               _cut_lhs_sum(k, i, n), rhs_b))
-    except LowerParamPole as pole:
-        reports.append(_skipped("phi-3phi2-cut-part", (k, i, n), str(pole)))
+        num, den = _cut_lhs_sum(k, i, n)
+        rows.append(row(name, num * pre_den * phi_den == pre_num * phi_num * den))
 
+    name = f"phi-3phi1-isotropic({k},{i},{n})"
     try:
-        phi_d = phi_eval([qpow(-2 * k), qpow(-i), neg_qpow(-i)],
-                         [qpow(n + 1 - 2 * i - 2 * k)],
-                         1, neg_qpow(n + 1), 2 * k)
-        rhs_d = phi_d * gauss_binomial(n - 2 * i, 2 * k, 1).shift(2 * k * k - k - 1)
-        reports.append(_report("phi-3phi1-isotropic", (k, i, n),
-                               _cut_rhs(k, i, n), rhs_d))
+        phi_num, phi_den = phi_eval([qpow(-2 * k), qpow(-i), neg_qpow(-i)],
+                                    [qpow(n + 1 - 2 * i - 2 * k)],
+                                    1, neg_qpow(n + 1), 2 * k)
     except LowerParamPole as pole:
-        reports.append(_skipped("phi-3phi1-isotropic", (k, i, n), str(pole)))
+        rows.append(row(name, True, True, str(pole)))
+    else:
+        pre = gauss_binomial(n - 2 * i, 2 * k, 1).shift(2 * k * k - k - 1)
+        rows.append(row(name, _cut_rhs(k, i, n) * phi_den == phi_num * pre))
 
-    return reports
+    return rows

@@ -12,51 +12,21 @@ The even-dimensional analogue fails, and even_anomaly_check pins down how:
 the actual local weight of the corank-4 locus is not a polynomial, while
 the weight the stratified count would need corresponds to a smaller
 discrepancy.
+
+Each check returns its report row (identities.row), comparing quotients of
+QPolys by cross-multiplication.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .qcore import (
-    ZERO, QPoly, QRational, geometric_series, monomial, q_quotient,
+    ZERO, NotPolynomial, QPoly, geometric_series, monomial, q_divide,
+    q_quotient,
 )
 from .efun import (
     _require, grassmannian_E, local_contribution, pf_stringy_rodland,
 )
-from .identities import (IdentityReport, _closed_smooth, _report,
-                         dual_local_weight, solve_newcor)
-
-
-@dataclass(frozen=True)
-class StratumComparison:
-    """One stratum of the mirror comparison: the closed-route value against
-    the recursion-route value of the weighted cut E-function."""
-
-    index: int
-    x_weight: QPoly
-    y_weight: QPoly
-    equal: bool
-
-
-@dataclass(frozen=True)
-class MirrorCheckReport:
-    """Stratum-by-stratum mirror comparison at one (n, k).
-
-    overall holds iff every stratum comparison holds.  The weight tuples
-    expose the local stringy weights of the rank strata on both sides so the
-    k <-> (n-1)/2-k relabeling symmetry can be checked across reports;
-    duality_ok records that the two independent transcriptions of those
-    weights agree at this (n, k).
-    """
-
-    n: int
-    k: int
-    per_stratum: tuple[StratumComparison, ...]
-    overall: bool
-    x_variety_weights: tuple[QPoly, ...]
-    y_variety_weights: tuple[QPoly, ...]
-    duality_ok: bool
+from .identities import _closed_smooth, dual_local_weight, row, solve_newcor
 
 
 def fiber_E_odd(k: int, n: int) -> QPoly:
@@ -78,28 +48,18 @@ def even_fiber_E(k: int, n: int) -> QPoly:
     return first + second
 
 
-def grassmannian_frame_identity(n: int) -> IdentityReport:
-    """The frame-bundle quotient ((q^n-1)(q^n-q))/((q^2-1)(q^2-q)) equals
-    the two-plane Grassmannian E-polynomial."""
-    _require(n >= 2, f"need n >= 2, got {n}")
-    num = (monomial(n) - 1) * (monomial(n) - monomial(1))
-    den = (monomial(2) - 1) * (monomial(2) - monomial(1))
-    lhs = QRational(num, den)
-    return _report("grassmannian-frame", (n,), lhs, grassmannian_E(2, n))
-
-
-def main_coefficient_check(k: int) -> IdentityReport:
+def main_coefficient_check(k: int) -> dict:
     """The coefficient identity behind the classical mirror comparison:
     dividing the closed stringy value by (q^(2k^2-k-1)-1)/(q-1) leaves
     exactly the weight (q^2k-1)/(q^2-1) that the cut bookkeeping assigns to
     the corank-(2k+1) stratum."""
     _require(k >= 2, f"need k >= 2, got {k}")
-    lhs = QRational(pf_stringy_rodland(k) * (monomial(1) - 1),
-                    monomial(2 * k * k - k - 1) - 1)
-    return _report("main-coefficient", (k,), lhs, geometric_series(k, 2))
+    return row(f"main-coefficient({k})",
+               pf_stringy_rodland(k) * (monomial(1) - 1)
+               == geometric_series(k, 2) * (monomial(2 * k * k - k - 1) - 1))
 
 
-def main_main_check(n: int, k: int) -> MirrorCheckReport:
+def main_main_check(n: int, k: int) -> dict:
     """Stratum-by-stratum form of the general mirror equality at (n, k).
 
     For each cutting rank 2i, the closed-route value
@@ -107,39 +67,27 @@ def main_main_check(n: int, k: int) -> MirrorCheckReport:
     S_i the local weight of the rank-2i stratum on the complementary side)
     must equal the weighted cut E-function obtained from the triangular
     recursion.  Strata with i beyond (n-1)/2 - k carry weight zero on both
-    routes.  The same S_i arise as the stratum weights of the k' = (n-1)/2-k
-    companion locus; duality_ok checks the two transcriptions against each
-    other, which is the relabeling symmetry of the construction.
+    routes.  The same S_i arise as the stratum weights of the
+    k' = (n-1)/2-k companion locus, and each stratum also checks the two
+    transcriptions against each other (dual_local_weight at k against
+    local_contribution at k'): the relabeling symmetry of the construction.
     """
     _require(n >= 5 and n % 2 == 1, f"n must be odd and >= 5, got {n}")
     half = (n - 1) // 2
     _require(1 <= k <= half - 1, f"need 1 <= k <= (n-3)/2, got k={k}, n={n}")
     k_dual = half - k
     first = _closed_smooth(k, n)
-    strata = []
-    y_weights = []
-    duality_ok = True
-    for i in range(1, half + 1):
+
+    def stratum_ok(i):
         s_i = local_contribution(i, k_dual, n) if i <= k_dual else ZERO
-        x_val = first + s_i.shift(n * k - 1)
-        y_val = solve_newcor(k, i, n)[-1]
-        strata.append(StratumComparison(i, x_val, y_val, x_val == y_val))
-        dual_transcription = dual_local_weight(k, i, n)
-        y_weights.append(dual_transcription)
-        if dual_transcription != s_i:
-            duality_ok = False
-    return MirrorCheckReport(
-        n=n,
-        k=k,
-        per_stratum=tuple(strata),
-        overall=all(s.equal for s in strata),
-        x_variety_weights=tuple(local_contribution(p, k, n) for p in range(1, k + 1)),
-        y_variety_weights=tuple(y_weights),
-        duality_ok=duality_ok,
-    )
+        return (solve_newcor(k, i, n)[-1] == first + s_i.shift(n * k - 1)
+                and dual_local_weight(k, i, n) == s_i)
+
+    return row(f"main-main(n={n},k={k})",
+               all(stratum_ok(i) for i in range(1, half + 1)))
 
 
-def even_anomaly_check() -> IdentityReport:
+def even_anomaly_check() -> dict:
     """Pin down the even-dimensional failure.
 
     The corank-4 locus resolves with fiber the two-plane Grassmannian of
@@ -150,16 +98,20 @@ def even_anomaly_check() -> IdentityReport:
     that the general discrepancies 2k^2-2k-1 and the wished-for 2k^2-3k
     disagree at k=2.
     """
-    g24 = grassmannian_E(2, 4)
-    actual = QRational(g24 * (monomial(1) - 1), monomial(4) - 1)
-    stated = QRational(QPoly([1, 1, 1]), QPoly([1, 1]))
-    hypothetical = QRational(g24 * (monomial(1) - 1), monomial(3) - 1)
+    weighted = grassmannian_E(2, 4) * (1 - monomial(1))
+    try:
+        q_divide(weighted, [4], "corank-4 weight")
+    except NotPolynomial:
+        actual_is_polynomial = False
+    else:
+        actual_is_polynomial = True
+    stated_num, stated_den = QPoly([1, 1, 1]), QPoly([1, 1])
     required = QPoly([1, 0, 1])
-    passed = (not actual.is_polynomial
-              and actual == stated
-              and hypothetical == required
+    passed = (not actual_is_polynomial
+              and weighted * stated_den == stated_num * (1 - monomial(4))
+              and weighted == required * (1 - monomial(3))
               and 2 * 2 * 2 - 2 * 2 - 1 != 2 * 2 * 2 - 3 * 2)
-    return IdentityReport(
-        "even-anomaly", (), hypothetical, QRational(required), passed,
-        note=f"actual corank-4 weight {stated} is not a polynomial "
-             f"(expected); discrepancy-2 weight equals {required}")
+    return row("even-anomaly", passed,
+               note=f"actual corank-4 weight ({stated_num})/({stated_den}) is "
+                    f"not a polynomial (expected); discrepancy-2 weight "
+                    f"equals {required}")

@@ -1,8 +1,12 @@
 """Exact arithmetic in a single variable q.
 
-Provides dense integer-coefficient polynomials (QPoly), rational functions
-(QRational), signed q-powers (PowerParam), q-Pochhammer symbols, Gaussian
-binomial coefficients and a terminating basic hypergeometric summator.
+Provides dense integer-coefficient polynomials (QPoly), signed q-powers
+(PowerParam), Gaussian binomial coefficients and a terminating basic
+hypergeometric summator.  QPoly is the only value type: a quotient that need
+not be a polynomial, such as a partial sum from phi_eval, is a pair
+(num, den) of QPolys, and two pairs compare by cross-multiplication,
+a_num * b_den == b_num * a_den, which is exact since Z[q] has no zero
+divisors.
 
 Every product or quotient of factors (1 - s*q**e), s = +-1, is built here
 from lists of exponents; other modules pass only the exponents.  q_quotient
@@ -12,9 +16,7 @@ multiplies the tops (1 - q**a) in place and q_divide divides by the bottoms
 1 + q**e = (1 - q**2e) / (1 - q**e) for e > 0.
 
 A dense product is one big-integer multiply, by Kronecker substitution
-(Schoenhage 1982; Harvey, J. Symbolic Comput. 44, 2009).  A QRational keeps
-the numerator and denominator it was built from and compares by
-cross-multiplication; only as_poly divides.
+(Schoenhage 1982; Harvey, J. Symbolic Comput. 44, 2009).
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use requires no locking.  Coefficients are Python
@@ -26,7 +28,6 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -46,7 +47,7 @@ class NotPolynomial(Exception):
 
 
 class ZeroDenominator(Exception):
-    """A rational function was constructed with denominator zero."""
+    """A division by the zero polynomial, or by a factor (1 - q**0)."""
 
 
 class LowerParamPole(Exception):
@@ -367,138 +368,6 @@ def _factors(powers: Iterable[PowerParam]) -> tuple[int, QPoly]:
     return shift, coef * q_quotient(tops, bottoms, "")
 
 
-def _valuation(p: QPoly) -> int:
-    """Exponent of the lowest nonzero term of the nonzero polynomial p."""
-    v = 0
-    while not p.coeffs[v]:
-        v += 1
-    return v
-
-
-class QRational:
-    """Quotient num/den of two integer polynomials in q, kept as built.
-
-    Z[q] has no zero divisors, so a/b == c/d exactly when a*d == c*b;
-    common factors are never cancelled.  Zero is stored as 0/1 and den has
-    a positive leading coefficient.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=ONE):
-        num = _coerce_poly(num)
-        den = _coerce_poly(den)
-        if num is NotImplemented or den is NotImplemented:
-            raise TypeError("QRational needs QPoly or int operands")
-        if den.is_zero:
-            raise ZeroDenominator("zero denominator")
-        if num.is_zero:
-            num, den = ZERO, ONE
-        elif den.lc < 0:
-            num, den = -num, -den
-        self.num = num
-        self.den = den
-
-    @property
-    def is_polynomial(self) -> bool:
-        try:
-            self.as_poly()
-        except NotPolynomial:
-            return False
-        return True
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def as_poly(self) -> QPoly:
-        """The value as a QPoly; raises NotPolynomial if den does not
-        divide num."""
-        if self.den == ONE:
-            return self.num
-        return poly_exact_div(self.num, self.den)
-
-    def __eq__(self, other) -> bool:
-        other = _coerce_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den == other.den:
-            return self.num == other.num
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        try:  # a polynomial hashes like the QPoly it equals
-            return hash(self.as_poly())
-        except NotPolynomial:
-            # degree and leading coefficient of the value, unchanged by
-            # a common factor of num and den
-            return hash((self.num.degree - self.den.degree,
-                         Fraction(self.num.lc, self.den.lc)))
-
-    def __neg__(self):
-        return QRational(-self.num, self.den)
-
-    def __add__(self, other):
-        other = _coerce_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        # denominators equal up to a power of q share the larger one
-        v, other_v = _valuation(self.den), _valuation(other.den)
-        if self.den.coeffs[v:] == other.den.coeffs[other_v:]:
-            shift = v - other_v
-            if shift >= 0:
-                return QRational(self.num + other.num.shift(shift), self.den)
-            return QRational(self.num.shift(-shift) + other.num, other.den)
-        return QRational(self.num * other.den + other.num * self.den,
-                         self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _coerce_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QRational(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.num.is_zero:
-            raise ZeroDenominator("division by zero rational")
-        return QRational(self.num * other.den, self.den * other.num)
-
-    def __str__(self) -> str:
-        if self.den == ONE:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self) -> str:
-        return f"QRational({self.num!r}, {self.den!r})"
-
-
-def _coerce_rational(value):
-    if isinstance(value, QRational):
-        return value
-    if isinstance(value, (QPoly, int)):
-        return QRational(value)
-    return NotImplemented
-
-
 @dataclass(frozen=True)
 class PowerParam:
     """A signed symbolic power of q: sign * q**exponent, exponent in Z."""
@@ -524,17 +393,6 @@ def qpow(exponent: int) -> PowerParam:
 
 def neg_qpow(exponent: int) -> PowerParam:
     return PowerParam(-1, exponent)
-
-
-def pochhammer(a: PowerParam, base_exp: int, k: int) -> QRational:
-    """Product of k factors (1 - a*q**(base_exp*j)), j = 0..k-1; its
-    denominator is a power of q when a factor has a negative exponent."""
-    if base_exp < 1:
-        raise ValueError("base_exp must be a positive integer")
-    if k < 0:
-        raise ValueError("pochhammer length must be non-negative")
-    shift, product = _factors(a.shifted(base_exp * j) for j in range(k))
-    return QRational(product, monomial(-shift))
 
 
 _GAUSS_CACHE: dict[tuple[int, int, int], QPoly] = {}
@@ -563,8 +421,10 @@ def gauss_binomial(m: int, r: int, base_exp: int = 1) -> QPoly:
 
 
 def phi_eval(upper: Sequence[PowerParam], lower: Sequence[PowerParam],
-             base_exp: int, z: PowerParam, max_terms: int) -> QRational:
-    """Exact partial sum (terms 0..max_terms) of a basic hypergeometric series.
+             base_exp: int, z: PowerParam,
+             max_terms: int) -> tuple[QPoly, QPoly]:
+    """Exact partial sum (terms 0..max_terms) of a basic hypergeometric
+    series, as a pair (num, den) of QPolys whose quotient it is.
 
     Term m is prod(a;Q)_m / ((Q;Q)_m prod(b;Q)_m) * ((-1)^m Q^(m(m-1)/2))^(1+s-r) * z^m
     with Q = q**base_exp.  For a terminating series whose upper-parameter
@@ -602,4 +462,4 @@ def phi_eval(upper: Sequence[PowerParam], lower: Sequence[PowerParam],
         den = down.shift(max(-s, 0)) * den
         step = up.shift(max(s, 0)) * num
         num = den + step if sign == 1 else den - step
-    return QRational(num, den)
+    return num, den

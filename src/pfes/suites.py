@@ -3,34 +3,24 @@ check, whose keyword-only parameters are the bounds of its grid and carry
 their defaults.
 
 A suite yields report rows, plain dicts with keys name, passed, skipped
-and note.  `pfes verify` and the acceptance tests both run the suites from
-here, so each check is written once.
+and note, built by identities.row; the verifiers in identities and mirror
+return their rows themselves.  `pfes verify` and the acceptance tests both
+run the suites from here, so each check is written once.
 """
 
 from __future__ import annotations
 
 from .qcore import QPoly, geometric_series, monomial
 from .efun import (
-    PfaffianParams, _rank_locus_weight, grassmannian_E, nondeg_skew_E,
-    pf_stringy_closed, pf_stringy_recursive, pf_stringy_rodland, projective_E,
-    rank_stratum_E, stringy_degree,
+    PfaffianParams, _rank_locus_weight, euler_characteristic, grassmannian_E,
+    nondeg_skew_E, pf_stringy_closed, pf_stringy_recursive,
+    pf_stringy_rodland, projective_E, rank_stratum_E, stringy_degree,
 )
 from .identities import (
-    CutParams, f_closed, solve_newcor,
+    CutParams, f_closed, row, solve_newcor,
     verify_AC_BD, verify_hj, verify_newrec, verify_phi_reductions,
 )
 from .mirror import even_anomaly_check, main_coefficient_check, main_main_check
-
-
-def _row(name: str, passed: bool, skipped: bool = False, note: str = "") -> dict:
-    return {"name": name, "passed": bool(passed), "skipped": bool(skipped),
-            "note": note}
-
-
-def _report_row(report) -> dict:
-    point = ",".join(str(x) for x in report.parameter_point)
-    return _row(f"{report.identity_name}({point})", report.passed,
-                report.skipped, report.note)
 
 
 def _odd_range(max_n: int) -> range:
@@ -57,7 +47,7 @@ def relg(*, max_r=8):
             lhs = grassmannian_E(2 * i, 2 * r) * (monomial(2 * r + 1) - 1)
             rhs = (grassmannian_E(2 * i, 2 * r + 1)
                    * (monomial(2 * r - 2 * i + 1) - 1))
-            yield _row(f"relg(i={i},r={r})", lhs == rhs)
+            yield row(f"relg(i={i},r={r})", lhs == rhs)
 
 
 def oddeven(*, max_r=8):
@@ -66,10 +56,10 @@ def oddeven(*, max_r=8):
                     for i in range(1, r + 1)), start=QPoly())
         odd = sum((nondeg_skew_E(i) * grassmannian_E(2 * i, 2 * r + 1)
                    for i in range(1, r + 1)), start=QPoly())
-        yield _row(f"oddeven-even(r={r})",
-                   even == projective_E(r * (2 * r - 1) - 1))
-        yield _row(f"oddeven-odd(r={r})",
-                   odd == projective_E(r * (2 * r + 1) - 1))
+        yield row(f"oddeven-even(r={r})",
+                  even == projective_E(r * (2 * r - 1) - 1))
+        yield row(f"oddeven-odd(r={r})",
+                  odd == projective_E(r * (2 * r + 1) - 1))
 
 
 def weighted_sum(*, max_r=8):
@@ -79,7 +69,7 @@ def weighted_sum(*, max_r=8):
             lhs = (lhs + geometric_series(r - i, 2) * nondeg_skew_E(i)
                    * grassmannian_E(2 * i, 2 * r + 1))
         rhs = QPoly() if r == 1 else pf_stringy_rodland(r)
-        yield _row(f"sum(r={r})", lhs == rhs)
+        yield row(f"sum(r={r})", lhs == rhs)
 
 
 def technical(*, max_n=17):
@@ -88,16 +78,16 @@ def technical(*, max_n=17):
         for i in range(1, (n - 1) // 2 + 1):
             lhs = lhs + rank_stratum_E(i, n) * _rank_locus_weight(i, k, n)
         rhs = pf_stringy_closed(PfaffianParams(n, k))
-        yield _row(f"technical(n={n},k={k})", lhs == rhs)
+        yield row(f"technical(n={n},k={k})", lhs == rhs)
 
 
 def stpf(*, max_n=15):
     for n in _odd_range(max_n):
         if n == 5:
-            yield _row("stpf-base(r=2)",
-                       pf_stringy_rodland(2) == grassmannian_E(2, 5))
+            yield row("stpf-base(r=2)",
+                      pf_stringy_rodland(2) == grassmannian_E(2, 5))
         got = pf_stringy_closed(PfaffianParams(n, (n - 3) // 2))
-        yield _row(f"stpf(n={n})", got == pf_stringy_rodland((n - 1) // 2))
+        yield row(f"stpf(n={n})", got == pf_stringy_rodland((n - 1) // 2))
 
 
 def pfst2k(*, max_n=17):
@@ -107,13 +97,14 @@ def pfst2k(*, max_n=17):
             closed = pf_stringy_closed(params)
             ok = (closed == pf_stringy_recursive(params)
                   and closed.is_palindromic
-                  and closed.degree == stringy_degree(n, k))
-            yield _row(f"pfst2k(n={n},k={k})", ok)
+                  and closed.degree == stringy_degree(n, k)
+                  and closed(1) == euler_characteristic(params))
+            yield row(f"pfst2k(n={n},k={k})", ok)
 
 
 def newrec(*, max_n=13):
     for cut in _cut_grid(max_n):
-        yield _report_row(verify_newrec(cut))
+        yield verify_newrec(cut)
 
 
 def newcor(*, max_n=13):
@@ -122,41 +113,38 @@ def newcor(*, max_n=13):
         for i in range(1, half + 1):
             solved = solve_newcor(half, i, n)
             for k in range(1, half + 1):
-                yield _row(f"newcor(k={k},i={i},n={n})",
-                           solved[k - 1] == f_closed(CutParams(n, k, i)))
+                yield row(f"newcor(k={k},i={i},n={n})",
+                          solved[k - 1] == f_closed(CutParams(n, k, i)))
 
 
 def hj(*, max_b=8):
     for b in range(0, max_b + 1):
         for a in range(0, b + 1):
-            yield _report_row(verify_hj(a, b))
+            yield verify_hj(a, b)
 
 
 def ac_bd(*, max_n=11):
     for cut in _cut_grid(max_n):
-        yield from map(_report_row, verify_AC_BD(cut))
+        yield from verify_AC_BD(cut)
 
 
 def phi(*, max_n=11):
     for cut in _cut_grid(max_n):
-        yield from map(_report_row, verify_phi_reductions(cut))
+        yield from verify_phi_reductions(cut)
 
 
 def main_coeff(*, max_k=10):
     for k in range(2, max_k + 1):
-        yield _report_row(main_coefficient_check(k))
+        yield main_coefficient_check(k)
 
 
 def main_main(*, max_n=13):
     for n, k in _below_half(max_n):
-        report = main_main_check(n, k)
-        yield _row(f"main-main(n={n},k={k})",
-                   report.overall and report.duality_ok)
+        yield main_main_check(n, k)
 
 
 def even_anomaly():
-    report = even_anomaly_check()
-    yield _row("even-anomaly", report.passed, note=report.note)
+    yield even_anomaly_check()
 
 
 SUITES = {

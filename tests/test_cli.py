@@ -1,6 +1,7 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -18,7 +19,7 @@ from pfes.efun import (
     PfaffianParams, discrepancy, grassmannian_E, local_contribution,
     nondeg_skew_E, pf_stringy_closed, rank_stratum_E,
 )
-from pfes.identities import CutParams, f_circ, f_closed, isotropic_E
+from pfes.identities import CutParams, f_circ, f_closed, isotropic_E, row
 from pfes.mirror import even_fiber_E, fiber_E_odd
 
 
@@ -144,6 +145,16 @@ class TestVerify:
         assert code == 0
         assert "0 failed" in out
 
+    def test_all_at_max_n_21_report_is_pinned(self, capsys):
+        # bench/golden.json pins each suite at the default bounds and at
+        # --max-n 17; this pins the whole report one step further, so any
+        # changed row name, verdict, note or skip at n <= 21 shows here
+        code, out, _ = run_cli(capsys, "verify", "all", "--format", "json",
+                               "--max-n", "21")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "cfbbae3c29ee07416fdcedb956c6f1e3697a1248e4bec29eb9ef30e1051b6d3c")
+
     def test_json_report_is_untimed(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "oddeven", "--max-r", "3",
                               "--format", "json")
@@ -180,7 +191,7 @@ class TestVerify:
     def test_failure_exit_code(self, capsys, monkeypatch):
         # force a mismatch to exercise the failure path
         def broken(*, max_b=8):
-            yield suites._row("hj(broken)", False)
+            yield row("hj(broken)", False)
 
         monkeypatch.setitem(suites.SUITES, "hj", broken)
         code, out, _ = run_cli(capsys, "verify", "hj", "--max-b", "0")

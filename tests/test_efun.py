@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from pfes import suites
 from pfes.qcore import ONE, QPoly, ZERO, geometric_series, monomial, poly_exact_div, gauss_binomial
 from pfes.efun import (
     PfaffianParams, RangeError,
@@ -238,6 +239,12 @@ class TestStringy:
                 expected = n * k * math.comb((n - 1) // 2, k)
                 assert pf_stringy_closed(params)(1) == expected
                 assert euler_characteristic(params) == expected
+
+    def test_pfst2k_suite_checks_the_euler_characteristic(self, monkeypatch):
+        monkeypatch.setattr(suites, "euler_characteristic",
+                            lambda params: euler_characteristic(params) + 1)
+        rows = list(suites.pfst2k(max_n=9))
+        assert rows and not any(row["passed"] for row in rows)
 
     def test_params_validation(self):
         with pytest.raises(RangeError):

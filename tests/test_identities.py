@@ -5,13 +5,12 @@ binomial identity and the hypergeometric rewrites."""
 import pytest
 
 from pfes.qcore import (
-    ONE, QPoly, QRational, ZERO, gauss_binomial, geometric_series, monomial,
-    pochhammer, q_product, qpow,
+    ONE, QPoly, ZERO, gauss_binomial, monomial, q_product, qpow,
 )
 from pfes import identities
 from pfes.efun import RangeError
 from pfes.identities import (
-    CutParams, IdentityReport,
+    CutParams, row,
     dual_local_weight, f_circ, f_closed, isotropic_E, solve_newcor,
     verify_AC_BD, verify_hj, verify_newrec, verify_phi_reductions,
 )
@@ -106,15 +105,14 @@ class TestFCirc:
 class TestNewrec:
     @pytest.mark.parametrize("n,k,i", [(5, 1, 1), (7, 2, 1), (9, 3, 2)])
     def test_known_points(self, n, k, i):
-        report = verify_newrec(CutParams(n, k, i))
-        assert report.passed and not report.skipped
+        assert verify_newrec(CutParams(n, k, i)) == row(f"newrec({k},{i},{n})", True)
 
     def test_grid(self):
         for n in (5, 7, 9, 11, 13):
             half = (n - 1) // 2
             for k in range(1, half + 1):
                 for i in range(1, half + 1):
-                    assert verify_newrec(CutParams(n, k, i)).passed, (n, k, i)
+                    assert verify_newrec(CutParams(n, k, i))["passed"], (n, k, i)
 
 
 class TestSolveNewcor:
@@ -174,7 +172,7 @@ class TestSolveNewcorMemo:
 
 
 CUT_MEMOS = ("isotropic_E", "_cut_lhs_sum", "_smooth_lhs_sum",
-             "_smooth_recursion_report", "_phi_smooth_report", "_closed_smooth",
+             "_smooth_recursion_row", "_phi_smooth_row", "_closed_smooth",
              "_f_circ_smooth", "_f_circ_dual", "_newrec_smooth",
              "_recursion_terms", "_newcor")
 
@@ -216,8 +214,8 @@ class TestCutMemos:
         misses = {name: getattr(identities, name).cache_info().misses
                   for name in CUT_MEMOS}
         per_point = ("isotropic_E", "_cut_lhs_sum", "_f_circ_dual", "_newcor")
-        per_pair = ("_smooth_lhs_sum", "_smooth_recursion_report",
-                    "_phi_smooth_report", "_closed_smooth", "_f_circ_smooth",
+        per_pair = ("_smooth_lhs_sum", "_smooth_recursion_row",
+                    "_phi_smooth_row", "_closed_smooth", "_f_circ_smooth",
                     "_newrec_smooth")
         assert misses == {
             **dict.fromkeys(per_point, len(SMALL_CUT_GRID)),
@@ -230,31 +228,44 @@ class TestCutMemos:
         rows = {}
         for params in SMALL_CUT_GRID:
             clear_cut_memos()
+            k, n = params.k, params.n
             smooth = (verify_AC_BD(params)[0], verify_phi_reductions(params)[0])
-            assert smooth[0].identity_name == "cut-recursion-smooth-part"
-            assert smooth[1].identity_name == "phi-2phi1-smooth-part"
+            assert smooth[0]["name"] == f"cut-recursion-smooth-part({k},{n})"
+            assert smooth[1]["name"] == f"phi-2phi1-smooth-part({k},{n})"
             assert rows.setdefault((params.k, params.n), smooth) == smooth, params
 
 
 class TestHj:
     def test_empty_sum_side(self):
+        # at a = 0 the sum is the single term [2b+1, 0]_q = 1
         for b in range(0, 6):
-            report = verify_hj(0, b)
-            assert report.passed
-            assert report.lhs == QRational(ONE)
+            assert gauss_binomial(2 * b + 1, 0, 1) == ONE
+            assert verify_hj(0, b) == row(f"hj(0,{b})", True)
 
     def test_two_term_value(self):
-        report = verify_hj(1, 1)
-        assert report.passed
-        assert report.lhs == QRational(QPoly([0, 1, 1]))
+        # [3, 2]_q [1, 0]_{q^2} - [1, 0]_q [1, 1]_{q^2} = q + q^2
+        assert (gauss_binomial(3, 2, 1) - gauss_binomial(1, 1, 2)
+                == QPoly([0, 1, 1]))
+        assert verify_hj(1, 1) == row("hj(1,1)", True)
 
     def test_larger_point(self):
-        assert verify_hj(3, 5).passed
+        assert verify_hj(3, 5)["passed"]
 
     def test_full_triangle(self):
         for b in range(0, 9):
             for a in range(0, b + 1):
-                assert verify_hj(a, b).passed, (a, b)
+                assert verify_hj(a, b)["passed"], (a, b)
+
+    def test_closed_form_shift_off_by_one_fails(self, monkeypatch):
+        # q_quotient builds only the closed-form numerator here; multiplying
+        # it by q puts its shift q^(2a^2-a) off by one.  The closed form is
+        # zero, so unchanged, where its Pochhammer reaches 1 - q^0 (b < 2a-1).
+        real = identities.q_quotient
+        monkeypatch.setattr(identities, "q_quotient",
+                            lambda *args: real(*args).shift(1))
+        for b in range(0, 9):
+            for a in range(0, b + 1):
+                assert verify_hj(a, b)["passed"] == (b < 2 * a - 1), (a, b)
 
     def test_rejects_bad_order(self):
         with pytest.raises(RangeError):
@@ -264,15 +275,14 @@ class TestHj:
 class TestRecursionSplit:
     @pytest.mark.parametrize("n,k,i", [(5, 1, 1), (7, 2, 2)])
     def test_both_halves_pass(self, n, k, i):
-        reports = verify_AC_BD(CutParams(n, k, i))
-        assert [r.passed for r in reports] == [True, True]
+        assert verify_AC_BD(CutParams(n, k, i)) == [
+            row(f"cut-recursion-smooth-part({k},{n})", True),
+            row(f"cut-recursion-isotropic-part({k},{i},{n})", True)]
 
     def test_smooth_half_vanishes_at_k_one(self):
-        reports = verify_AC_BD(CutParams(9, 1, 1))
-        smooth = reports[0]
-        assert smooth.passed
-        assert smooth.lhs == QRational(ZERO)
-        assert smooth.rhs == QRational(ZERO)
+        assert verify_AC_BD(CutParams(9, 1, 1))[0]["passed"]
+        assert identities._smooth_lhs_sum(1, 9)[0] == ZERO
+        assert identities._smooth_rhs(1, 9) == ZERO
 
     def test_grid_up_to_eleven(self):
         for n in (5, 7, 9, 11):
@@ -280,7 +290,19 @@ class TestRecursionSplit:
             for k in range(1, half + 1):
                 for i in range(1, half + 1):
                     for report in verify_AC_BD(CutParams(n, k, i)):
-                        assert report.passed, (report.identity_name, n, k, i)
+                        assert report["passed"], report["name"]
+
+
+def product_by_factors(exponents):
+    """prod (1 - q^e) over the exponents, one factor at a time; zero when a
+    factor is 1 - q^0, whatever the other exponents are."""
+    exponents = list(exponents)
+    if 0 in exponents:
+        return ZERO
+    out = ONE
+    for e in exponents:
+        out = out * (ONE - monomial(e))
+    return out
 
 
 def recursion_sum_by_pochhammer(k, n, js, value):
@@ -290,7 +312,9 @@ def recursion_sum_by_pochhammer(k, n, js, value):
     den = q_product([*range(1, top + 1), *(n + 1 - 2 * j for j in js)])
     total = ZERO
     for j in js:
-        pich = pochhammer(qpow(n + 3 - 4 * k + 2 * j), 2, 2 * k - 2 * j).as_poly()
+        # (q^(n+3-4k+2j); q^2)_{2k-2j}
+        pich = product_by_factors(n + 3 - 4 * k + 2 * j + 2 * t
+                                  for t in range(2 * k - 2 * j))
         if pich.is_zero:
             continue
         rest = q_product([n + 1 - 2 * k, *range(2 * k - 2 * j + 1, top + 1),
@@ -321,17 +345,40 @@ class TestRecursionSum:
 class TestPhiReductions:
     @pytest.mark.parametrize("n,k,i", [(5, 1, 1), (7, 2, 1), (9, 2, 2)])
     def test_all_three_rewrites(self, n, k, i):
-        reports = verify_phi_reductions(CutParams(n, k, i))
-        assert len(reports) == 3
-        assert all(r.passed for r in reports)
-        assert not any(r.skipped for r in reports)
+        assert verify_phi_reductions(CutParams(n, k, i)) == [
+            row(f"phi-2phi1-smooth-part({k},{n})", True),
+            row(f"phi-3phi2-cut-part({k},{i},{n})", True),
+            row(f"phi-3phi1-isotropic({k},{i},{n})", True)]
 
     def test_degenerate_point_is_skipped_not_failed(self):
-        reports = {r.identity_name: r for r in verify_phi_reductions(CutParams(5, 2, 2))}
-        assert reports["phi-2phi1-smooth-part"].passed
-        assert reports["phi-3phi2-cut-part"].skipped
-        assert reports["phi-3phi1-isotropic"].skipped
-        assert reports["phi-3phi1-isotropic"].note
+        reports = {r["name"]: r for r in verify_phi_reductions(CutParams(5, 2, 2))}
+        assert reports["phi-2phi1-smooth-part(2,5)"] == row(
+            "phi-2phi1-smooth-part(2,5)", True)
+        cut, isotropic = (reports["phi-3phi2-cut-part(2,2,5)"],
+                          reports["phi-3phi1-isotropic(2,2,5)"])
+        assert cut["passed"] and cut["skipped"]
+        assert isotropic["passed"] and isotropic["skipped"]
+        assert isotropic["note"]
+
+    def test_smooth_part_shift_off_by_one_fails(self, monkeypatch):
+        # multiplying the z = q^2 series by q puts the q^(nk-1) in front of
+        # it off by one
+        real = identities.phi_eval
+
+        def shifted_small(upper, lower, base, z, terms):
+            num, den = real(upper, lower, base, z, terms)
+            return (num.shift(1), den) if z == qpow(2) else (num, den)
+
+        identities._phi_smooth_row.cache_clear()
+        monkeypatch.setattr(identities, "phi_eval", shifted_small)
+        try:
+            for n in (5, 7, 9, 11):
+                for k in range(1, (n - 1) // 2 + 1):
+                    smooth = verify_phi_reductions(CutParams(n, k, 1))[0]
+                    assert smooth == row(f"phi-2phi1-smooth-part({k},{n})",
+                                         False)
+        finally:
+            identities._phi_smooth_row.cache_clear()
 
     def test_grid_up_to_eleven(self):
         for n in (5, 7, 9, 11):
@@ -339,8 +386,7 @@ class TestPhiReductions:
             for k in range(1, half + 1):
                 for i in range(1, half + 1):
                     for report in verify_phi_reductions(CutParams(n, k, i)):
-                        assert report.passed or report.skipped, \
-                            (report.identity_name, n, k, i)
+                        assert report["passed"], report["name"]
 
 
 class TestSummedPrefactorIdentity:
@@ -349,16 +395,13 @@ class TestSummedPrefactorIdentity:
         for n in (5, 7, 9, 11, 13):
             half = (n - 1) // 2
             for k in range(1, half + 1):
-                lhs = QRational(gauss_binomial(n, 2 * k, 1))
-                top = pochhammer(qpow(n + 2 - 2 * k), 2, k).as_poly()
-                bot = pochhammer(qpow(1), 2, k).as_poly()
-                rhs = QRational(gauss_binomial(half, k, 2) * top, bot)
-                assert lhs == rhs, (n, k)
+                top = product_by_factors(n + 2 - 2 * k + 2 * t for t in range(k))
+                bot = product_by_factors(1 + 2 * t for t in range(k))
+                assert (gauss_binomial(n, 2 * k, 1) * bot
+                        == gauss_binomial(half, k, 2) * top), (n, k)
 
 
 class TestReportShape:
     def test_report_invariant(self):
-        report = verify_hj(2, 3)
-        assert isinstance(report, IdentityReport)
-        assert report.passed == (report.lhs == report.rhs)
-        assert report.parameter_point == (2, 3)
+        assert verify_hj(2, 3) == {"name": "hj(2,3)", "passed": True,
+                                   "skipped": False, "note": ""}

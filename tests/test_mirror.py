@@ -1,18 +1,20 @@
 """Mirror-comparison layer: coefficient identities, stratum-weight equality,
 fiber E-polynomials, and the even-dimensional anomaly."""
 
-from collections import Counter
-
 import pytest
 
-from pfes.qcore import ONE, QPoly, QRational, ZERO, geometric_series, monomial, poly_exact_div
-from pfes.efun import (
-    RangeError, grassmannian_E, local_contribution, projective_E, rank_stratum_E,
+from pfes import mirror
+from pfes.qcore import (
+    ONE, QPoly, ZERO, geometric_series, monomial, poly_exact_div, q_divide,
 )
-from pfes.identities import isotropic_E
+from pfes.efun import (
+    RangeError, _rank_locus_weight, grassmannian_E, local_contribution,
+    pf_stringy_rodland, projective_E, rank_stratum_E,
+)
+from pfes.identities import dual_local_weight, isotropic_E, row, solve_newcor
 from pfes.mirror import (
-    even_anomaly_check, even_fiber_E, fiber_E_odd, grassmannian_frame_identity,
-    main_coefficient_check, main_main_check,
+    even_anomaly_check, even_fiber_E, fiber_E_odd, main_coefficient_check,
+    main_main_check,
 )
 
 
@@ -53,76 +55,91 @@ class TestAmbientCayleyBookkeeping:
 
 
 class TestFrameIdentity:
+    # the frame-bundle quotient ((q^n-1)(q^n-q))/((q^2-1)(q^2-q)) is the
+    # two-plane Grassmannian E-polynomial
     @pytest.mark.parametrize("n", [2, 4, 5, 8])
     def test_passes(self, n):
-        report = grassmannian_frame_identity(n)
-        assert report.passed
+        num = (monomial(n) - 1) * (monomial(n) - monomial(1))
+        den = (monomial(2) - 1) * (monomial(2) - monomial(1))
+        assert grassmannian_E(2, n) * den == num
 
     def test_point_case(self):
-        report = grassmannian_frame_identity(2)
-        assert report.lhs == QRational(ONE)
+        assert grassmannian_E(2, 2) == ONE
 
 
 class TestMainCoefficient:
+    # the closed value times (q-1)/(q^(2k^2-k-1)-1) is the stated weight
     def test_weight_for_k_two(self):
-        report = main_coefficient_check(2)
-        assert report.passed
-        assert report.rhs == QRational(QPoly([1, 0, 1]))
+        assert main_coefficient_check(2) == row("main-coefficient(2)", True)
+        assert (pf_stringy_rodland(2) * (monomial(1) - 1)
+                == QPoly([1, 0, 1]) * (monomial(5) - 1))
 
     def test_weight_for_k_three(self):
-        report = main_coefficient_check(3)
-        assert report.passed
-        assert report.rhs == QRational(QPoly([1, 0, 1, 0, 1]))
+        assert main_coefficient_check(3) == row("main-coefficient(3)", True)
+        assert (pf_stringy_rodland(3) * (monomial(1) - 1)
+                == QPoly([1, 0, 1, 0, 1]) * (monomial(14) - 1))
 
     def test_smooth_stratum_weight_is_trivial(self):
         # k = 1 carries weight (q^2-1)/(q^2-1) = 1 directly
-        assert QRational(monomial(2) - 1, monomial(2) - 1) == QRational(ONE)
+        assert q_divide(ONE - monomial(2), [2], "") == ONE
+        assert geometric_series(1, 2) == ONE
 
     def test_range(self):
         for k in range(2, 11):
-            assert main_coefficient_check(k).passed
+            assert main_coefficient_check(k)["passed"]
         with pytest.raises(RangeError):
             main_coefficient_check(1)
 
 
 class TestMainMain:
-    def test_five_space_has_two_strata(self):
-        report = main_main_check(5, 1)
-        assert report.overall and report.duality_ok
-        assert len(report.per_stratum) == 2
+    def test_five_space_has_two_strata(self, monkeypatch):
+        strata = []
+
+        def recording(k, i, n):
+            strata.append(i)
+            return dual_local_weight(k, i, n)
+
+        monkeypatch.setattr(mirror, "dual_local_weight", recording)
+        assert main_main_check(5, 1) == row("main-main(n=5,k=1)", True)
+        assert strata == [1, 2]
 
     @pytest.mark.parametrize("n,k", [(7, 1), (7, 2), (9, 2)])
     def test_points(self, n, k):
-        report = main_main_check(n, k)
-        assert report.overall and report.duality_ok
-        assert report.overall == all(s.equal for s in report.per_stratum)
+        assert main_main_check(n, k) == row(f"main-main(n={n},k={k})", True)
 
     def test_far_strata_carry_weight_zero(self):
         # beyond i = (n-1)/2 - k the second summand vanishes on both routes,
         # leaving the i-independent first summand
-        report = main_main_check(7, 2)
-        from pfes.efun import _rank_locus_weight
         first_only = geometric_series(7 * 2 - 1) * _rank_locus_weight(0, 2, 7)
         k_dual = 3 - 2
-        for comparison in report.per_stratum:
-            if comparison.index > k_dual:
-                assert comparison.x_weight == first_only
-                assert comparison.equal
+        for i in range(k_dual + 1, 4):
+            assert dual_local_weight(2, i, 7) == ZERO
+            assert solve_newcor(2, i, 7)[-1] == first_only
+        assert main_main_check(7, 2)["passed"]
 
     def test_weight_duality_across_complementary_ranks(self):
-        # nonzero stratum weights on the Y side of (n, k) are exactly the
-        # stratum weights of the X side at (n, (n-1)/2 - k)
+        # the stratum weights on the Y side of (n, k) are exactly the
+        # stratum weights of the X side at (n, (n-1)/2 - k), then zeros
         for n in (5, 7, 9, 11):
             half = (n - 1) // 2
             for k in range(1, half):
                 k_dual = half - k
-                if not (1 <= k_dual <= half - 1):
-                    continue
-                this = main_main_check(n, k)
-                dual = main_main_check(n, k_dual)
-                expected = list(dual.x_variety_weights)
-                expected += [ZERO] * (half - len(expected))
-                assert Counter(this.y_variety_weights) == Counter(expected), (n, k)
+                y_side = [dual_local_weight(k, i, n) for i in range(1, half + 1)]
+                x_side = [local_contribution(i, k_dual, n)
+                          for i in range(1, k_dual + 1)]
+                assert y_side == x_side + [ZERO] * (half - k_dual), (n, k)
+                assert main_main_check(n, k)["passed"], (n, k)
+
+    def test_relabeling_off_by_one_stratum_fails(self, monkeypatch):
+        # the row checks dual_local_weight(k, i, n) against the weight of
+        # stratum i at k' = (n-1)/2 - k; reading stratum i + 1 instead must
+        # fail every (n, k), even though the recursion side still agrees
+        monkeypatch.setattr(mirror, "dual_local_weight",
+                            lambda k, i, n: dual_local_weight(k, i + 1, n))
+        for n in (5, 7, 9, 11):
+            for k in range(1, (n - 3) // 2 + 1):
+                assert main_main_check(n, k) == row(f"main-main(n={n},k={k})",
+                                                    False), (n, k)
 
     def test_rejects_maximal_k(self):
         with pytest.raises(RangeError):
@@ -152,7 +169,10 @@ class TestEvenCase:
             even_fiber_E(1, 7)
 
     def test_anomaly(self):
-        report = even_anomaly_check()
-        assert report.passed
-        assert report.rhs == QRational(QPoly([1, 0, 1]))
-        assert "not a polynomial" in report.note
+        assert even_anomaly_check() == row(
+            "even-anomaly", True,
+            note="actual corank-4 weight (q^2+q+1)/(q+1) is not a polynomial "
+                 "(expected); discrepancy-2 weight equals q^2+1")
+        # E(G(2,4)) (q-1)/(q^3-1), the discrepancy-2 weight, is q^2+1
+        assert (grassmannian_E(2, 4) * (monomial(1) - 1)
+                == QPoly([1, 0, 1]) * (monomial(3) - 1))
