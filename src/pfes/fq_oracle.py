@@ -9,14 +9,14 @@ gives an implementation-independent check of every formula.
 Full sweeps respect a hard enumeration guard (default 2^24 candidate
 forms or subspaces, overridable by a max_enum argument, which the CLI's
 --max-enum passes on; nothing is read from the environment) and raise
-TooLarge rather than truncating silently.  It sizes a subspace sweep by
-an exact integer product at q = p, not by a Gaussian binomial
-polynomial, and states a count too long to print in decimal by its power
-of 2.  The guard runs on every call, ahead of the census memo
-`_census_counts`, a functools.cache keyed by (p, n, alpha).  It also
-bounds memory: the numpy kernels in `_kernels` keep one int8 rank per
-form of the last (p, n) swept, and stream subspaces in fixed-size
-batches.  TooLarge is defined in `efun`, next to RangeError, so the CLI
+TooLarge rather than truncating silently.  It first compares a subspace
+sweep's lower bound p^(d(n-d)) with the guard, then its exact size, an
+integer product at q = p, not a Gaussian binomial polynomial, and states
+a count too long to print in decimal by its power of 2.  The guard runs
+on every call, ahead of the census memo `_census_counts`, a
+functools.cache keyed by (p, n, alpha).  It also bounds memory: the numpy
+kernels in `_kernels` keep one int8 rank per form of the last (p, n)
+swept, and stream subspaces in fixed-size batches.  TooLarge is defined in `efun`, next to RangeError, so the CLI
 catches it without loading this module; it is re-exported here.
 
 This module and `_kernels` are the only ones that import numpy.  The
@@ -58,12 +58,17 @@ def _decimal(count: int) -> str:
         return f"at least 2^{count.bit_length() - 1}"
 
 
-def _enum_guard(count: int, what: str, max_enum: int | None):
+def _enum_guard(count: int, what: str, max_enum: int | None,
+                exact: bool = True):
+    """Raise TooLarge when count exceeds the guard; a count that is only a
+    lower bound (exact=False) is stated as at least its power of 2."""
     limit = DEFAULT_MAX_ENUM if max_enum is None else max_enum
     _require(isinstance(limit, int) and limit >= 0,
              f"max_enum must be a non-negative integer, got {limit!r}")
     if count > limit:
-        raise TooLarge(f"{what} needs {_decimal(count)} candidates, guard is "
+        size = (_decimal(count) if exact
+                else f"at least 2^{count.bit_length() - 1}")
+        raise TooLarge(f"{what} needs {size} candidates, guard is "
                        f"{_decimal(limit)} (override with --max-enum or "
                        f"max_enum)")
 
@@ -228,8 +233,13 @@ def count_isotropic(p: int, n: int, dim_sub: int, alpha: SkewFormFp,
     _require(0 <= dim_sub <= n, f"need 0 <= dim_sub <= n, got {dim_sub}")
     _require(alpha.p == p and alpha.n == n,
              f"got alpha over F_{alpha.p}^{alpha.n}, need F_{p}^{n}")
+    what = f"sweep of {dim_sub}-subspaces of F_{p}^{n}"
+    # [n, d]_p >= p^(d(n-d)) >= 2^bits, so a sweep this bound rejects is
+    # never sized exactly
+    bits = (p.bit_length() - 1) * dim_sub * (n - dim_sub)
+    _enum_guard(1 << bits, what, max_enum, exact=False)
     total = _subspaces(p, n, dim_sub)
-    _enum_guard(total, f"sweep of {dim_sub}-subspaces of F_{p}^{n}", max_enum)
+    _enum_guard(total, what, max_enum)
     if dim_sub < 2:
         return total  # a line (or the origin) is isotropic for any skew form
     return _kernels.isotropic(p, n, dim_sub, alpha.matrix())

@@ -11,12 +11,14 @@ divisors.
 Every product or quotient of factors (1 - s*q**e), s = +-1, is built here
 from lists of exponents; other modules pass only the exponents.  q_quotient
 multiplies the tops (1 - q**a) in place and q_divide divides by the bottoms
-(1 - q**b).  Any other factor is first rewritten into that form:
+(1 - q**b); each quotient is built once per sorted pair of exponent lists.
+Any other factor is first rewritten into that form:
 1 - s*q**e = -s*q**e * (1 - s*q**-e) for e < 0, and
 1 + q**e = (1 - q**2e) / (1 - q**e) for e > 0.
 
-A dense product is one big-integer multiply, by Kronecker substitution
-(Schoenhage 1982; Harvey, J. Symbolic Comput. 44, 2009).
+A constant factor scales the coefficients; every other product is one
+big-integer multiply, by Kronecker substitution (Schoenhage 1982; Harvey,
+J. Symbolic Comput. 44, 2009).
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use requires no locking.  Coefficients are Python
@@ -28,7 +30,9 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
+from operator import add, neg, sub
 from typing import Iterable, Sequence
 
 
@@ -75,11 +79,6 @@ class QPoly:
         return len(self.coeffs) - 1
 
     @property
-    def lc(self) -> int:
-        """Leading coefficient (0 for the zero polynomial)."""
-        return self.coeffs[-1] if self.coeffs else 0
-
-    @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -106,12 +105,7 @@ class QPoly:
         if other is NotImplemented:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
+        return QPoly([*map(add, a, b), *a[len(b):], *b[len(a):]])
 
     __radd__ = __add__
 
@@ -119,37 +113,33 @@ class QPoly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        return QPoly([*map(sub, a, b), *a[len(b):], *map(neg, b[len(a):])])
 
     def __rsub__(self, other) -> "QPoly":
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other) -> "QPoly":
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ZERO
-        terms = min(len(a) - a.count(0), len(b) - b.count(0))
-        if terms > _SPARSE_TERMS:
+        if isinstance(other, QPoly):
+            a, b = self.coeffs, other.coeffs
+            if len(a) <= 1:
+                return _scaled(other, a[0] if a else 0)
+            if len(b) <= 1:
+                return _scaled(self, b[0] if b else 0)
             # Kronecker substitution: 2**(8*width) > 2 * max|a| * max|b| * terms
+            terms = min(len(a) - a.count(0), len(b) - b.count(0))
             width = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
                      + terms.bit_length()) // 8 + 1
             if width <= 8:  # an array item size
                 width = 1 << (width - 1).bit_length()
             return QPoly(_unpack(_pack(a, width) * _pack(b, width),
                                  width, len(a) + len(b) - 1))
-        terms_a = [(i, c) for i, c in enumerate(a) if c]
-        terms_b = [(j, c) for j, c in enumerate(b) if c]
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in terms_a:
-            for j, cb in terms_b:
-                out[i + j] += ca * cb
-        return QPoly(out)
+        if isinstance(other, int):
+            return _scaled(self, other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -164,8 +154,6 @@ class QPoly:
         """Multiply by q**m (m >= 0)."""
         if m < 0:
             raise ValueError("negative shifts are not polynomials")
-        if self.is_zero:
-            return ZERO
         return QPoly((0,) * m + self.coeffs)
 
     @property
@@ -198,10 +186,6 @@ class QPoly:
     def __repr__(self) -> str:
         return f"QPoly({self.coeffs!r})"
 
-
-# A product whose sparser operand has at most this many nonzero terms is
-# formed term by term; denser products go through one big-integer multiply.
-_SPARSE_TERMS = 16
 
 # Digits of 1, 2, 4 or 8 bytes go through an array of this signed typecode.
 _TYPECODES = {1: "b", 2: "h", 4: "i", 8: "q"}
@@ -237,6 +221,15 @@ def _unpack(value: int, width: int, count: int) -> list[int]:
         return digits.tolist()
     return [int.from_bytes(raw[t:t + width], "little", signed=True)
             for t in range(0, width * count, width)]
+
+
+def _scaled(p: QPoly, c: int) -> QPoly:
+    """c * p, coefficient by coefficient."""
+    if c == 0:
+        return ZERO
+    if c == 1:
+        return p
+    return QPoly([x * c for x in p.coeffs])
 
 
 def _coerce_poly(value):
@@ -278,7 +271,7 @@ def poly_exact_div(num: QPoly, den: QPoly) -> QPoly:
         raise NotPolynomial(num, den)
     rem = list(num.coeffs)
     dd = den.degree
-    dlc = den.lc
+    dlc = den.coeffs[-1]
     quo = [0] * (num.degree - dd + 1)
     for i in range(num.degree - dd, -1, -1):
         c = rem[i + dd]
@@ -305,24 +298,33 @@ def q_product(exponents: Iterable[int]) -> QPoly:
 
 def q_quotient(tops: Iterable[int], bottoms: Iterable[int],
                context: str) -> QPoly:
-    """Exact quotient q_product(tops) / q_product(bottoms).
+    """Exact quotient q_product(tops) / q_product(bottoms), built once per
+    sorted (tops, bottoms) by _quotient.
 
     ZERO when 0 is among the tops, decided before any factor is built, so
     such tops may run on into negative exponents.  Raises NotPolynomial,
-    labelled with context, when the division leaves a remainder.
-
-    In place on one coefficient list: a factor (1 - q**a) subtracts a
-    shifted copy; q_divide then divides by the bottoms.
+    labelled with context, when the division leaves a remainder; that
+    error is not cached, so each call's context labels its own.
     """
-    tops = list(tops)
+    tops = sorted(tops)
     if 0 in tops:
         return ZERO
-    if min(tops, default=0) < 0:
+    if tops and tops[0] < 0:
         raise ValueError("QPoly exponents must be non-negative")
+    try:
+        return _quotient(tuple(tops), tuple(sorted(bottoms)))
+    except NotPolynomial as exc:
+        raise NotPolynomial(exc.num, exc.den, context) from None
+
+
+@cache
+def _quotient(tops: tuple[int, ...], bottoms: tuple[int, ...]) -> QPoly:
+    """In place on one coefficient list: a factor (1 - q**a) subtracts a
+    shifted copy; q_divide then divides by the bottoms."""
     cs = [1] + [0] * sum(tops)
     for a, deg in zip(tops, accumulate(tops)):
-        cs[a:deg + 1] = [x - y for x, y in zip(cs[a:deg + 1], cs)]
-    return q_divide(QPoly(cs), bottoms, context)
+        cs[a:deg + 1] = map(sub, cs[a:deg + 1], cs)
+    return q_divide(QPoly(cs), bottoms, "") if bottoms else QPoly(cs)
 
 
 def q_divide(num: QPoly, bottoms: Iterable[int], context: str) -> QPoly:
@@ -349,10 +351,8 @@ def q_divide(num: QPoly, bottoms: Iterable[int], context: str) -> QPoly:
 
 def _factors(powers: Iterable[PowerParam]) -> tuple[int, QPoly]:
     """The product of the factors (1 - a) over the signed powers a, as
-    (shift, p): the product is q**shift * p.
-
-    p is exact, and ZERO when some a is q**0.
-    """
+    (shift, p): the product is q**shift * p, with p exact and ZERO when
+    some a is q**0."""
     coef, shift, tops, bottoms = 1, 0, [], []
     for a in powers:
         s, e = a.sign, a.exponent

@@ -387,8 +387,25 @@ class TestIsotropicCounts:
         monkeypatch.setattr(qcore, "gauss_binomial", no_polynomial)
         monkeypatch.setattr(fq_oracle, "gauss_binomial", no_polynomial,
                             raising=False)
-        with pytest.raises(TooLarge, match=r"needs at least 2\^90001 "):
+        with pytest.raises(TooLarge, match=r"needs at least 2\^90000 "):
             count_isotropic(2, 600, 300, SkewFormFp.standard(2, 600, 1))
+
+    def test_guard_bounds_a_sweep_before_sizing_it(self, monkeypatch):
+        def no_count(*args):
+            raise AssertionError("sized the sweep exactly")
+
+        p = 2147483647
+        with monkeypatch.context() as m:
+            m.setattr(fq_oracle, "_subspaces", no_count)
+            # p^(200 * 200) >= 2^(30 * 40000)
+            with pytest.raises(TooLarge, match=r"needs at least 2\^1200000 "
+                                               r"candidates, guard is 16777216"):
+                count_isotropic(p, 400, 200, SkewFormFp.standard(p, 400, 1))
+        # 2^16 passes a guard of 10^5, and the exact [8, 4]_2 does not
+        with pytest.raises(TooLarge, match=r"needs 200787 candidates, "
+                                           r"guard is 100000 "):
+            count_isotropic(2, 8, 4, SkewFormFp.standard(2, 8, 2),
+                            max_enum=10 ** 5)
 
     @pytest.mark.parametrize("p", [2, 3, 131])
     def test_subspace_count_is_the_gaussian_binomial(self, p):

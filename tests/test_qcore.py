@@ -14,7 +14,7 @@ from pfes import qcore
 from pfes.qcore import (
     ONE, ZERO, Q, QPoly, PowerParam,
     LowerParamPole, NotPolynomial, ZeroDenominator,
-    _SPARSE_TERMS, _factors,
+    _factors,
     gauss_binomial, geometric_series, monomial, neg_qpow, phi_eval,
     poly_exact_div, q_divide, q_product, q_quotient, qpow,
 )
@@ -126,12 +126,12 @@ class TestQPoly:
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
 
-    # sparser operand at most _SPARSE_TERMS terms: term-by-term loop;
-    # both above it: Kronecker substitution; and both sides of the switch
+    # operands from zero or one nonzero term up to dense ones: constants
+    # scale, every other product is one Kronecker multiply
     @pytest.mark.parametrize("terms_a, terms_b", [
-        ((0, _SPARSE_TERMS), (0, 301)),
-        ((_SPARSE_TERMS + 1, 120), (_SPARSE_TERMS + 1, 301)),
-        ((_SPARSE_TERMS - 1, _SPARSE_TERMS + 2), (_SPARSE_TERMS - 1, _SPARSE_TERMS + 2)),
+        ((0, 16), (0, 301)),
+        ((17, 120), (17, 301)),
+        ((15, 18), (15, 18)),
     ], ids=["sparse", "kronecker", "boundary"])
     @given(data=st.data())
     @settings(max_examples=25, deadline=None, phases=NO_SHRINK)
@@ -182,10 +182,8 @@ class TestQPoly:
             assert b * a == expected
         assert set(widths) == {width}
 
-    @pytest.mark.parametrize("terms, kronecker", [
-        (_SPARSE_TERMS, False), (_SPARSE_TERMS + 1, True)])
-    def test_sparse_switch_counts_nonzero_terms(self, monkeypatch, terms,
-                                                kronecker):
+    @pytest.mark.parametrize("terms", [1, 2, 16, 17])
+    def test_every_nonconstant_product_is_packed(self, monkeypatch, terms):
         packed = []
         pack = qcore._pack
         monkeypatch.setattr(qcore, "_pack",
@@ -193,8 +191,22 @@ class TestQPoly:
         sparse = QPoly([0, 0, 0, -5] * terms)  # terms nonzero, zeros between
         dense = QPoly(range(1, 60))
         for a, b in ((sparse, dense), (dense, sparse)):
+            packed.clear()
             assert a * b == schoolbook_mul(a, b)
-        assert bool(packed) == kronecker
+            assert len(packed) == 2
+
+    def test_constant_factors_scale_without_packing(self, monkeypatch):
+        def no_pack(*args):
+            raise AssertionError("packed a constant factor")
+
+        monkeypatch.setattr(qcore, "_pack", no_pack)
+        dense = QPoly(range(-5, 60))
+        for c in (0, 1, -1, 7, -(2 ** 70)):
+            expected = schoolbook_mul(dense, QPoly([c]))
+            assert dense * c == c * dense == expected
+            assert dense * QPoly([c]) == QPoly([c]) * dense == expected
+        assert dense * ZERO is ZERO and 0 * dense is ZERO
+        assert dense * ONE is dense and 1 * dense is dense
 
     def test_equal_values_hash_equally(self):
         assert hash(QPoly([3])) == hash(3)
@@ -445,6 +457,37 @@ class TestQProducts:
     def test_zero_top_gives_zero_before_negative_tops(self, tops, bottoms):
         # (1 - q^a) with a < 0 is not a polynomial; the 0 decides first
         assert q_quotient([*tops, 0, -3], bottoms, "") == ZERO
+
+    def test_one_quotient_labels_each_callers_error(self):
+        # the memo caches no error: each call's NotPolynomial has its context
+        for context in ("cell 3", "cell 4", ""):
+            with pytest.raises(NotPolynomial) as info:
+                q_quotient([2, 3], [5], context)
+            assert info.value.context == context
+            assert str(info.value) == (
+                f"{context}: " if context else "") + (
+                "(q^5-q^3-q^2+1)/(-q^5+1) does not reduce to a polynomial")
+            assert info.value.den == ONE - monomial(5)
+
+    def test_permuted_exponents_build_one_quotient(self):
+        qcore._quotient.cache_clear()
+        tops, bottoms = [6, 5, 4, 3], [1, 2, 3]
+        first = q_quotient(tops, bottoms, "")
+        assert first == poly_exact_div(schoolbook_product(tops),
+                                       schoolbook_product(bottoms))
+        assert q_quotient(reversed(tops), [3, 1, 2], "cell 5") == first
+        assert q_quotient([4, 6, 3, 5], iter(bottoms[::-1]), "") == first
+        assert qcore._quotient.cache_info().currsize == 1
+
+    def test_zero_and_negative_tops_are_decided_before_the_memo(
+            self, monkeypatch):
+        def no_lookup(*args):
+            raise AssertionError("looked up the memo")
+
+        monkeypatch.setattr(qcore, "_quotient", no_lookup)
+        assert q_quotient([3, 0, -2], [1], "") == ZERO
+        with pytest.raises(ValueError):
+            q_quotient([3, -2], [1], "")
 
     def test_remainder_raises_with_context(self):
         with pytest.raises(NotPolynomial) as info:
