@@ -11,8 +11,7 @@ divisors.
 Every product or quotient of factors (1 - s*q**e), s = +-1, is built here
 from lists of exponents; other modules pass only the exponents.  q_quotient
 multiplies the tops (1 - q**a) in place and q_divide divides by the bottoms
-(1 - q**b); each quotient is built once per sorted pair of exponent lists.
-Any other factor is first rewritten into that form:
+(1 - q**b).  Any other factor is first rewritten into that form:
 1 - s*q**e = -s*q**e * (1 - s*q**-e) for e < 0, and
 1 + q**e = (1 - q**2e) / (1 - q**e) for e > 0.
 
@@ -30,7 +29,6 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate
 from operator import add, neg, sub
 from typing import Iterable, Sequence
@@ -298,33 +296,24 @@ def q_product(exponents: Iterable[int]) -> QPoly:
 
 def q_quotient(tops: Iterable[int], bottoms: Iterable[int],
                context: str) -> QPoly:
-    """Exact quotient q_product(tops) / q_product(bottoms), built once per
-    sorted (tops, bottoms) by _quotient.
+    """Exact quotient q_product(tops) / q_product(bottoms).
 
     ZERO when 0 is among the tops, decided before any factor is built, so
     such tops may run on into negative exponents.  Raises NotPolynomial,
-    labelled with context, when the division leaves a remainder; that
-    error is not cached, so each call's context labels its own.
+    labelled with context, when the division leaves a remainder.
+
+    In place on one coefficient list: a factor (1 - q**a) subtracts a
+    shifted copy, smallest a first; q_divide then divides by the bottoms.
     """
     tops = sorted(tops)
     if 0 in tops:
         return ZERO
     if tops and tops[0] < 0:
         raise ValueError("QPoly exponents must be non-negative")
-    try:
-        return _quotient(tuple(tops), tuple(sorted(bottoms)))
-    except NotPolynomial as exc:
-        raise NotPolynomial(exc.num, exc.den, context) from None
-
-
-@cache
-def _quotient(tops: tuple[int, ...], bottoms: tuple[int, ...]) -> QPoly:
-    """In place on one coefficient list: a factor (1 - q**a) subtracts a
-    shifted copy; q_divide then divides by the bottoms."""
     cs = [1] + [0] * sum(tops)
     for a, deg in zip(tops, accumulate(tops)):
         cs[a:deg + 1] = map(sub, cs[a:deg + 1], cs)
-    return q_divide(QPoly(cs), bottoms, "") if bottoms else QPoly(cs)
+    return q_divide(QPoly(cs), bottoms, context)
 
 
 def q_divide(num: QPoly, bottoms: Iterable[int], context: str) -> QPoly:
