@@ -3,21 +3,22 @@
 A batch of forms on F_p^n is an (m, B) array of base-p digits, m =
 n(n-1)/2: row e holds entry e of the strict upper triangle (in
 `pair_index` order) for all B forms, so each entry's row is contiguous.
-`rank` ranks such a batch through the Pfaffians of principal minors,
-built bottom-up over subsets; the rank of a skew matrix is the largest
-size of a principal minor with a nonzero Pfaffian, so no elimination is
-needed.  One subset recursion serves every p; only its lanes differ.  For
-p = 2 the digit rows are packed into uint64 words, 64 forms to a word (bit
-slicing, as in M4RI), a product is & and a sum or difference ^; for odd p
-each form has an integer lane, reduced mod p at each level.
+The rank of a skew form is the largest size of a principal minor with a
+nonzero Pfaffian, so no elimination is needed: `_levels` builds those
+Pfaffians bottom-up over subsets, one recursion for every p, and yields
+for each even s the lanes of the forms of rank >= s; `rank` turns them
+into int8 ranks.  For p = 2 the rows are uint64 words, 64 forms to a word
+(bit slicing, as in M4RI), a product is & and a sum or difference ^; for
+odd p each form has an integer lane, reduced mod p at each level.
 
-A census walks every skew form (all p^m digit strings, in index order, in
-batches of `_BATCH` forms from `digit_batches`) and tallies them by (rank,
-pairing-with-alpha == 0) into an int64 array of shape (n+1, 2), counting
-each even rank's forms and its forms of pairing 0 with `count_nonzero`.
-Its one memo, `_ranked`, an lru_cache of size 1 keyed by (p, n), keeps the
-int8 ranks of the last (p, n) swept, p^m bytes, so another alpha at the
-same (p, n) costs only the pairing and the counts.
+A census ranks every skew form in index order (p = 2 in batches of
+`_WORDS` words from `_word_batches`, odd p in batches of `_BATCH` forms)
+and packs each level to one bit a form.  Its one memo, `_ranked`, an
+lru_cache of size 1 keyed by (p, n), keeps those masks for the last (p, n)
+swept.  An alpha's tally counts, per batch and level, the set bits of the
+level and of the level AND the forms of pairing 0; the forms of rank 2i
+are the difference of adjacent levels.  So another alpha at the same
+(p, n) costs one pairing pass over a batch and those counts.
 
 `isotropic` counts the subspaces on which a form vanishes, streaming each
 pivot pattern's reduced echelon bases in batches of at most `_BATCH`,
@@ -77,52 +78,45 @@ def digit_batches(p: int, width: int, batch: int, dtype):
         yield out
 
 
+def _word_batches(width: int, words: int):
+    """`digit_batches` for p = 2 packed 64 forms to a uint64 word (bit t of
+    word w is form 64w + t, 0 past the last form), in batches of `words`
+    words rounded as `digit_batches` rounds: digits 0-5 are one pattern in
+    every word, digit e >= 6 is bit e - 6 of the word index, spread out."""
+    low = min(width, 6)
+    bits = np.zeros((low, 8), np.uint8)
+    bits[:, :-(-2 ** low // 8)] = np.packbits(
+        _digit_table(2, low, np.uint8), axis=1, bitorder="little")
+    for index in digit_batches(2, width - low, words, np.uint64):
+        out = np.empty((width, index.shape[1]), np.uint64)
+        out[:low] = bits.view(np.uint64)
+        np.negative(index, out=out[low:])
+        yield out
+
+
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
     """x mod p, in place: floor division by a scalar is far faster than %."""
     x -= x // p * p
     return x
 
 
-def rank(digits, p: int, n: int) -> np.ndarray:
-    """Ranks (int8) of the B skew forms on F_p^n given as an (m, B) array of
-    digit rows with entries in [0, p).  Pfaffians of principal minors are
-    built bottom-up over subsets S = (s0 < s1 < ...),
+def _levels(lanes: np.ndarray, p: int, n: int):
+    """Yield, for s = 2, 4, ..., n, the OR of the Pfaffians of all principal
+    s x s minors of the m entry rows `lanes` (uint64 words for p = 2,
+    `kernel_dtype` digits for odd p), built over subsets S = (s0 < s1 ...),
     Pf(S) = sum_{j>=1} (-1)^(j+1) a_{s0,sj} Pf(S minus {s0,sj}).
-    For p = 2 each row is packed into uint64 words, 64 forms to a word, so a
-    product is &, a sum or a difference is ^, and nothing is reduced; for
-    odd p each form has its own integer lane, reduced mod p at each level."""
-    m = n * (n - 1) // 2
-    a = np.asarray(digits)
-    if a.ndim != 2 or a.shape[0] != m:
-        raise ValueError(f"need an ({m}, B) digit array for n = {n}, "
-                         f"got shape {a.shape}")
-    size = a.shape[1]
-    ranks = np.zeros(size, np.int8)
+    It is nonzero exactly on the forms of rank >= s: a form of rank r has a
+    nonzero Pfaffian of size r, and by this expansion of each smaller one."""
     if p == 2:
-        bits = np.zeros((m, -(-size // 64) * 8), np.uint8)
-        bits[:, :-(-size // 8)] = np.packbits(a, axis=1, bitorder="little")
-        a = bits.view(np.uint64)
         times, plus, minus = np.bitwise_and, np.bitwise_xor, np.bitwise_xor
     else:
-        a = a.astype(kernel_dtype(p, n), copy=False)
         times, plus, minus = np.multiply, np.add, np.subtract
-
-    def mark(seen, s):
-        """Rank s for each form whose lane in `seen` is nonzero."""
-        if p == 2:
-            seen = np.unpackbits(seen.view(np.uint8), count=size,
-                                 bitorder="little")
-        ranks[seen != 0] = s
-
-    entry = {rc: a[e] for e, rc in enumerate(pair_index(n))}
-    seen = np.zeros(a.shape[1], a.dtype)
-    for pf in entry.values():
-        seen |= pf
-    mark(seen, 2)
-    prev, term = entry, np.empty_like(seen)
+    if n >= 2:
+        yield np.bitwise_or.reduce(lanes, axis=0)
+    entry = dict(zip(pair_index(n), lanes))
+    prev, term = entry, np.empty(lanes.shape[1], lanes.dtype)
     for s in range(4, n + 1, 2):
-        cur = {}
-        seen[:] = 0
+        cur, seen = {}, np.zeros_like(term)
         for sub in combinations(range(n), s):
             acc = times(entry[sub[0], sub[1]], prev[sub[2:]])
             for j in range(2, s):
@@ -131,47 +125,96 @@ def rank(digits, p: int, n: int) -> np.ndarray:
                 (plus if j % 2 else minus)(acc, term, out=acc)
             seen |= acc if p == 2 else _mod(acc, p)
             cur[sub] = acc
-        mark(seen, s)
+        yield seen
         prev = cur
+
+
+def rank(digits, p: int, n: int) -> np.ndarray:
+    """Ranks (int8) of the B skew forms on F_p^n given as an (m, B) array of
+    digit rows with entries in [0, p), from `_levels`: for p = 2 the rows
+    are packed into uint64 words, 64 forms to a word."""
+    m = n * (n - 1) // 2
+    a = np.asarray(digits)
+    if a.ndim != 2 or a.shape[0] != m:
+        raise ValueError(f"need an ({m}, B) digit array for n = {n}, "
+                         f"got shape {a.shape}")
+    size = a.shape[1]
+    if p == 2:
+        lanes = np.zeros((m, -(-size // 64)), np.uint64)
+        lanes.view(np.uint8)[:, :-(-size // 8)] = np.packbits(
+            a, axis=1, bitorder="little")
+    else:
+        lanes = a.astype(kernel_dtype(p, n), copy=False)
+    ranks = np.zeros(size, np.int8)
+    for s, seen in enumerate(_levels(lanes, p, n), 1):
+        if p == 2:
+            seen = np.unpackbits(seen.view(np.uint8), count=size,
+                                 bitorder="little")
+        ranks[seen != 0] = 2 * s
     return ranks
 
 
 _BATCH = 1 << 16
+# p = 2 census batches, in words of 64 forms: word operations are cheap
+_WORDS = 1 << 12
+
+
+def _batches(p: int, n: int, batch: int):
+    """All forms on F_p^n in index order, in batches of up to `batch` forms,
+    as `rank` lanes: words for p = 2, `kernel_dtype` digits for odd p."""
+    m = n * (n - 1) // 2
+    if p == 2:
+        return _word_batches(m, batch // 64)
+    return digit_batches(p, m, batch, kernel_dtype(p, n))
+
+
+def _packed(lanes: np.ndarray, p: int) -> np.ndarray:
+    """The forms whose lane is nonzero, one bit each, 8 to a uint8."""
+    return (lanes.view(np.uint8) if p == 2
+            else np.packbits(lanes != 0, bitorder="little"))
+
+
+def _popcount(bits: np.ndarray, size: int) -> int:
+    """Set bits among the first `size` of a packed uint8 array."""
+    return np.count_nonzero(np.unpackbits(bits, count=size, bitorder="little"))
 
 
 @lru_cache(maxsize=1)
-def _ranked(p: int, n: int) -> np.ndarray:
-    """Ranks of all p^m forms in index order, kept for the last (p, n)."""
-    m = n * (n - 1) // 2
-    ranks = np.empty(p ** m, np.int8)
-    lo = 0
-    for digits in digit_batches(p, m, _BATCH, kernel_dtype(p, n)):
-        ranks[lo:lo + digits.shape[1]] = rank(digits, p, n)
-        lo += digits.shape[1]
-    return ranks
+def _ranked(p: int, n: int) -> tuple[list[np.ndarray], ...]:
+    """For each census batch of the last (p, n) swept, in index order, the
+    packed masks of its forms of rank >= 2, 4, ...: n // 2 bits a form."""
+    batch = 64 * _WORDS if p == 2 else _BATCH
+    return tuple([_packed(seen, p) for seen in _levels(lanes, p, n)]
+                 for lanes in _batches(p, n, batch))
 
 
 def census(p: int, n: int, alpha: tuple[int, ...]) -> np.ndarray:
     """Tally all skew forms by (rank, <form, alpha> == 0 mod p)."""
-    m = n * (n - 1) // 2
-    ranks = _ranked(p, n)
-    alpha = np.array(alpha, np.int64)
+    masks = _ranked(p, n)
+    alpha = [a % p for a in alpha]
+    # form t of batch b has index b * size + t: its pairing with alpha is
+    # that of form t of the first batch plus that of the index b * size
+    size = p ** (n * (n - 1) // 2) // len(masks)
+    first = next(_batches(p, n, size))
+    pairing = np.zeros(first.shape[1], first.dtype)
+    for a, row in zip(alpha, first):
+        if a:
+            pairing = pairing ^ row if p == 2 else _mod(pairing + a * row, p)
+    zeros = {}  # target -> packed forms of the first batch pairing to it
+    # row s: forms of rank >= 2s, all of them and those of pairing 0
+    tally = np.zeros((n // 2 + 2, 2), np.int64)
+    for b, levels in enumerate(masks):
+        target = -sum(a * (b * size // p ** e % p)
+                      for e, a in enumerate(alpha)) % p
+        if target not in zeros:
+            zeros[target] = (_packed(pairing if target else ~pairing, p)
+                             if p == 2 else _packed(pairing == target, p))
+        zero = zeros[target]
+        tally[0] += size, _popcount(zero, size)
+        for s, level in enumerate(levels, 1):
+            tally[s] += _popcount(level, size), _popcount(level & zero, size)
     counts = np.zeros((n + 1, 2), np.int64)
-    lo, low_pairing = 0, None
-    for digits in digit_batches(p, m, _BATCH, kernel_dtype(p, n)):
-        # <form, alpha> is a low part, the same in every batch, plus a high
-        # part that is constant within a batch: the first batch has every
-        # high digit 0, and column 0 of each batch every low digit
-        if low_pairing is None:
-            low_pairing = (alpha @ digits) % p
-        target = -int(alpha @ digits[:, 0]) % p
-        zero = low_pairing == target
-        block = ranks[lo:lo + digits.shape[1]]
-        lo += digits.shape[1]
-        for r in range(0, n + 1, 2):
-            at_r = block == r
-            counts[r, 0] += np.count_nonzero(at_r)
-            counts[r, 1] += np.count_nonzero(at_r & zero)
+    counts[::2] = tally[:-1] - tally[1:]
     counts[:, 0] -= counts[:, 1]
     return counts
 

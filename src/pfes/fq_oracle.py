@@ -12,12 +12,15 @@ forms or subspaces, overridable by a max_enum argument, which the CLI's
 TooLarge rather than truncating silently.  It first compares a subspace
 sweep's lower bound p^(d(n-d)) with the guard, then its exact size, an
 integer product at q = p, not a Gaussian binomial polynomial, and states
-a count too long to print in decimal by its power of 2.  The guard runs
-on every call, ahead of the census memo `_census_counts`, a
-functools.cache keyed by (p, n, alpha).  It also bounds memory: the numpy
-kernels in `_kernels` keep one int8 rank per form of the last (p, n)
-swept, and stream subspaces in fixed-size batches.  TooLarge is defined in `efun`, next to RangeError, so the CLI
-catches it without loading this module; it is re-exported here.
+a count too long to print in decimal by its power of 2.  A census too
+large to state in decimal is held against 2^((bitlen(p) - 1) m) <= p^m
+first, before its exact size or any form is built.  The guard runs on
+every call, ahead of the census memo `_census_counts`, a functools.cache
+keyed by (p, n, alpha).  It also bounds memory: the numpy kernels in
+`_kernels` keep n // 2 bits per form of the last (p, n) swept, and stream
+subspaces in fixed-size batches.  TooLarge is defined in `efun`, next to
+RangeError, so the CLI catches it without loading this module; it is
+re-exported here.
 
 This module and `_kernels` are the only ones that import numpy.  The
 package loads this one on first use, so the symbolic commands never load
@@ -37,6 +40,9 @@ from . import _kernels
 from ._kernels import pair_index
 
 DEFAULT_MAX_ENUM = 1 << 24
+
+# Python prints an int of at most 4,300 decimal digits, about 14,284 bits
+_DECIMAL_BITS = 14_284
 
 # Below 2^31, (p-1)^2 (n-1), the bound of the kernels' sums, fits int64
 # whenever n <= 3; where it does not, a sweep has over 2^120 candidates.
@@ -170,10 +176,22 @@ def pairing(w: SkewFormFp, alpha: SkewFormFp) -> int:
     return sum(a * b for a, b in zip(w.entries, alpha.entries)) % w.p
 
 
-def _census(p: int, n: int, alpha: tuple[int, ...], max_enum) -> np.ndarray:
+def _census_guard(p: int, n: int, max_enum):
+    """Hold the sweep of all p^m skew forms on F_p^n against the guard.  A
+    size past 2^_DECIMAL_BITS is only ever stated by a power of 2, so such
+    a sweep is first held against p^m >= 2^((bitlen(p) - 1) m), and p^m,
+    slow to build for a huge p and n, is built only when that bound passes."""
     m = n * (n - 1) // 2
-    _enum_guard(p ** m, f"sweep of all skew forms on F_{p}^{n}", max_enum)
-    return _census_counts(p, n, alpha)
+    what = f"sweep of all skew forms on F_{p}^{n}"
+    bits = (p.bit_length() - 1) * m
+    if bits > _DECIMAL_BITS:
+        _enum_guard(1 << bits, what, max_enum, exact=False)
+    _enum_guard(_forms(p, m), what, max_enum)
+
+
+def _forms(p: int, m: int) -> int:
+    """p^m, the number of skew forms with m upper-triangle entries."""
+    return p ** m
 
 
 @cache
@@ -199,7 +217,8 @@ def count_rank_stratum(p: int, n: int, rank: int,
     _require(n >= 1, f"need n >= 1, got {n}")
     _require(rank % 2 == 0 and 0 <= rank <= n,
              f"rank must be even with 0 <= rank <= n, got {rank}")
-    census = _census(p, n, SkewFormFp.zero(p, n).entries, max_enum)
+    _census_guard(p, n, max_enum)
+    census = _census_counts(p, n, SkewFormFp.zero(p, n).entries)
     return _projective_points(int(census[rank].sum()), p, rank)
 
 
@@ -211,7 +230,8 @@ def count_cut_stratum(p: int, n: int, rank_w: int, alpha: SkewFormFp,
              f"got alpha over F_{alpha.p}^{alpha.n}, need F_{p}^{n}")
     _require(rank_w % 2 == 0 and 0 <= rank_w <= n,
              f"rank must be even with 0 <= rank <= n, got {rank_w}")
-    census = _census(p, n, alpha.entries, max_enum)
+    _census_guard(p, n, max_enum)
+    census = _census_counts(p, n, alpha.entries)
     return _projective_points(int(census[rank_w, 1]), p, rank_w)
 
 

@@ -283,6 +283,7 @@ class TestOracle:
         ("rank-stratum", "--p", "2", "--n", "200", "--rank", "2"),
         ("isotropic", "--p", "2", "--n", "600", "--dim", "300",
          "--alpha-rank", "2"),
+        ("rank-stratum", "--p", "2147483647", "--n", "1000", "--rank", "2"),
     ])
     def test_guard_on_a_count_too_long_to_print(self, argv):
         proc = run_python("-m", "pfes.cli", "oracle", *argv)

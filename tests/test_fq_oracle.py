@@ -2,6 +2,7 @@
 symbolic E-polynomials at q = p."""
 
 import random
+from functools import cache
 from itertools import combinations, product
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import pfes
 from pfes import _kernels, efun, fq_oracle, qcore
-from pfes._kernels import kernel_dtype, rank
+from pfes._kernels import digit_batches, kernel_dtype, rank
 from pfes.efun import RangeError, nondeg_skew_E, rank_stratum_E
 from pfes.identities import CutParams, f_circ, isotropic_E
 from pfes.qcore import gauss_binomial
@@ -20,13 +21,20 @@ from pfes.fq_oracle import (
 )
 
 
-def brute_force_census(p, n, alpha):
-    """Reference tally straight from skew_rank, no kernels involved."""
+@cache
+def ranked_forms(p, n):
+    """Every skew form on F_p^n with its skew_rank, no kernels involved."""
     m = n * (n - 1) // 2
+    return [(form, skew_rank(form)) for form in
+            (SkewFormFp(p, n, entries)
+             for entries in product(range(p), repeat=m))]
+
+
+def brute_force_census(p, n, alpha):
+    """Reference tally straight from skew_rank and pairing."""
     counts = np.zeros((n + 1, 2), np.int64)
-    for entries in product(range(p), repeat=m):
-        form = SkewFormFp(p, n, entries)
-        counts[skew_rank(form), 1 if pairing(form, alpha) == 0 else 0] += 1
+    for form, r in ranked_forms(p, n):
+        counts[r, 1 if pairing(form, alpha) == 0 else 0] += 1
     return counts
 
 
@@ -129,64 +137,122 @@ class TestCensusKernels:
         yield
         _kernels._ranked.cache_clear()
 
-    def test_batched_sweep_combines_tallies(self, monkeypatch, cold_ranks):
+    @pytest.fixture
+    def ranked_lanes(self, monkeypatch):
+        """Lanes handed to the subset recursion, one entry per batch."""
+        calls = []
+        levels = _kernels._levels
+
+        def counted_levels(lanes, p_, n_):
+            calls.append(lanes.shape[1])
+            return levels(lanes, p_, n_)
+
+        monkeypatch.setattr(_kernels, "_levels", counted_levels)
+        return calls
+
+    def test_batched_sweep_combines_tallies(self, monkeypatch, cold_ranks,
+                                            ranked_lanes):
         alpha = SkewFormFp.standard(3, 4, 1)
         want = brute_force_census(3, 4, alpha)
         for batch in (1 << 16, 17, 1):
-            # an empty rank memo makes each batch size rank afresh
+            # an empty memo makes each batch size rank afresh
             _kernels._ranked.cache_clear()
             monkeypatch.setattr(_kernels, "_BATCH", batch)
             got = _kernels.census(3, 4, alpha.entries)
             assert (got == want).all(), batch
-        # with ranks stored, another batch size only changes the tally loop
+        # the stored masks fix the batches of the tally: another batch size
+        # neither ranks again nor changes the result
+        ranked = len(ranked_lanes)
         monkeypatch.setattr(_kernels, "_BATCH", 5)
         assert (_kernels.census(3, 4, alpha.entries) == want).all()
         assert _kernels._ranked.cache_info().hits == 1
+        assert len(ranked_lanes) == ranked
 
     @pytest.mark.parametrize("p,n,batch", [(2, 5, 1 << 16), (3, 4, 17),
                                            (5, 4, 700)])
     def test_second_alpha_reuses_ranks(self, monkeypatch, cold_ranks,
-                                       p, n, batch):
-        calls = []
+                                       ranked_lanes, p, n, batch):
+        def lanes(p, n):
+            """Lanes of one sweep: words of 64 forms for p = 2."""
+            forms = p ** (n * (n - 1) // 2)
+            return max(forms // 64, 1) if p == 2 else forms
 
-        def counted_rank(digits, p_, n_):
-            calls.append(digits.shape[1])
-            return rank(digits, p_, n_)
-
-        monkeypatch.setattr(_kernels, "rank", counted_rank)
         monkeypatch.setattr(_kernels, "_BATCH", batch)
+        monkeypatch.setattr(_kernels, "_WORDS", max(batch // 64, 1))
         rng = random.Random(7 * p + n)
         moved = SkewFormFp.standard(p, n, 2).conjugated(
             random_invertible(p, n, rng))
         first = _kernels.census(p, n, SkewFormFp.standard(p, n, 1).entries)
         assert (first == brute_force_census(
             p, n, SkewFormFp.standard(p, n, 1))).all()
-        assert sum(calls) == p ** (n * (n - 1) // 2)
-        ranked = len(calls)
+        assert sum(ranked_lanes) == lanes(p, n)
+        ranked = len(ranked_lanes)
         second = _kernels.census(p, n, moved.entries)
         assert (second == brute_force_census(p, n, moved)).all()
-        assert len(calls) == ranked
-        # only the last (p, n) keeps its ranks: (p, n) is ranked again after
+        assert len(ranked_lanes) == ranked
+        # only the last (p, n) keeps its masks: (p, n) is ranked again after
         # another (p, n), which is itself kept
         _kernels.census(2, 3, (1, 0, 1))
         assert _kernels._ranked.cache_info().currsize == 1
-        swept = len(calls)
+        swept = len(ranked_lanes)
         _kernels.census(2, 3, (0, 1, 1))
-        assert len(calls) == swept
+        assert len(ranked_lanes) == swept
         _kernels.census(p, n, moved.entries)
-        assert sum(calls[swept:]) == p ** (n * (n - 1) // 2)
+        assert sum(ranked_lanes[swept:]) == lanes(p, n)
+
+    @pytest.mark.parametrize("words", [1, 3, 1 << 12])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_packed_census_at_word_boundaries(self, monkeypatch, cold_ranks,
+                                              n, words):
+        # 2, 8, 64, 1,024 and 32,768 forms: part of a word, one word, and
+        # many words in one or many batches
+        monkeypatch.setattr(_kernels, "_WORDS", words)
+        m = n * (n - 1) // 2
+        rng = random.Random(words * 10 + n)
+        for alpha in [(0,) * m] + [tuple(rng.randrange(2) for _ in range(m))
+                                   for _ in range(3)]:
+            want = brute_force_census(2, n, SkewFormFp(2, n, alpha))
+            assert (_kernels.census(2, n, alpha) == want).all(), alpha
+
+    @pytest.mark.parametrize("batch", [1, 17, 701])
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_odd_census_at_odd_batch_sizes(self, monkeypatch, cold_ranks,
+                                           p, batch):
+        monkeypatch.setattr(_kernels, "_BATCH", batch)
+        rng = random.Random(p * 1000 + batch)
+        for alpha in [(0,) * 6] + [tuple(rng.randrange(p) for _ in range(6))
+                                   for _ in range(2)]:
+            want = brute_force_census(p, 4, SkewFormFp(p, 4, alpha))
+            assert (_kernels.census(p, 4, alpha) == want).all(), alpha
+
+    @pytest.mark.parametrize("p,n,batch", [(2, 3, 1 << 16), (2, 7, 1 << 16),
+                                           (2, 6, 192), (3, 5, 701),
+                                           (5, 4, 700)])
+    def test_memo_keeps_only_packed_levels(self, monkeypatch, cold_ranks,
+                                           p, n, batch):
+        monkeypatch.setattr(_kernels, "_BATCH", batch)
+        monkeypatch.setattr(_kernels, "_WORDS", max(batch // 64, 1))
+        _kernels.census(p, n, (0,) * (n * (n - 1) // 2))
+        memo = _kernels._ranked(p, n)
+        assert all(len(levels) == n // 2 for levels in memo)
+        # n // 2 bits a form, each batch padded to whole words
+        forms = p ** (n * (n - 1) // 2)
+        nbytes = sum(mask.nbytes for levels in memo for mask in levels)
+        assert nbytes <= n // 2 * (-(-forms // 8) + 8 * len(memo))
 
 
 def bincount_tally(p, n, alpha):
     """Reference census tally: each form's pairing with alpha from its
-    index's base-p digits, and one bincount per column over `_ranked`."""
+    index's base-p digits, and one bincount per column over the ranks that
+    `rank` gives every form, batch by batch."""
     m = n * (n - 1) // 2
     index = np.arange(p ** m, dtype=np.int64)
     pairing = np.zeros(p ** m, np.int64)
     for e, a in enumerate(alpha):
         pairing += a * (index // p ** e % p)
     zero = pairing % p == 0
-    ranks = _kernels._ranked(p, n)
+    ranks = np.concatenate([rank(digits, p, n) for digits
+                            in digit_batches(p, m, 1 << 16, np.int64)])
     return np.stack([np.bincount(ranks[~zero], minlength=n + 1),
                      np.bincount(ranks[zero], minlength=n + 1)], axis=1)
 
@@ -300,6 +366,23 @@ class TestRankStratumCounts:
         # 2^19900 has more decimal digits than int-to-str conversion allows
         with pytest.raises(TooLarge, match=r"needs at least 2\^19900 "
                                            r"candidates, guard is 16777216"):
+            count_rank_stratum(2, 200, 2)
+
+    def test_guard_bounds_a_census_before_sizing_it(self, monkeypatch):
+        def no_count(*args):
+            raise AssertionError("sized the census exactly")
+
+        def no_form(*args):
+            raise AssertionError("built a form")
+
+        p = 2147483647
+        monkeypatch.setattr(fq_oracle, "_forms", no_count)
+        monkeypatch.setattr(SkewFormFp, "zero", no_form)
+        # p^(1000 * 999 / 2) >= 2^(30 * 499500)
+        with pytest.raises(TooLarge, match=r"needs at least 2\^14985000 "
+                                           r"candidates, guard is 16777216"):
+            count_rank_stratum(p, 1000, 2)
+        with pytest.raises(TooLarge, match=r"needs at least 2\^19900 "):
             count_rank_stratum(2, 200, 2)
 
     def test_guard_argument_override(self):
