@@ -20,9 +20,13 @@ level and of the level AND the forms of pairing 0; the forms of rank 2i
 are the difference of adjacent levels.  So another alpha at the same
 (p, n) costs one pairing pass over a batch and those counts.
 
-`isotropic` counts the subspaces on which a form vanishes, streaming each
-pivot pattern's reduced echelon bases in batches of at most `_BATCH`,
-built from the digits of their free entries.
+`isotropic` counts the subspaces on which a form vanishes in one sweep
+over every pivot pattern, laid out as `_levels` lays out forms: a batch
+holds the reduced echelon bases of many patterns side by side, each
+basis vector as n entry rows (uint64 words for p = 2, digits for odd p),
+so each image A x and Gram entry is one pass over the whole batch.  The
+free entries come from one digit table per call, and a pattern too wide
+for one batch streams through batches of `_WORDS` words or `_BATCH` forms.
 """
 
 from __future__ import annotations
@@ -64,8 +68,8 @@ def digit_batches(p: int, width: int, batch: int, dtype):
     """Yield the base-p digits of 0, 1, ..., p^width - 1 in index order, as
     (width, B) arrays, B = p^low: the low digits come from one table and
     the high ones are constant in each batch.  B is the largest power of p
-    up to `batch`, but at least p.  The same buffer is refilled for every
-    batch."""
+    up to `batch`, but at least p when width >= 1; width 0 yields one batch
+    with B = 1.  The same buffer is refilled for every batch."""
     low = min(width, 1)
     while low < width and p ** (low + 1) <= batch:
         low += 1
@@ -141,8 +145,10 @@ def rank(digits, p: int, n: int) -> np.ndarray:
     size = a.shape[1]
     if p == 2:
         lanes = np.zeros((m, -(-size // 64)), np.uint64)
+        # packbits is fast on 1-byte items only: view those, compare others
+        bits = a.view(np.uint8) if a.itemsize == 1 else a != 0
         lanes.view(np.uint8)[:, :-(-size // 8)] = np.packbits(
-            a, axis=1, bitorder="little")
+            bits, axis=1, bitorder="little")
     else:
         lanes = a.astype(kernel_dtype(p, n), copy=False)
     ranks = np.zeros(size, np.int8)
@@ -219,34 +225,94 @@ def census(p: int, n: int, alpha: tuple[int, ...]) -> np.ndarray:
     return counts
 
 
+def _isotropic_lanes(src: np.ndarray, rows: np.ndarray, take: np.ndarray,
+                     seen: np.ndarray, terms, p: int) -> int:
+    """Isotropic bases in one batch of `isotropic`: pattern j fills the next
+    take[j] lanes with the first take[j] columns of its `src` rows
+    rows[:, :, j] (entry c of x_r is row rows[r, c, j]).  `seen` starts at
+    the padding."""
+    d, n, _ = rows.shape
+    x = np.empty((d, n, seen.size), src.dtype)
+    # patterns of equal take are copied together, row by row
+    lane, cuts = 0, np.flatnonzero(np.diff(take)) + 1
+    for js in np.split(np.arange(take.size), cuts):
+        k, m = int(take[js[0]]), js.size
+        x[:, :, lane:lane + k * m] = src[:, :k][rows[:, :, js]].reshape(
+            d, n, k * m)
+        lane += k * m
+    if p == 2:
+        times, plus = np.bitwise_and, np.bitwise_xor
+    else:
+        times, plus = np.multiply, np.add
+    for s in range(1, d):
+        image = np.zeros((n, seen.size), src.dtype)  # A x_s
+        for u, c, a in terms:
+            plus(image[u], x[s, c] if a == 1 else a * x[s, c], out=image[u])
+        if p != 2:
+            _mod(image, p)
+        for r in range(s):
+            gram = plus.reduce(times(x[r], image), axis=0, dtype=src.dtype)
+            seen |= gram if p == 2 else _mod(gram, p)
+    if p == 2:
+        return _popcount((~seen).view(np.uint8), 64 * seen.size)
+    return int(np.count_nonzero(seen == 0))
+
+
 def isotropic(p: int, n: int, d: int, form) -> int:
     """Number of d-dimensional subspaces of F_p^n on which the skew form with
-    n x n matrix A = `form` vanishes.  For each pivot pattern, the reduced
-    echelon bases x_0..x_{d-1} are built from the digits of their free
-    entries, at most `_BATCH` at a time; a basis counts when every Gram
-    entry x_r^T A x_s (r < s) is 0 mod p."""
-    dtype = kernel_dtype(p, n)
-    a = (np.array(form, np.int64) % p).astype(dtype)
+    n x n matrix A = `form` vanishes: the reduced echelon bases x_0..x_{d-1}
+    of every pivot pattern are enumerated, and a basis counts when every
+    Gram entry x_r^T A x_s (r < s) is 0 mod p.
+
+    One digit table serves every pattern: `_word_batches` (p = 2) or
+    `digit_batches` (odd p) over the widest pattern's free entries.  The
+    first p^w columns of a table batch carry every value of the low w
+    digits, and batch h holds bases h C .. (h+1) C - 1 of each pattern wider
+    than its C columns.  The patterns with bases in table batch h are laid
+    end to end, widest first, as (d, n, B) lanes: uint64 words, 64 bases to
+    a word, for p = 2, `kernel_dtype` digits for odd p.  They are swept
+    `_WORDS` words or `_BATCH` bases at a time, rounded down to whole table
+    batches (at least one), so no pattern straddles two sweep batches.  The
+    bits past the 2^w bases of a narrow pattern in its one word are
+    padding, kept out of the count."""
+    dtype = np.uint64 if p == 2 else kernel_dtype(p, n)
+    a = np.array(form, np.int64) % p
+    terms = [(u, c, int(a[u, c])) for u, c in zip(*np.nonzero(a))]
+    # widest first: pattern P has d(n - d) - sum(P_r - r) free entries
+    patterns = sorted(combinations(range(n), d), key=sum)
+    # rows[r, c, j]: the source row of entry c of x_r in pattern j: row 0
+    # is 0, row 1 the pivot's 1 and row 2 + e free entry e
+    rows = np.zeros((d, n, len(patterns)), np.intp)
+    widths = [0] * len(patterns)
+    for j, pivots in enumerate(patterns):
+        for r, pivot in enumerate(pivots):
+            rows[r, pivot, j] = 1
+            for c in range(pivot + 1, n):
+                if c not in pivots:
+                    rows[r, c, j] = 2 + widths[j]
+                    widths[j] += 1
+    width = max(widths, default=0)  # no pattern when d > n
+    if p == 2:
+        tables, cap, one = _word_batches(width, _WORDS), _WORDS, ~np.uint64(0)
+        sizes = [-(-2 ** w // 64) for w in widths]
+        pad = [(1 << 64) - (1 << 2 ** w) if w < 6 else 0 for w in widths]
+    else:
+        tables, cap, one = digit_batches(p, width, _BATCH, dtype), _BATCH, 1
+        sizes, pad = [p ** w for w in widths], [0] * len(widths)
+    pad = np.array(pad, dtype)
     count = 0
-    for pivots in combinations(range(n), d):
-        # free[r]: (digit row, column) of each free entry of x_r
-        free, width = [], 0
-        for r in range(d):
-            cols = [c for c in range(pivots[r] + 1, n) if c not in pivots]
-            free.append(list(zip(range(width, width + len(cols)), cols)))
-            width += len(cols)
-        for digits in digit_batches(p, width, _BATCH, dtype):
-            image = [None]  # image[s] = A x_s mod p, needed for s >= 1
-            for s in range(1, d):
-                col = np.repeat(a[:, pivots[s], None], digits.shape[1], axis=1)
-                for e, c in free[s]:
-                    col += a[:, c, None] * digits[e]
-                image.append(_mod(col, p))
-            vanish = np.ones(digits.shape[1], bool)
-            for r, s in combinations(range(d), 2):
-                gram = image[s][pivots[r]].copy()
-                for e, c in free[r]:
-                    gram += digits[e] * image[s][c]
-                vanish &= _mod(gram, p) == 0
-            count += int(np.count_nonzero(vanish))
+    for h, table in enumerate(tables):
+        cols = table.shape[1]
+        src = np.empty((width + 2, cols), dtype)
+        src[0], src[1], src[2:] = 0, one, table
+        # the widest patterns have bases in table batch h, up to C each;
+        # takes are non-increasing powers of p that divide the sweep batch
+        take = np.array([min(lanes - h * cols, cols) for lanes in sizes
+                         if lanes > h * cols], np.int64)
+        ends, batch = np.cumsum(take), max(cap // cols, 1) * cols
+        for start in range(0, int(take.sum()), batch):
+            lo, hi = np.searchsorted(ends, [start, start + batch], "right")
+            count += _isotropic_lanes(src, rows[:, :, lo:hi], take[lo:hi],
+                                      np.repeat(pad[lo:hi], take[lo:hi]),
+                                      terms, p)
     return count

@@ -17,10 +17,11 @@ large to state in decimal is held against 2^((bitlen(p) - 1) m) <= p^m
 first, before its exact size or any form is built.  The guard runs on
 every call, ahead of the census memo `_census_counts`, a functools.cache
 keyed by (p, n, alpha).  It also bounds memory: the numpy kernels in
-`_kernels` keep n // 2 bits per form of the last (p, n) swept, and stream
-subspaces in fixed-size batches.  TooLarge is defined in `efun`, next to
-RangeError, so the CLI catches it without loading this module; it is
-re-exported here.
+`_kernels` keep n // 2 bits per form of the last (p, n) swept, and sweep
+subspaces through batches of at most 2^12 words (p = 2) or max(2^16, p)
+bases (odd p), whatever the number of pivot patterns.  TooLarge is defined
+in `efun`, next to RangeError, so the CLI catches it without loading this
+module; it is re-exported here.
 
 This module and `_kernels` are the only ones that import numpy.  The
 package loads this one on first use, so the symbolic commands never load

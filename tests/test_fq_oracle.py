@@ -2,6 +2,7 @@
 symbolic E-polynomials at q = p."""
 
 import random
+import tracemalloc
 from functools import cache
 from itertools import combinations, product
 
@@ -312,6 +313,16 @@ class TestRank:
         got = rank(forms_as_digits(forms), 2, n)
         assert got.tolist() == [skew_rank(form) for form in forms]
 
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_gf2_ranks_whatever_the_digit_dtype(self, n):
+        m = n * (n - 1) // 2
+        digits = np.random.default_rng(n).integers(0, 2, (m, 300))
+        want = rank(digits.astype(np.int8), 2, n)
+        for dtype in (np.int64, np.bool_, np.uint8):
+            assert (rank(digits.astype(dtype), 2, n) == want).all(), dtype
+        assert want.tolist() == [skew_rank(SkewFormFp(2, n, tuple(col)))
+                                 for col in digits.T.tolist()]
+
     def test_dtype_is_the_smallest_that_holds_the_sums(self):
         # (p-1)^2 (n-1) against int8's 127
         assert kernel_dtype(3, 32) is np.int8
@@ -436,7 +447,8 @@ def enumerated_isotropic(p, n, d, alpha):
 
 
 class TestIsotropicCounts:
-    @pytest.mark.parametrize("p,n", [(2, 4), (2, 5), (3, 4), (5, 3), (3, 5)])
+    @pytest.mark.parametrize("p,n", [(2, 4), (2, 5), (2, 6), (3, 4), (5, 3),
+                                     (3, 5)])
     def test_streamed_sweep_matches_enumeration(self, monkeypatch, p, n):
         rng = random.Random(31 * p + n)
         for i in range(n // 2 + 1):
@@ -444,13 +456,81 @@ class TestIsotropicCounts:
                 random_invertible(p, n, rng))
             for d in range(n + 1):
                 want = enumerated_isotropic(p, n, d, moved)
+                # at the default sizes every pivot pattern shares one batch
                 assert count_isotropic(p, n, d, moved) == want, (i, d)
-                # batches of p^2 bases split every pivot pattern with more
-                # than two free entries
+                # batches of p^2 bases (odd p) or of one or two words
+                # (p = 2) split every pivot pattern with more bases
                 with monkeypatch.context() as m:
                     m.setattr(_kernels, "_BATCH", p * p + 1)
+                    m.setattr(_kernels, "_WORDS", 1)
                     got = _kernels.isotropic(p, n, d, moved.matrix())
                 assert got == want, (i, d)
+
+    @pytest.fixture
+    def swept_widths(self, monkeypatch):
+        """The free-entry counts of the patterns in each batch swept."""
+        batches = []
+        lanes = _kernels._isotropic_lanes
+
+        def recorded(src, rows, *args):
+            batches.append([int((rows[:, :, j] >= 2).sum())
+                            for j in range(rows.shape[2])])
+            return lanes(src, rows, *args)
+
+        monkeypatch.setattr(_kernels, "_isotropic_lanes", recorded)
+        return batches
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("p,n", [(2, 7), (3, 5), (5, 4)])
+    def test_batches_at_word_and_batch_boundaries(self, monkeypatch,
+                                                  swept_widths, p, n, split):
+        # the 2-planes of F_p^n fall into patterns of p^w bases for every
+        # w <= 2n - 4: for p = 2, patterns of 1, 2, 32, 64 and 128 bases
+        # (part of a word, one word, two words) and wider ones
+        if split:
+            monkeypatch.setattr(_kernels, "_BATCH", p * p)
+            monkeypatch.setattr(_kernels, "_WORDS", 2)
+        rng = random.Random(17 * p + n)
+        forms = [SkewFormFp.zero(p, n)] + [
+            SkewFormFp.standard(p, n, i).conjugated(
+                random_invertible(p, n, rng)) for i in (1, n // 2)]
+        for alpha in forms:
+            swept_widths.clear()
+            want = enumerated_isotropic(p, n, 2, alpha)
+            assert _kernels.isotropic(p, n, 2, alpha.matrix()) == want, alpha
+            widest = 2 * n - 4
+            if split:
+                # the widest pattern streams through batches of its own, of
+                # p^2 bases or 2 words, while narrow ones still share
+                alone = [b for b in swept_widths if b == [widest]]
+                assert len(alone) == (p ** (widest - 2) if p > 2
+                                      else 2 ** (widest - 7))
+                assert any(len(b) > 1 for b in swept_widths)
+            else:
+                assert len(swept_widths) == 1
+                assert set(swept_widths[0]) == set(range(widest + 1))
+
+    def test_sweep_memory_is_bounded(self):
+        rng = random.Random(94)
+        alpha = SkewFormFp.standard(2, 9, 2).conjugated(
+            random_invertible(2, 9, rng))
+        tracemalloc.start()
+        try:
+            count = _kernels.isotropic(2, 9, 4, alpha.matrix())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == isotropic_E(2, 2, 9)(2)
+        # 3,309,747 subspaces stream through batches of 2^12 words: about
+        # 4.1 MB, however many subspaces the sweep has
+        assert peak < 5 * 2 ** 20, peak
+
+    @pytest.mark.parametrize("i", range(1, 5))
+    def test_benchmark_sweep_matches_symbolic(self, i):
+        rng = random.Random(800 + i)
+        alpha = SkewFormFp.standard(2, 8, i).conjugated(
+            random_invertible(2, 8, rng))
+        assert count_isotropic(2, 8, 4, alpha) == isotropic_E(2, i, 8)(2)
 
     def test_guard_raises_before_any_work(self, monkeypatch):
         def no_sweep(*args, **kwargs):
