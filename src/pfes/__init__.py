@@ -21,7 +21,7 @@ from .efun import (
     pf_stringy_closed, pf_stringy_recursive, pf_stringy_rodland,
 )
 from .identities import (
-    CutParams, isotropic_E, f_closed, f_circ,
+    CutParams, isotropic_E, isotropic_subspaces_E, f_closed, f_circ,
     solve_newcor, verify_newrec, verify_hj, verify_AC_BD, verify_phi_reductions,
 )
 from .mirror import (

@@ -182,7 +182,8 @@ def _packed(lanes: np.ndarray, p: int) -> np.ndarray:
 
 def _popcount(bits: np.ndarray, size: int) -> int:
     """Set bits among the first `size` of a packed uint8 array."""
-    return np.count_nonzero(np.unpackbits(bits, count=size, bitorder="little"))
+    return int(np.count_nonzero(np.unpackbits(bits, count=size,
+                                              bitorder="little")))
 
 
 @lru_cache(maxsize=1)

@@ -22,15 +22,14 @@ import sys
 import time
 
 from . import __version__, suites
-from .qcore import (
-    QPoly, LowerParamPole, NotPolynomial, ZeroDenominator,
-    gauss_binomial,
-)
+from .qcore import QPoly, LowerParamPole, NotPolynomial, ZeroDenominator
 from .efun import (
     PfaffianParams, RangeError, TooLarge, discrepancy, grassmannian_E,
     local_contribution, nondeg_skew_E, pf_stringy_closed, rank_stratum_E,
 )
-from .identities import CutParams, f_circ, f_closed, isotropic_E
+from .identities import (
+    CutParams, f_circ, f_closed, isotropic_E, isotropic_subspaces_E,
+)
 from .mirror import even_fiber_E, fiber_E_odd
 
 EXIT_OK = 0
@@ -164,16 +163,9 @@ def cmd_oracle(args) -> int:
         params = {"p": p, "n": n, "dim": args.dim, "alpha_rank": args.alpha_rank}
         if args.alpha_rank % 2:
             raise RangeError("--alpha-rank must be even")
-        plain = args.alpha_rank == 0 or args.dim < 2
-        if not plain and args.dim % 2:
-            raise RangeError("no symbolic counterpart for odd --dim with a "
-                             "nonzero form; use an even subspace dimension")
         alpha = fq_oracle.SkewFormFp.standard(p, n, args.alpha_rank // 2)
         count = fq_oracle.count_isotropic(p, n, args.dim, alpha, args.max_enum)
-        if plain:
-            symbolic = gauss_binomial(n, args.dim, 1)(p)
-        else:
-            symbolic = isotropic_E(args.dim // 2, args.alpha_rank // 2, n)(p)
+        symbolic = isotropic_subspaces_E(args.dim, args.alpha_rank // 2, n)(p)
     else:  # cut-stratum
         params = {"p": p, "n": n, "rank": args.rank, "alpha_rank": args.alpha_rank}
         if args.alpha_rank % 2 or args.alpha_rank < 2:

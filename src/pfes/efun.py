@@ -95,28 +95,21 @@ def discrepancy(j: int, params: PfaffianParams) -> int:
     return (2 * j + 2 * k - n - 1) * (2 * j - 1) // 2 - 1
 
 
-def _rank_locus_weight(p: int, k: int, n: int) -> QPoly:
-    # prod_{j=k+1-p}^{(n-1)/2-p} (q^2j - 1)/(q^(2j-2k+2p) - 1), which is
-    # the Gaussian binomial [(n-1)/2 - p, k - p] in q^2; p = 0 gives the
-    # weight-normalized product appearing in the closed stringy formula.
-    # For p > k the weight is zero.
-    return gauss_binomial((n - 1) // 2 - p, k - p, 2)
-
-
 def local_contribution(p: int, k: int, n: int) -> QPoly:
     """Local stringy weight of a point on the rank-2p stratum inside the
-    rank <= 2k locus on odd n-space."""
+    rank <= 2k locus on odd n-space: the Gaussian binomial
+    [(n-1)/2 - p, k - p] in q^2."""
     _require(n >= 5 and n % 2 == 1, f"n must be odd and >= 5, got {n}")
     _require(1 <= p <= k <= (n - 1) // 2,
              f"need 1 <= p <= k <= (n-1)/2, got p={p}, k={k}, n={n}")
-    return _rank_locus_weight(p, k, n)
+    return gauss_binomial((n - 1) // 2 - p, k - p, 2)
 
 
 def pf_stringy_closed(params: PfaffianParams) -> QPoly:
     """Stringy E-function of the rank <= 2k locus, closed product form:
-    (q^(nk) - 1)/(q - 1) times a Gaussian-binomial-in-q^2 style product."""
+    (q^(nk) - 1)/(q - 1) times the Gaussian binomial [(n-1)/2, k] in q^2."""
     n, k = params.n, params.k
-    return geometric_series(n * k) * _rank_locus_weight(0, k, n)
+    return geometric_series(n * k) * gauss_binomial((n - 1) // 2, k, 2)
 
 
 def pf_stringy_recursive(params: PfaffianParams) -> QPoly:

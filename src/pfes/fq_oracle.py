@@ -9,14 +9,15 @@ gives an implementation-independent check of every formula.
 Full sweeps respect a hard enumeration guard (default 2^24 candidate
 forms or subspaces, overridable by a max_enum argument, which the CLI's
 --max-enum passes on; nothing is read from the environment) and raise
-TooLarge rather than truncating silently.  It first compares a subspace
-sweep's lower bound p^(d(n-d)) with the guard, then its exact size, an
-integer product at q = p, not a Gaussian binomial polynomial, and states
-a count too long to print in decimal by its power of 2.  A census too
-large to state in decimal is held against 2^((bitlen(p) - 1) m) <= p^m
-first, before its exact size or any form is built.  The guard runs on
-every call, ahead of the census memo `_census_counts`, a functools.cache
-keyed by (p, n, alpha).  It also bounds memory: the numpy kernels in
+TooLarge rather than truncating silently.  One rule serves the census of
+p^m forms and the sweep of [n, d]_p subspaces: a sweep whose lower bound
+2^b, b = (bitlen(p) - 1) m or (bitlen(p) - 1) d(n - d), is too long to
+print in decimal is held against 2^b first, and named "at least 2^b",
+before its exact size or any form is built; any other sweep is held
+against, and named by, its exact size, an integer product at q = p, not a
+Gaussian binomial polynomial.  The guard runs on every call, ahead of the
+census memo `_census_counts`, a functools.cache keyed by (p, n, alpha).
+It also bounds memory: the numpy kernels in
 `_kernels` keep n // 2 bits per form of the last (p, n) swept, and sweep
 subspaces through batches of at most 2^12 words (p = 2) or max(2^16, p)
 bases (odd p), whatever the number of pivot patterns.  TooLarge is defined
@@ -65,19 +66,24 @@ def _decimal(count: int) -> str:
         return f"at least 2^{count.bit_length() - 1}"
 
 
-def _enum_guard(count: int, what: str, max_enum: int | None,
-                exact: bool = True):
-    """Raise TooLarge when count exceeds the guard; a count that is only a
-    lower bound (exact=False) is stated as at least its power of 2."""
+def _sweep_guard(what: str, bits: int, size, max_enum: int | None):
+    """Raise TooLarge when a sweep of size() >= 2^bits candidates exceeds
+    the guard.  A size past 2^_DECIMAL_BITS is only ever stated by a power
+    of 2, so such a sweep is first held against 2^bits, and size(), slow to
+    build for a huge p and n, is called only when that bound passes; any
+    other sweep is held against, and named by, its exact size."""
     limit = DEFAULT_MAX_ENUM if max_enum is None else max_enum
     _require(isinstance(limit, int) and limit >= 0,
              f"max_enum must be a non-negative integer, got {limit!r}")
-    if count > limit:
-        size = (_decimal(count) if exact
-                else f"at least 2^{count.bit_length() - 1}")
-        raise TooLarge(f"{what} needs {size} candidates, guard is "
-                       f"{_decimal(limit)} (override with --max-enum or "
-                       f"max_enum)")
+    if bits > _DECIMAL_BITS and bits >= limit.bit_length():  # 2^bits > limit
+        needs = f"at least 2^{bits}"
+    else:
+        count = size()
+        if count <= limit:
+            return
+        needs = _decimal(count)
+    raise TooLarge(f"{what} needs {needs} candidates, guard is "
+                   f"{_decimal(limit)} (override with --max-enum or max_enum)")
 
 
 @dataclass(frozen=True)
@@ -178,16 +184,11 @@ def pairing(w: SkewFormFp, alpha: SkewFormFp) -> int:
 
 
 def _census_guard(p: int, n: int, max_enum):
-    """Hold the sweep of all p^m skew forms on F_p^n against the guard.  A
-    size past 2^_DECIMAL_BITS is only ever stated by a power of 2, so such
-    a sweep is first held against p^m >= 2^((bitlen(p) - 1) m), and p^m,
-    slow to build for a huge p and n, is built only when that bound passes."""
+    """Hold the sweep of all p^m >= 2^((bitlen(p) - 1) m) skew forms on
+    F_p^n against the guard."""
     m = n * (n - 1) // 2
-    what = f"sweep of all skew forms on F_{p}^{n}"
-    bits = (p.bit_length() - 1) * m
-    if bits > _DECIMAL_BITS:
-        _enum_guard(1 << bits, what, max_enum, exact=False)
-    _enum_guard(_forms(p, m), what, max_enum)
+    _sweep_guard(f"sweep of all skew forms on F_{p}^{n}",
+                 (p.bit_length() - 1) * m, lambda: _forms(p, m), max_enum)
 
 
 def _forms(p: int, m: int) -> int:
@@ -254,15 +255,13 @@ def count_isotropic(p: int, n: int, dim_sub: int, alpha: SkewFormFp,
     _require(0 <= dim_sub <= n, f"need 0 <= dim_sub <= n, got {dim_sub}")
     _require(alpha.p == p and alpha.n == n,
              f"got alpha over F_{alpha.p}^{alpha.n}, need F_{p}^{n}")
-    what = f"sweep of {dim_sub}-subspaces of F_{p}^{n}"
-    # [n, d]_p >= p^(d(n-d)) >= 2^bits, so a sweep this bound rejects is
-    # never sized exactly
-    bits = (p.bit_length() - 1) * dim_sub * (n - dim_sub)
-    _enum_guard(1 << bits, what, max_enum, exact=False)
-    total = _subspaces(p, n, dim_sub)
-    _enum_guard(total, what, max_enum)
+    # [n, d]_p >= p^(d(n-d)) >= 2^((bitlen(p) - 1) d(n-d))
+    _sweep_guard(f"sweep of {dim_sub}-subspaces of F_{p}^{n}",
+                 (p.bit_length() - 1) * dim_sub * (n - dim_sub),
+                 lambda: _subspaces(p, n, dim_sub), max_enum)
     if dim_sub < 2:
-        return total  # a line (or the origin) is isotropic for any skew form
+        # a line (or the origin) is isotropic for any skew form
+        return _subspaces(p, n, dim_sub)
     return _kernels.isotropic(p, n, dim_sub, alpha.matrix())
 
 

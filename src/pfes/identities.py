@@ -1,13 +1,13 @@
 """Hyperplane-cut E-functions of bounded-rank skew-form loci and the
 q-series identities that determine them.
 
-The central objects: isotropic_E counts isotropic subspaces for a fixed-rank
-skew form; f_closed is the weighted E-function of the rank <= 2k locus cut
-by a rank-2i hyperplane, in closed form; f_circ is its single-stratum
-(rank exactly 2p) counterpart; and solve_newcor recomputes the same values
-through a triangular recursion that never touches the closed form, so
-agreement between the two routes is a genuine cross-validation rather
-than a tautology.
+The central objects: isotropic_subspaces_E counts the isotropic subspaces
+of every dimension for a fixed-rank skew form; f_closed is the weighted
+E-function of the rank <= 2k locus cut by a rank-2i hyperplane, in closed
+form; f_circ is its single-stratum (rank exactly 2p) counterpart; and
+solve_newcor recomputes the same values through a triangular recursion
+that never touches the closed form, so agreement between the two routes
+is a genuine cross-validation rather than a tautology.
 
 Verifiers return report rows instead of raising, so grid runs can
 aggregate failures: a row is a plain dict with keys name, passed, skipped
@@ -17,11 +17,13 @@ cross-multiplication.  Points where a hypergeometric reduction degenerates
 
 Each value is computed once per key it depends on, with functools.cache,
 and a part that does not depend on i is cached apart, once per (k, n):
-isotropic_E, _cut_lhs_sum, _f_circ_dual and the triangular solve _newcor
-per (k, i, n); _closed_smooth, _f_circ_smooth, _newrec_smooth,
-_smooth_lhs_sum and the two smooth-part rows per (k, n); the recursion
-coefficients _recursion_terms per (k, n, start, stop).  f_closed and f_circ
-are not cached: each adds its cached smooth half to its i-dependent half.
+isotropic_E (isotropic_subspaces_E at d = 2k, which the recursion reads),
+_cut_lhs_sum, _f_circ_dual and the triangular solve _newcor per (k, i, n);
+_closed_smooth, _f_circ_smooth, _newrec_smooth, _smooth_lhs_sum and the
+two smooth-part rows per (k, n); the recursion coefficients
+_recursion_terms per (k, n, start, stop).  f_closed and f_circ are not
+cached: each adds its cached smooth half to its i-dependent half.  Nor is
+isotropic_subspaces_E: past isotropic_E, only the oracle asks for it.
 Values are immutable, and rows are never modified, so the memos are
 invisible in the results.
 """
@@ -36,25 +38,19 @@ from .qcore import (
     gauss_binomial, geometric_series, monomial, neg_qpow, phi_eval,
     q_divide, q_product, q_quotient, qpow,
 )
-from .efun import _rank_locus_weight, _require, grassmannian_E
+from .efun import PfaffianParams, _require, grassmannian_E
 
 
 @dataclass(frozen=True)
-class CutParams:
-    """Ambient odd dimension n, half-rank bound k of the cut locus, and
-    half-rank i of the cutting hyperplane form."""
+class CutParams(PfaffianParams):
+    """The cut locus of PfaffianParams(n, k), and the half-rank i of the
+    cutting hyperplane form."""
 
-    n: int
-    k: int
     i: int
 
     def __post_init__(self):
-        _require(self.n >= 5 and self.n % 2 == 1,
-                 f"n must be odd and >= 5, got {self.n}")
-        half = (self.n - 1) // 2
-        _require(1 <= self.k <= half,
-                 f"k must satisfy 1 <= k <= (n-1)/2, got k={self.k}, n={self.n}")
-        _require(1 <= self.i <= half,
+        super().__post_init__()
+        _require(1 <= self.i <= (self.n - 1) // 2,
                  f"i must satisfy 1 <= i <= (n-1)/2, got i={self.i}, n={self.n}")
 
 
@@ -64,29 +60,34 @@ def row(name: str, passed: bool, skipped: bool = False, note: str = "") -> dict:
             "note": note}
 
 
-@cache
-def isotropic_E(k: int, i: int, n: int) -> QPoly:
-    """E-polynomial of the 2k-dimensional subspaces isotropic for a skew
-    form of rank 2i on n-space.
+def isotropic_subspaces_E(d: int, i: int, n: int) -> QPoly:
+    """E-polynomial of the d-dimensional subspaces isotropic for a skew form
+    of rank 2i on n-space, for every d >= 0 and 2i <= n.
 
-    Sum over the dimension r of the intersection with the kernel; a summand
-    vanishes outright when its numerator range reaches the factor 1 - q^0.
+    Sum over the dimension r of the intersection with the kernel K: r-space
+    R in K, times an isotropic (d-r)-space W of the nondegenerate quotient,
+    times q^((d-r)(n-2i-r)) lifts of W off R.  W exists only for d - r <= i,
+    and the zero form (i = 0) gives the Grassmannian [n, d].
     """
-    _require(k >= 1 and i >= 1, f"need k, i >= 1, got k={k}, i={i}")
+    _require(d >= 0 and i >= 0, f"need d, i >= 0, got d={d}, i={i}")
     _require(2 * i <= n, f"need 2i <= n, got i={i}, n={n}")
     total = ZERO
-    for r in range(0, 2 * k + 1):
-        if r > n - 2 * i:
-            continue
-        lo = i + r + 1 - 2 * k
-        if lo <= 0:
-            continue
-        cell = q_quotient((2 * j for j in range(lo, i + 1)),
-                          range(1, 2 * k - r + 1),
-                          f"isotropic cell (k={k}, i={i}, n={n}, r={r})")
+    for r in range(max(d - i, 0), min(d, n - 2 * i) + 1):
+        m = d - r
+        cell = q_quotient((2 * j for j in range(i - m + 1, i + 1)),
+                          range(1, m + 1),
+                          f"isotropic cell (d={d}, i={i}, n={n}, r={r})")
         total = total + (gauss_binomial(n - 2 * i, r, 1)
-                         * cell).shift((2 * k - r) * (n - 2 * i - r))
+                         * cell).shift(m * (n - 2 * i - r))
     return total
+
+
+@cache
+def isotropic_E(k: int, i: int, n: int) -> QPoly:
+    """isotropic_subspaces_E at d = 2k, for k, i >= 1: the isotropic
+    correction of the cut recursion."""
+    _require(k >= 1 and i >= 1, f"need k, i >= 1, got k={k}, i={i}")
+    return isotropic_subspaces_E(2 * k, i, n)
 
 
 def dual_local_weight(k: int, i: int, n: int) -> QPoly:
@@ -105,7 +106,7 @@ def dual_local_weight(k: int, i: int, n: int) -> QPoly:
 @cache
 def _closed_smooth(k: int, n: int) -> QPoly:
     """The i-independent (first) summand of the closed cut formula."""
-    return geometric_series(n * k - 1) * _rank_locus_weight(0, k, n)
+    return geometric_series(n * k - 1) * gauss_binomial((n - 1) // 2, k, 2)
 
 
 def f_closed(params: CutParams) -> QPoly:

@@ -243,10 +243,9 @@ ONE = QPoly([1])
 Q = QPoly([0, 1])
 
 
-def monomial(exponent: int, coefficient: int = 1) -> QPoly:
-    if exponent < 0:
-        raise ValueError("QPoly exponents must be non-negative")
-    return QPoly([0] * exponent + [coefficient])
+def monomial(exponent: int) -> QPoly:
+    """q**exponent; a negative exponent raises ValueError."""
+    return ONE.shift(exponent)
 
 
 def geometric_series(m: int, base_exp: int = 1) -> QPoly:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from .qcore import QPoly, geometric_series, monomial
 from .efun import (
-    PfaffianParams, _rank_locus_weight, euler_characteristic, grassmannian_E,
-    nondeg_skew_E, pf_stringy_closed, pf_stringy_recursive,
-    pf_stringy_rodland, projective_E, rank_stratum_E, stringy_degree,
+    PfaffianParams, euler_characteristic, grassmannian_E, nondeg_skew_E,
+    pf_stringy_closed, pf_stringy_recursive, pf_stringy_rodland,
+    projective_E, stringy_degree,
 )
 from .identities import (
     CutParams, f_closed, row, solve_newcor,
@@ -74,11 +74,9 @@ def weighted_sum(*, max_r=8):
 
 def technical(*, max_n=17):
     for n, k in _below_half(max_n):
-        lhs = QPoly()
-        for i in range(1, (n - 1) // 2 + 1):
-            lhs = lhs + rank_stratum_E(i, n) * _rank_locus_weight(i, k, n)
-        rhs = pf_stringy_closed(PfaffianParams(n, k))
-        yield row(f"technical(n={n},k={k})", lhs == rhs)
+        params = PfaffianParams(n, k)
+        yield row(f"technical(n={n},k={k})",
+                  pf_stringy_recursive(params) == pf_stringy_closed(params))
 
 
 def stpf(*, max_n=15):

@@ -4,7 +4,7 @@ verdict; run with `pytest tests/test_acceptance.py -v -s` to see them."""
 
 from pfes.qcore import QPoly, gauss_binomial
 from pfes.efun import rank_stratum_E
-from pfes.identities import CutParams, f_circ, isotropic_E
+from pfes.identities import CutParams, f_circ, isotropic_subspaces_E
 from pfes.suites import SUITES
 from pfes.fq_oracle import (
     SkewFormFp, census_totals, count_cut_stratum, count_isotropic,
@@ -105,13 +105,8 @@ def test_criterion_10_finite_field_oracle():
         for i in range(0, n // 2 + 1):
             alpha = SkewFormFp.standard(p, n, i)
             for d in range(0, n + 1):
-                if i == 0 or d < 2:
-                    expected = gauss_binomial(n, d, 1)(p)
-                elif d % 2 == 0:
-                    expected = isotropic_E(d // 2, i, n)(p)
-                else:
-                    continue  # odd-dimensional cuts have no symbolic route
-                assert count_isotropic(p, n, d, alpha) == expected, (p, n, i, d)
+                assert count_isotropic(p, n, d, alpha) == \
+                    isotropic_subspaces_E(d, i, n)(p), (p, n, i, d)
 
         if n % 2 == 1 and n >= 5:
             for i in range(1, (n - 1) // 2 + 1):
@@ -119,6 +114,7 @@ def test_criterion_10_finite_field_oracle():
                 for ph in range(1, (n - 1) // 2 + 1):
                     assert count_cut_stratum(p, n, 2 * ph, alpha) == \
                         f_circ(CutParams(n, ph, i))(p), (p, n, i, ph)
-    _verdict(10, "rank, isotropic and cut counts over F_2/F_3 (n <= 6, plus "
+    _verdict(10, "rank, isotropic (every dimension) and cut counts over "
+                 "F_2/F_3 (n <= 6, plus "
                  "the full n = 7 sweep over F_2) all match the symbolic "
                  "values, and rank strata partition projective space")

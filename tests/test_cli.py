@@ -317,16 +317,34 @@ class TestOracle:
         assert code == 2
         assert "k must satisfy 1 <= k" in err
 
-    def test_odd_isotropic_dimension_checked_before_counting(self, capsys,
-                                                             monkeypatch):
-        def no_count(*args, **kwargs):
-            raise AssertionError("counted before checking the dimension")
+    def test_odd_isotropic_dimension_match(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "isotropic", "--p", "3",
+                               "--n", "5", "--dim", "3", "--alpha-rank", "2")
+        assert code == 0
+        assert out == "count=157 symbolic=157 MATCH\n"
 
-        monkeypatch.setattr(fq_oracle, "count_isotropic", no_count)
-        code, _, err = run_cli(capsys, "oracle", "isotropic", "--p", "3",
-                               "--n", "9", "--dim", "3", "--alpha-rank", "2")
+    def test_isotropic_dimension_past_n_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "isotropic", "--p", "2",
+                                 "--n", "4", "--dim", "5", "--alpha-rank", "2")
         assert code == 2
-        assert "no symbolic counterpart for odd --dim" in err
+        assert out == ""
+        assert err == "error: need 0 <= dim_sub <= n, got 5\n"
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("argv", [
+        ("rank-stratum", "--n", "5", "--rank", "2"),
+        ("isotropic", "--n", "5", "--dim", "2", "--alpha-rank", "2"),
+        ("isotropic", "--n", "5", "--dim", "3", "--alpha-rank", "4"),
+        ("cut-stratum", "--n", "5", "--rank", "2", "--alpha-rank", "2"),
+    ])
+    def test_json_report_holds_plain_integers(self, capsys, p, argv):
+        code, out, _ = run_cli(capsys, "oracle", *argv, "--p", str(p),
+                               "--format", "json")
+        assert code == 0
+        [result] = json.loads(out)["results"]
+        assert type(result["count"]) is int
+        assert result["count"] == result["symbolic"]
+        assert result["passed"] is True
 
     def test_bad_prime_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "oracle", "rank-stratum", "--p", "4",

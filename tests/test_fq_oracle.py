@@ -13,7 +13,9 @@ import pfes
 from pfes import _kernels, efun, fq_oracle, qcore
 from pfes._kernels import digit_batches, kernel_dtype, rank
 from pfes.efun import RangeError, nondeg_skew_E, rank_stratum_E
-from pfes.identities import CutParams, f_circ, isotropic_E
+from pfes.identities import (
+    CutParams, f_circ, isotropic_E, isotropic_subspaces_E,
+)
 from pfes.qcore import gauss_binomial
 from pfes.fq_oracle import (
     SkewFormFp, TooLarge,
@@ -543,6 +545,16 @@ class TestIsotropicCounts:
         with pytest.raises(TooLarge):
             count_isotropic(2, 12, 6, SkewFormFp.standard(2, 12, 3))
 
+    def test_guard_names_the_exact_size_of_a_sweep(self, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(_kernels, "isotropic", no_sweep)
+        # [12, 6]_2 is far over the guard but short enough to print
+        with pytest.raises(TooLarge, match=r"needs 230674393235 candidates, "
+                                           r"guard is 16777216 "):
+            count_isotropic(2, 12, 6, SkewFormFp.standard(2, 12, 3))
+
     def test_guard_needs_no_gaussian_binomial_polynomial(self, monkeypatch):
         def no_polynomial(*args, **kwargs):
             raise AssertionError("built the Gaussian binomial polynomial")
@@ -595,13 +607,14 @@ class TestIsotropicCounts:
         assert count_isotropic(2, 4, 2, SkewFormFp.standard(2, 4, 1)) == \
             isotropic_E(1, 1, 4)(2) == 19
 
-    @pytest.mark.parametrize("p,n", [(2, 4), (2, 5), (3, 4), (3, 5)])
-    def test_matches_symbolic_on_even_dimensions(self, p, n):
-        for i in range(1, n // 2 + 1):
+    @pytest.mark.parametrize("p,n", [(2, 4), (2, 5), (2, 6), (2, 7), (3, 4),
+                                     (3, 5), (5, 4)])
+    def test_matches_symbolic_in_every_dimension(self, p, n):
+        for i in range(0, n // 2 + 1):
             alpha = SkewFormFp.standard(p, n, i)
-            for k in range(1, n // 2 + 1):
-                assert count_isotropic(p, n, 2 * k, alpha) == \
-                    isotropic_E(k, i, n)(p), (p, n, i, k)
+            for d in range(0, n + 1):
+                assert count_isotropic(p, n, d, alpha) == \
+                    isotropic_subspaces_E(d, i, n)(p), (p, n, i, d)
 
     @pytest.mark.parametrize("alpha_half_rank", [1, 2])
     def test_invariant_under_basis_change(self, alpha_half_rank):

@@ -11,7 +11,8 @@ from pfes import identities
 from pfes.efun import RangeError
 from pfes.identities import (
     CutParams, row,
-    dual_local_weight, f_circ, f_closed, isotropic_E, solve_newcor,
+    dual_local_weight, f_circ, f_closed, isotropic_E, isotropic_subspaces_E,
+    solve_newcor,
     verify_AC_BD, verify_hj, verify_newrec, verify_phi_reductions,
 )
 
@@ -40,6 +41,48 @@ class TestIsotropicE:
             isotropic_E(0, 1, 5)
         with pytest.raises(RangeError):
             isotropic_E(1, 3, 5)
+
+
+class TestIsotropicSubspacesE:
+    def test_even_dimensions_are_isotropic_E(self):
+        for n in range(2, 10):
+            for i in range(1, n // 2 + 1):
+                for k in range(1, n // 2 + 2):
+                    assert isotropic_subspaces_E(2 * k, i, n) == \
+                        isotropic_E(k, i, n), (n, i, k)
+
+    def test_zero_form_gives_the_grassmannian(self):
+        for n in range(0, 8):
+            for d in range(0, n + 2):
+                assert isotropic_subspaces_E(d, 0, n) == \
+                    gauss_binomial(n, d, 1), (n, d)
+
+    def test_every_line_and_the_origin_are_isotropic(self):
+        for n in range(2, 8):
+            for i in range(0, n // 2 + 1):
+                assert isotropic_subspaces_E(0, i, n) == ONE
+                assert isotropic_subspaces_E(1, i, n) == \
+                    gauss_binomial(n, 1, 1), (n, i)
+
+    def test_odd_dimension(self):
+        # a 3-space isotropic for a rank-2 form on 5-space is the 3-dim
+        # kernel, or meets it in one of [3, 2] planes and maps onto one of
+        # the [2, 1] lines of the quotient, through q lifts each
+        assert isotropic_subspaces_E(3, 1, 5) == (
+            gauss_binomial(3, 2, 1) * gauss_binomial(2, 1, 1)).shift(1) \
+            + ONE
+        assert isotropic_subspaces_E(3, 1, 5)(3) == 157
+
+    def test_no_isotropic_subspace_past_n_minus_i(self):
+        for n in range(2, 8):
+            for i in range(0, n // 2 + 1):
+                for d in range(n - i + 1, n + 3):
+                    assert isotropic_subspaces_E(d, i, n) == ZERO, (n, i, d)
+
+    def test_domain_validation(self):
+        for d, i, n in [(-1, 1, 5), (2, -1, 5), (2, 3, 5)]:
+            with pytest.raises(RangeError):
+                isotropic_subspaces_E(d, i, n)
 
 
 class TestFClosed:

@@ -5,10 +5,11 @@ import pytest
 
 from pfes import mirror
 from pfes.qcore import (
-    ONE, QPoly, ZERO, geometric_series, monomial, poly_exact_div, q_divide,
+    ONE, QPoly, ZERO, gauss_binomial, geometric_series, monomial,
+    poly_exact_div, q_divide,
 )
 from pfes.efun import (
-    RangeError, _rank_locus_weight, grassmannian_E, local_contribution,
+    RangeError, grassmannian_E, local_contribution,
     pf_stringy_rodland, projective_E, rank_stratum_E,
 )
 from pfes.identities import dual_local_weight, isotropic_E, row, solve_newcor
@@ -110,7 +111,7 @@ class TestMainMain:
     def test_far_strata_carry_weight_zero(self):
         # beyond i = (n-1)/2 - k the second summand vanishes on both routes,
         # leaving the i-independent first summand
-        first_only = geometric_series(7 * 2 - 1) * _rank_locus_weight(0, 2, 7)
+        first_only = geometric_series(7 * 2 - 1) * gauss_binomial(3, 2, 2)
         k_dual = 3 - 2
         for i in range(k_dual + 1, 4):
             assert dual_local_weight(2, i, 7) == ZERO
