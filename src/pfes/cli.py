@@ -10,8 +10,8 @@ The one configurable setting, the oracle's enumeration guard, is
 wall-clock timing (compute and verify print it to stderr), so two runs of
 the same command emit byte-identical reports.
 
-Only the oracle command loads `fq_oracle`, and numpy with it; compute and
-verify run on the symbolic layers alone.
+Only the oracle command loads `fq_oracle` (and numpy); compute and verify
+run on the symbolic layers alone.  `main` reuses one parser per process.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from . import __version__, suites
 from .qcore import QPoly, LowerParamPole, NotPolynomial, ZeroDenominator
@@ -189,6 +190,7 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pfes",

@@ -17,7 +17,7 @@ that module).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 
 from .qcore import (
     ZERO, QPoly, gauss_binomial, geometric_series, q_product, q_quotient,
@@ -64,6 +64,7 @@ def grassmannian_E(k: int, n: int) -> QPoly:
     return gauss_binomial(n, k, 1)
 
 
+@cache
 def nondeg_skew_E(i: int) -> QPoly:
     """E-polynomial of the nondegenerate skew forms on a 2i-dimensional
     space, up to scaling:
@@ -78,6 +79,7 @@ def nondeg_skew_E(i: int) -> QPoly:
     return (-1) ** (i - 1) * q_product(range(3, 2 * i, 2)).shift(i * (i - 1))
 
 
+@cache
 def rank_stratum_E(i: int, n: int) -> QPoly:
     """E-polynomial of the locus of skew forms of rank exactly 2i on
     n-space, up to scaling: a fibration over the Grassmannian of kernels."""
@@ -105,6 +107,7 @@ def local_contribution(p: int, k: int, n: int) -> QPoly:
     return gauss_binomial((n - 1) // 2 - p, k - p, 2)
 
 
+@cache
 def pf_stringy_closed(params: PfaffianParams) -> QPoly:
     """Stringy E-function of the rank <= 2k locus, closed product form:
     (q^(nk) - 1)/(q - 1) times the Gaussian binomial [(n-1)/2, k] in q^2."""
@@ -112,6 +115,7 @@ def pf_stringy_closed(params: PfaffianParams) -> QPoly:
     return geometric_series(n * k) * gauss_binomial((n - 1) // 2, k, 2)
 
 
+@cache
 def pf_stringy_recursive(params: PfaffianParams) -> QPoly:
     """Stringy E-function assembled stratum by stratum, as the sum over
     i = 1..k of the rank-2i stratum times its local weight; must agree with
@@ -138,11 +142,11 @@ def stringy_degree(n: int, k: int) -> int:
 
 def euler_characteristic(params: PfaffianParams) -> int:
     """Value of the stringy E-function at q = 1, as the exact limit
-    n*k * prod_{j=k+1}^{(n-1)/2} j/(j-k)."""
+    n*k * prod_{j=k+1}^{(n-1)/2} j/(j-k), the integer n*k*C(j, k) at each j."""
     n, k = params.n, params.k
-    value = Fraction(n * k)
+    value = n * k
     for j in range(k + 1, (n - 1) // 2 + 1):
-        value *= Fraction(j, j - k)
-    if value.denominator != 1:
-        raise RuntimeError(f"Euler characteristic {value} is not an integer")
-    return value.numerator
+        if value * j % (j - k):
+            raise RuntimeError(f"Euler characteristic is fractional at j={j}")
+        value = value * j // (j - k)
+    return value

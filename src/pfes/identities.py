@@ -18,12 +18,13 @@ cross-multiplication.  Points where a hypergeometric reduction degenerates
 Each value is computed once per key it depends on, with functools.cache,
 and a part that does not depend on i is cached apart, once per (k, n):
 isotropic_E (isotropic_subspaces_E at d = 2k, which the recursion reads),
-_cut_lhs_sum, _f_circ_dual and the triangular solve _newcor per (k, i, n);
-_closed_smooth, _f_circ_smooth, _newrec_smooth, _smooth_lhs_sum and the
-two smooth-part rows per (k, n); the recursion coefficients
-_recursion_terms per (k, n, start, stop).  f_closed and f_circ are not
-cached: each adds its cached smooth half to its i-dependent half.  Nor is
-isotropic_subspaces_E: past isotropic_E, only the oracle asks for it.
+dual_local_weight, _cut_lhs_sum, _f_circ_dual and the triangular solve
+_newcor per (k, i, n); _closed_smooth, _f_circ_smooth, _newrec_smooth,
+_smooth_rhs, _smooth_lhs_sum and the two smooth-part rows per (k, n); the
+recursion coefficients _recursion_terms per (k, n, start, stop).  f_closed
+and f_circ are not cached: each adds its cached smooth half to its
+i-dependent half.  Nor is isotropic_subspaces_E: past isotropic_E, only
+the oracle asks for it; nor _cut_rhs, one shift of isotropic_E.
 Values are immutable, and rows are never modified, so the memos are
 invisible in the results.
 """
@@ -90,6 +91,7 @@ def isotropic_E(k: int, i: int, n: int) -> QPoly:
     return isotropic_subspaces_E(2 * k, i, n)
 
 
+@cache
 def dual_local_weight(k: int, i: int, n: int) -> QPoly:
     """Stringy weight of the rank-2i stratum on the complementary-rank side,
     as it appears in the second summand of the closed cut formula; zero once
@@ -162,6 +164,7 @@ def _newrec_smooth(k: int, n: int) -> QPoly:
                 for p in range(1, k + 1)), ZERO)
 
 
+@cache
 def _smooth_rhs(k: int, n: int) -> QPoly:
     return geometric_series(2 * k * k - k - 1) * gauss_binomial(n, 2 * k, 1)
 

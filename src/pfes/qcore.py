@@ -129,8 +129,8 @@ class QPoly:
                 return _scaled(self, b[0] if b else 0)
             # Kronecker substitution: 2**(8*width) > 2 * max|a| * max|b| * terms
             terms = min(len(a) - a.count(0), len(b) - b.count(0))
-            width = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-                     + terms.bit_length()) // 8 + 1
+            width = (max(max(a), -min(a)).bit_length() + terms.bit_length()
+                     + max(max(b), -min(b)).bit_length()) // 8 + 1
             if width <= 8:  # an array item size
                 width = 1 << (width - 1).bit_length()
             return QPoly(_unpack(_pack(a, width) * _pack(b, width),
@@ -390,8 +390,9 @@ def gauss_binomial(m: int, r: int, base_exp: int = 1) -> QPoly:
     """Gaussian binomial coefficient in q**base_exp.
 
     Equals prod_{i<r}(1-q^{b(m-i)}) / prod_{i<r}(1-q^{b(i+1)}) for
-    0 <= r <= m and 0 otherwise.  Results are memoized; the cache is
-    semantically invisible (values are immutable).
+    0 <= r <= m and 0 otherwise.  Only base 1 with r <= m - r is built as
+    that quotient: [m, r] = [m, m - r], and base b spreads the coefficients
+    of base 1 b apart.  Each key is memoized (invisibly: values are immutable).
     """
     if base_exp < 1:
         raise ValueError("base_exp must be a positive integer")
@@ -401,9 +402,14 @@ def gauss_binomial(m: int, r: int, base_exp: int = 1) -> QPoly:
     cached = _GAUSS_CACHE.get(key)
     if cached is not None:
         return cached
-    value = q_quotient((base_exp * (m - i) for i in range(r)),
-                       (base_exp * (i + 1) for i in range(r)),
-                       f"Gaussian binomial (m={m}, r={r}, base_exp={base_exp})")
+    if base_exp == 1 and 2 * r <= m:
+        value = q_quotient(range(m - r + 1, m + 1), range(1, r + 1),
+                           f"Gaussian binomial (m={m}, r={r})")
+    else:
+        value = gauss_binomial(m, min(r, m - r), 1)
+        if base_exp > 1:
+            pad = (0,) * (base_exp - 1)
+            value = QPoly(x for c in value.coeffs for x in (c, *pad))
     _GAUSS_CACHE[key] = value
     return value
 

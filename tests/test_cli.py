@@ -211,6 +211,19 @@ class TestVerify:
         assert flagged == plain
 
 
+class TestOneParser:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_usage_error_leaves_the_next_report_unchanged(self, capsys):
+        _, before, _ = run_cli(capsys, "verify", "relg", "--format", "json")
+        code, out, _ = run_cli(capsys, "verify", "nosuch")
+        assert code == 2 and out == ""
+        code, after, _ = run_cli(capsys, "verify", "relg", "--format", "json")
+        assert code == 0
+        assert after == before
+
+
 def _verify_parser():
     (subparsers,) = [action for action in cli.build_parser()._actions
                      if isinstance(action, argparse._SubParsersAction)]

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from pfes import suites
+from pfes import qcore, suites
 from pfes.qcore import ONE, QPoly, ZERO, geometric_series, monomial, poly_exact_div, gauss_binomial
 from pfes.efun import (
     PfaffianParams, RangeError,
@@ -233,7 +233,7 @@ class TestStringy:
             assert pf_stringy_rodland(r).degree == 2 * r * r + r - 4
 
     def test_euler_characteristic_at_one(self):
-        for n in (5, 7, 9, 11, 13):
+        for n in range(5, 42, 2):
             for k in range(1, (n - 1) // 2 + 1):
                 params = PfaffianParams(n, k)
                 expected = n * k * math.comb((n - 1) // 2, k)
@@ -253,3 +253,45 @@ class TestStringy:
             PfaffianParams(7, 0)
         with pytest.raises(RangeError):
             PfaffianParams(7, 4)
+
+
+EFUN_MEMOS = (nondeg_skew_E, rank_stratum_E, pf_stringy_closed,
+              pf_stringy_recursive)
+
+
+def clear_efun_memos():
+    for memo in EFUN_MEMOS:
+        memo.cache_clear()
+    qcore._GAUSS_CACHE.clear()
+
+
+def efun_values(n):
+    strata = [rank_stratum_E(i, n) for i in range(1, (n - 1) // 2 + 1)]
+    stringy = [(pf_stringy_closed(PfaffianParams(n, k)),
+                pf_stringy_recursive(PfaffianParams(n, k)))
+               for k in range(1, (n - 1) // 2 + 1)]
+    return strata, stringy
+
+
+class TestEfunMemos:
+    @pytest.fixture(autouse=True)
+    def empty_memos(self):
+        clear_efun_memos()
+        yield
+        clear_efun_memos()
+
+    def test_memoized_values_match_fresh_computation(self):
+        # one pass fills the memos, so each larger n reads strata and
+        # skew-form counts cached at smaller ones
+        warm = {n: efun_values(n) for n in range(5, 14, 2)}
+        for n in warm:
+            clear_efun_memos()
+            assert efun_values(n) == warm[n], n
+
+    def test_each_key_is_computed_once(self):
+        for _ in range(2):
+            for n in range(5, 14, 2):
+                efun_values(n)
+        keys = sum((n - 1) // 2 for n in range(5, 14, 2))
+        assert [memo.cache_info().misses for memo in EFUN_MEMOS] == \
+            [6, keys, keys, keys]

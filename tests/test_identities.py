@@ -217,7 +217,8 @@ class TestSolveNewcorMemo:
 CUT_MEMOS = ("isotropic_E", "_cut_lhs_sum", "_smooth_lhs_sum",
              "_smooth_recursion_row", "_phi_smooth_row", "_closed_smooth",
              "_f_circ_smooth", "_f_circ_dual", "_newrec_smooth",
-             "_recursion_terms", "_newcor")
+             "_recursion_terms", "_newcor", "_smooth_rhs",
+             "dual_local_weight")
 
 SMALL_CUT_GRID = [CutParams(n, k, i) for n in (5, 7, 9, 11)
                   for k in range(1, (n - 1) // 2 + 1)
@@ -256,10 +257,11 @@ class TestCutMemos:
         pairs = {(params.k, params.n) for params in SMALL_CUT_GRID}
         misses = {name: getattr(identities, name).cache_info().misses
                   for name in CUT_MEMOS}
-        per_point = ("isotropic_E", "_cut_lhs_sum", "_f_circ_dual", "_newcor")
+        per_point = ("isotropic_E", "_cut_lhs_sum", "_f_circ_dual", "_newcor",
+                     "dual_local_weight")
         per_pair = ("_smooth_lhs_sum", "_smooth_recursion_row",
                     "_phi_smooth_row", "_closed_smooth", "_f_circ_smooth",
-                    "_newrec_smooth")
+                    "_newrec_smooth", "_smooth_rhs")
         assert misses == {
             **dict.fromkeys(per_point, len(SMALL_CUT_GRID)),
             **dict.fromkeys(per_pair, len(pairs)),

@@ -403,6 +403,71 @@ class TestGaussBinomial:
             assert total == (ONE if a == 0 else ZERO)
 
 
+GAUSS_KEYS = [(m, r, b) for m in range(0, 25) for r in range(-1, m + 2)
+              for b in (1, 2, 3)]
+
+
+def direct_gauss(m, r, b):
+    """The defining quotient, built afresh for every key."""
+    if r < 0:
+        return ZERO
+    return q_quotient([b * (m - i) for i in range(r)],
+                      [b * (i + 1) for i in range(r)], "")
+
+
+class TestGaussBinomialReuse:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        qcore._GAUSS_CACHE.clear()
+        yield
+        qcore._GAUSS_CACHE.clear()
+
+    def test_cold_and_warm_values_are_the_quotient(self):
+        for key in GAUSS_KEYS:
+            qcore._GAUSS_CACHE.clear()
+            assert gauss_binomial(*key) == direct_gauss(*key), key
+        for key in GAUSS_KEYS:
+            gauss_binomial(*key)
+        for key in GAUSS_KEYS:
+            assert gauss_binomial(*key) == direct_gauss(*key), key
+
+    @pytest.mark.parametrize("spread_first", [True, False])
+    def test_spread_and_mirror_in_either_order(self, spread_first):
+        for m in range(0, 25):
+            for r in range(0, m + 1):
+                qcore._GAUSS_CACHE.clear()
+                keys = [(m, r, 2), (m, m - r, 1)]
+                for key in keys if spread_first else keys[::-1]:
+                    assert gauss_binomial(*key) == direct_gauss(*key), key
+
+    def test_every_key_is_stored_over_its_base_one_shape(self):
+        for m, r, b in GAUSS_KEYS:
+            qcore._GAUSS_CACHE.clear()
+            gauss_binomial(m, r, b)
+            if 0 <= r <= m and (b > 1 or 2 * r > m):
+                assert (m, min(r, m - r), 1) in qcore._GAUSS_CACHE, (m, r, b)
+                assert (m, r, b) in qcore._GAUSS_CACHE, (m, r, b)
+
+    def test_mirror_is_the_same_value(self):
+        for m in range(0, 25):
+            for r in range(0, m + 1):
+                assert gauss_binomial(m, r, 1) is gauss_binomial(m, m - r, 1)
+
+    def test_only_base_one_shapes_are_built(self, monkeypatch):
+        built = []
+
+        def spy(tops, bottoms, context):
+            built.append(context)
+            return q_quotient(tops, bottoms, context)
+
+        monkeypatch.setattr(qcore, "q_quotient", spy)
+        for key in GAUSS_KEYS:
+            gauss_binomial(*key)
+        shapes = {(m, min(r, m - r)) for m, r, _ in GAUSS_KEYS if 0 <= r <= m}
+        assert sorted(built) == sorted(f"Gaussian binomial (m={m}, r={r})"
+                                       for m, r in shapes)
+
+
 def schoolbook_product(exponents):
     out = ONE
     for a in exponents:
