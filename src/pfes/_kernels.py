@@ -181,9 +181,11 @@ def _packed(lanes: np.ndarray, p: int) -> np.ndarray:
 
 
 def _popcount(bits: np.ndarray, size: int) -> int:
-    """Set bits among the first `size` of a packed uint8 array."""
-    return int(np.count_nonzero(np.unpackbits(bits, count=size,
-                                              bitorder="little")))
+    """Set bits among the first `size` of a packed uint8 array (bit t of
+    byte b is bit 8b + t): the whole bytes, then the low bits of the next."""
+    whole, rest = divmod(size, 8)
+    tail = int(bits[whole]) & (1 << rest) - 1 if rest else 0
+    return int(np.bitwise_count(bits[:whole]).sum()) + tail.bit_count()
 
 
 @lru_cache(maxsize=1)
@@ -263,7 +265,8 @@ def isotropic(p: int, n: int, d: int, form) -> int:
     """Number of d-dimensional subspaces of F_p^n on which the skew form with
     n x n matrix A = `form` vanishes: the reduced echelon bases x_0..x_{d-1}
     of every pivot pattern are enumerated, and a basis counts when every
-    Gram entry x_r^T A x_s (r < s) is 0 mod p.
+    Gram entry x_r^T A x_s (r < s) is 0 mod p.  Every d is swept: d = 0 has
+    one empty basis, and every line is isotropic.
 
     One digit table serves every pattern: `_word_batches` (p = 2) or
     `digit_batches` (odd p) over the widest pattern's free entries.  The
@@ -271,12 +274,12 @@ def isotropic(p: int, n: int, d: int, form) -> int:
     digits, and batch h holds bases h C .. (h+1) C - 1 of each pattern wider
     than its C columns.  The patterns with bases in table batch h are laid
     end to end, widest first, as (d, n, B) lanes: uint64 words, 64 bases to
-    a word, for p = 2, `kernel_dtype` digits for odd p.  They are swept
+    a word, for p = 2, `kernel_dtype` digits for odd p (int64 when no
+    pattern has a free entry).  They are swept
     `_WORDS` words or `_BATCH` bases at a time, rounded down to whole table
     batches (at least one), so no pattern straddles two sweep batches.  The
     bits past the 2^w bases of a narrow pattern in its one word are
     padding, kept out of the count."""
-    dtype = np.uint64 if p == 2 else kernel_dtype(p, n)
     a = np.array(form, np.int64) % p
     terms = [(u, c, int(a[u, c])) for u, c in zip(*np.nonzero(a))]
     # widest first: pattern P has d(n - d) - sum(P_r - r) free entries
@@ -294,10 +297,13 @@ def isotropic(p: int, n: int, d: int, form) -> int:
                     widths[j] += 1
     width = max(widths, default=0)  # no pattern when d > n
     if p == 2:
+        dtype = np.uint64
         tables, cap, one = _word_batches(width, _WORDS), _WORDS, ~np.uint64(0)
         sizes = [-(-2 ** w // 64) for w in widths]
         pad = [(1 << 64) - (1 << 2 ** w) if w < 6 else 0 for w in widths]
     else:
+        # no free entry (d = 0 or n): entries 0 and 1, sums below n p
+        dtype = kernel_dtype(p, n) if width else np.int64
         tables, cap, one = digit_batches(p, width, _BATCH, dtype), _BATCH, 1
         sizes, pad = [p ** w for w in widths], [0] * len(widths)
     pad = np.array(pad, dtype)

@@ -4,7 +4,8 @@ Every polynomial-count stratum handled by the symbolic layer has a
 counting counterpart here: rank strata of skew forms, isotropic subspaces
 of a fixed form, and rank strata of a hyperplane cut.  Evaluating the
 symbolic E-polynomial at q = p must reproduce these counts exactly, which
-gives an implementation-independent check of every formula.
+gives an implementation-independent check of every formula; so every
+count is a sweep, the origin and the lines of count_isotropic included.
 
 Full sweeps respect a hard enumeration guard (default 2^24 candidate
 forms or subspaces, overridable by a max_enum argument, which the CLI's
@@ -47,7 +48,8 @@ DEFAULT_MAX_ENUM = 1 << 24
 _DECIMAL_BITS = 14_284
 
 # Below 2^31, (p-1)^2 (n-1), the bound of the kernels' sums, fits int64
-# whenever n <= 3; where it does not, a sweep has over 2^120 candidates.
+# whenever n <= 3; where it does not, a census or a d-subspace sweep with
+# 0 < d < n has over 2^90 candidates, and d = 0 or n holds only 0s and 1s.
 _PRIME_BOUND = 1 << 31
 
 
@@ -250,7 +252,8 @@ def _subspaces(p: int, n: int, d: int) -> int:
 def count_isotropic(p: int, n: int, dim_sub: int, alpha: SkewFormFp,
                     max_enum: int | None = None) -> int:
     """Number of dim_sub-dimensional subspaces of F_p^n on which alpha
-    restricts to zero, by sweeping canonical echelon bases."""
+    restricts to zero, by sweeping canonical echelon bases, for every
+    dim_sub, 0 and 1 included."""
     _require_prime(p)
     _require(0 <= dim_sub <= n, f"need 0 <= dim_sub <= n, got {dim_sub}")
     _require(alpha.p == p and alpha.n == n,
@@ -259,9 +262,6 @@ def count_isotropic(p: int, n: int, dim_sub: int, alpha: SkewFormFp,
     _sweep_guard(f"sweep of {dim_sub}-subspaces of F_{p}^{n}",
                  (p.bit_length() - 1) * dim_sub * (n - dim_sub),
                  lambda: _subspaces(p, n, dim_sub), max_enum)
-    if dim_sub < 2:
-        # a line (or the origin) is isotropic for any skew form
-        return _subspaces(p, n, dim_sub)
     return _kernels.isotropic(p, n, dim_sub, alpha.matrix())
 
 

@@ -13,6 +13,10 @@ the actual local weight of the corank-4 locus is not a polynomial, while
 the weight the stratified count would need corresponds to a smaller
 discrepancy.
 
+The `fiber` suite checks the closed fibers of the hyperplane cut against
+the isotropic cell sum isotropic_subspaces_E; main_coefficient_check reads
+the classical stringy value against the stratum sum pf_stringy_recursive.
+
 Each check returns its report row (identities.row), comparing quotients of
 QPolys by cross-multiplication.
 """
@@ -24,7 +28,8 @@ from .qcore import (
     q_quotient,
 )
 from .efun import (
-    _require, grassmannian_E, local_contribution, pf_stringy_rodland,
+    PfaffianParams, _require, grassmannian_E, local_contribution,
+    pf_stringy_recursive, pf_stringy_rodland,
 )
 from .identities import _closed_smooth, dual_local_weight, row, solve_newcor
 
@@ -49,14 +54,13 @@ def even_fiber_E(k: int, n: int) -> QPoly:
 
 
 def main_coefficient_check(k: int) -> dict:
-    """The coefficient identity behind the classical mirror comparison:
-    dividing the closed stringy value by (q^(2k^2-k-1)-1)/(q-1) leaves
-    exactly the weight (q^2k-1)/(q^2-1) that the cut bookkeeping assigns to
-    the corank-(2k+1) stratum."""
+    """The classical mirror comparison at n = 2k+1: the closed value
+    ((q^2k-1)/(q^2-1)) (q^(2k^2-k-1)-1)/(q-1) of the corank >= 3 slice,
+    which carries the corank-(2k+1) stratum weight (q^2k-1)/(q^2-1), equals
+    the rank <= 2k-2 locus summed stratum by stratum."""
     _require(k >= 2, f"need k >= 2, got {k}")
-    return row(f"main-coefficient({k})",
-               pf_stringy_rodland(k) * (monomial(1) - 1)
-               == geometric_series(k, 2) * (monomial(2 * k * k - k - 1) - 1))
+    return row(f"main-coefficient({k})", pf_stringy_rodland(k)
+               == pf_stringy_recursive(PfaffianParams(2 * k + 1, k - 1)))
 
 
 def main_main_check(n: int, k: int) -> dict:

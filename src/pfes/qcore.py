@@ -258,33 +258,6 @@ def geometric_series(m: int, base_exp: int = 1) -> QPoly:
     return QPoly(([1] + [0] * (base_exp - 1)) * m)
 
 
-def poly_exact_div(num: QPoly, den: QPoly) -> QPoly:
-    """Exact quotient num/den in Z[q]; raises NotPolynomial otherwise."""
-    if den.is_zero:
-        raise ZeroDenominator("division by the zero polynomial")
-    if num.is_zero:
-        return ZERO
-    if num.degree < den.degree:
-        raise NotPolynomial(num, den)
-    rem = list(num.coeffs)
-    dd = den.degree
-    dlc = den.coeffs[-1]
-    quo = [0] * (num.degree - dd + 1)
-    for i in range(num.degree - dd, -1, -1):
-        c = rem[i + dd]
-        if c == 0:
-            continue
-        head, tail = divmod(c, dlc)
-        if tail:
-            raise NotPolynomial(num, den)
-        quo[i] = head
-        for j, dc in enumerate(den.coeffs):
-            rem[i + j] -= head * dc
-    if any(rem):
-        raise NotPolynomial(num, den)
-    return QPoly(quo)
-
-
 def q_product(exponents: Iterable[int]) -> QPoly:
     """Product of the factors (1 - q**a) over the exponents a; ONE for none."""
     exponents = list(exponents)

@@ -17,10 +17,13 @@ from .efun import (
     projective_E, stringy_degree,
 )
 from .identities import (
-    CutParams, f_closed, row, solve_newcor,
+    CutParams, f_closed, isotropic_subspaces_E, row, solve_newcor,
     verify_AC_BD, verify_hj, verify_newrec, verify_phi_reductions,
 )
-from .mirror import even_anomaly_check, main_coefficient_check, main_main_check
+from .mirror import (
+    even_anomaly_check, even_fiber_E, fiber_E_odd, main_coefficient_check,
+    main_main_check,
+)
 
 
 def _odd_range(max_n: int) -> range:
@@ -145,6 +148,16 @@ def even_anomaly():
     yield even_anomaly_check()
 
 
+def fiber(*, max_n=17):
+    # the fiber over a form of corank 2k+1 (odd n) or 2k (even n) is the
+    # planes isotropic for it, a form of half-rank n // 2 - k
+    for n in range(3, max_n + 1):
+        fiber_E = fiber_E_odd if n % 2 else even_fiber_E
+        for k in range(n // 2 + 1):
+            yield row(f"fiber(k={k},n={n})", fiber_E(k, n)
+                      == isotropic_subspaces_E(2, n // 2 - k, n))
+
+
 SUITES = {
     "relg": relg,
     "oddeven": oddeven,
@@ -160,4 +173,5 @@ SUITES = {
     "main-coeff": main_coeff,
     "main-main": main_main,
     "even-anomaly": even_anomaly,
+    "fiber": fiber,
 }

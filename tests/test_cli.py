@@ -153,7 +153,7 @@ class TestVerify:
                                "--max-n", "21")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "cfbbae3c29ee07416fdcedb956c6f1e3697a1248e4bec29eb9ef30e1051b6d3c")
+            "b80154686df6e27d9d0c78cd034bd7a7309cad1ff4c74cd145325530266cc852")
 
     def test_json_report_is_untimed(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "oddeven", "--max-r", "3",
@@ -250,6 +250,7 @@ class TestRegistry:
             "hj": {"max_b": 8}, "ac-bd": {"max_n": 11},
             "phi": {"max_n": 11}, "main-coeff": {"max_k": 10},
             "main-main": {"max_n": 13}, "even-anomaly": {},
+            "fiber": {"max_n": 17},
         }
 
     def test_suite_choices_are_the_registry(self):
@@ -335,6 +336,14 @@ class TestOracle:
                                "--n", "5", "--dim", "3", "--alpha-rank", "2")
         assert code == 0
         assert out == "count=157 symbolic=157 MATCH\n"
+
+    @pytest.mark.parametrize("dim, count", [(0, 1), (4, 0)])
+    def test_one_subspace_at_the_largest_prime(self, capsys, dim, count):
+        code, out, _ = run_cli(capsys, "oracle", "isotropic",
+                               "--p", "2147483647", "--n", "4",
+                               "--dim", str(dim), "--alpha-rank", "2")
+        assert code == 0
+        assert out == f"count={count} symbolic={count} MATCH\n"
 
     def test_isotropic_dimension_past_n_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "oracle", "isotropic", "--p", "2",

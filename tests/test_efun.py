@@ -6,13 +6,14 @@ import math
 import pytest
 
 from pfes import qcore, suites
-from pfes.qcore import ONE, QPoly, ZERO, geometric_series, monomial, poly_exact_div, gauss_binomial
+from pfes.qcore import ONE, QPoly, ZERO, geometric_series, monomial, gauss_binomial
 from pfes.efun import (
     PfaffianParams, RangeError,
     discrepancy, euler_characteristic, grassmannian_E, local_contribution,
     nondeg_skew_E, pf_stringy_closed, pf_stringy_recursive, pf_stringy_rodland,
     projective_E, rank_stratum_E, stringy_degree,
 )
+from test_qcore import poly_exact_div
 
 
 class TestProjective:

@@ -270,6 +270,16 @@ class TestTally:
             assert (got == bincount_tally(p, n, alpha)).all(), alpha
 
 
+class TestPopcount:
+    def test_matches_unpacked_bits(self):
+        bits = np.random.default_rng(130).integers(0, 256, 17, np.uint8)
+        for size in range(131):
+            want = int(np.unpackbits(bits, count=size, bitorder="little").sum())
+            assert _kernels._popcount(bits, size) == want, size
+            # the same count when no byte follows the last partial one
+            assert _kernels._popcount(bits[:-(-size // 8)], size) == want, size
+
+
 def forms_as_digits(forms):
     """(m, B) digit rows of a list of forms on the same F_p^n."""
     return np.array([form.entries for form in forms], np.int64).T
@@ -581,6 +591,40 @@ class TestIsotropicCounts:
                                            r"guard is 100000 "):
             count_isotropic(2, 8, 4, SkewFormFp.standard(2, 8, 2),
                             max_enum=10 ** 5)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_every_dimension_is_swept(self, monkeypatch, p):
+        swept, sweep = [], _kernels.isotropic
+
+        def recorded(p, n, d, form):
+            swept.append(d)
+            return sweep(p, n, d, form)
+
+        monkeypatch.setattr(_kernels, "isotropic", recorded)
+        for d in range(5):
+            count_isotropic(p, 4, d, SkewFormFp.standard(p, 4, 1))
+        assert swept == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (2, 4), (2, 7), (3, 1), (3, 3),
+                                     (3, 5), (5, 2), (5, 4), (131, 3)])
+    def test_origin_and_lines_are_counted(self, p, n):
+        rng = random.Random(53 * p + n)
+        alpha = SkewFormFp.standard(p, n, n // 2).conjugated(
+            random_invertible(p, n, rng))
+        for d in (0, 1):
+            assert _kernels.isotropic(p, n, d, alpha.matrix()) == \
+                gauss_binomial(n, d, 1)(p), d
+
+    def test_one_subspace_sweeps_at_any_prime(self):
+        # no free entry: the sums stay small even where (p-1)^2 (n-1) does
+        # not fit int64
+        p = 2 ** 31 - 1
+        with pytest.raises(OverflowError):
+            kernel_dtype(p, 4)
+        for i, want in [(0, 1), (1, 0), (2, 0)]:
+            form = SkewFormFp.standard(p, 4, i).matrix()
+            assert _kernels.isotropic(p, 4, 0, form) == 1
+            assert _kernels.isotropic(p, 4, 4, form) == want, i
 
     @pytest.mark.parametrize("p", [2, 3, 131])
     def test_subspace_count_is_the_gaussian_binomial(self, p):

@@ -3,10 +3,9 @@ fiber E-polynomials, and the even-dimensional anomaly."""
 
 import pytest
 
-from pfes import mirror
+from pfes import efun, mirror, suites
 from pfes.qcore import (
-    ONE, QPoly, ZERO, gauss_binomial, geometric_series, monomial,
-    poly_exact_div, q_divide,
+    ONE, QPoly, ZERO, gauss_binomial, geometric_series, monomial, q_divide,
 )
 from pfes.efun import (
     RangeError, grassmannian_E, local_contribution,
@@ -17,6 +16,7 @@ from pfes.mirror import (
     even_anomaly_check, even_fiber_E, fiber_E_odd, main_coefficient_check,
     main_main_check,
 )
+from test_qcore import poly_exact_div
 
 
 class TestFiberOdd:
@@ -90,6 +90,53 @@ class TestMainCoefficient:
             assert main_coefficient_check(k)["passed"]
         with pytest.raises(RangeError):
             main_coefficient_check(1)
+
+
+class TestMainCoefficientRoute:
+    # each row reads the closed value against the stratum sum at n = 2k+1
+    @pytest.fixture
+    def cold_strata(self):
+        efun.pf_stringy_recursive.cache_clear()
+        yield
+        efun.pf_stringy_recursive.cache_clear()
+
+    def test_stratum_weights_in_base_q_fail(self, monkeypatch, cold_strata):
+        # local weights as Gaussian binomials in q, not q^2: every row fails
+        # but k = 2, whose one stratum has weight 1 in either base
+        monkeypatch.setattr(efun, "local_contribution",
+                            lambda p, k, n: gauss_binomial((n - 1) // 2 - p,
+                                                           k - p, 1))
+        assert [r["passed"] for r in suites.main_coeff()] == [True] + [False] * 8
+
+
+def shifted_fiber(fiber, shift):
+    """`fiber` with its first summand, geometric_series(k, 2), shifted by
+    shift(n) - 1 in place of shift(n)."""
+    def mutant(k, n):
+        first = geometric_series(k, 2)
+        return fiber(k, n) - first.shift(shift(n)) + first.shift(shift(n) - 1)
+    return mutant
+
+
+class TestFiberSuite:
+    def test_rows_cover_every_corank(self):
+        rows = list(suites.fiber())
+        assert [r["name"] for r in rows] == [
+            f"fiber(k={k},n={n})" for n in range(3, 18)
+            for k in range(n // 2 + 1)]
+        assert all(r["passed"] for r in rows)
+
+    @pytest.mark.parametrize("name, fiber, shift, parity", [
+        ("fiber_E_odd", fiber_E_odd, lambda n: n - 1, 1),
+        ("even_fiber_E", even_fiber_E, lambda n: n - 2, 0),
+    ])
+    def test_shifted_closed_fiber_fails(self, monkeypatch, name, fiber, shift,
+                                        parity):
+        # k = 0 has no kernel stratum, so only the rows with k >= 1 fail
+        monkeypatch.setattr(suites, name, shifted_fiber(fiber, shift))
+        failed = [r["name"] for r in suites.fiber(max_n=11) if not r["passed"]]
+        assert failed == [f"fiber(k={k},n={n})" for n in range(3, 12)
+                          if n % 2 == parity for k in range(1, n // 2 + 1)]
 
 
 class TestMainMain:

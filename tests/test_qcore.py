@@ -16,8 +16,37 @@ from pfes.qcore import (
     LowerParamPole, NotPolynomial, ZeroDenominator,
     _factors,
     gauss_binomial, geometric_series, monomial, neg_qpow, phi_eval,
-    poly_exact_div, q_divide, q_product, q_quotient, qpow,
+    q_divide, q_product, q_quotient, qpow,
 )
+
+
+def poly_exact_div(num: QPoly, den: QPoly) -> QPoly:
+    """Exact quotient num/den in Z[q] by schoolbook long division; raises
+    NotPolynomial otherwise.  The reference for q_divide and q_quotient,
+    which the other test modules import from here."""
+    if den.is_zero:
+        raise ZeroDenominator("division by the zero polynomial")
+    if num.is_zero:
+        return ZERO
+    if num.degree < den.degree:
+        raise NotPolynomial(num, den)
+    rem = list(num.coeffs)
+    dd = den.degree
+    dlc = den.coeffs[-1]
+    quo = [0] * (num.degree - dd + 1)
+    for i in range(num.degree - dd, -1, -1):
+        c = rem[i + dd]
+        if c == 0:
+            continue
+        head, tail = divmod(c, dlc)
+        if tail:
+            raise NotPolynomial(num, den)
+        quo[i] = head
+        for j, dc in enumerate(den.coeffs):
+            rem[i + j] -= head * dc
+    if any(rem):
+        raise NotPolynomial(num, den)
+    return QPoly(quo)
 
 
 def gauss_binomial_by_partitions(m, r, b):

@@ -3,11 +3,12 @@
 Library invariants raise explicit errors: `python -O` strips `assert`
 statements, so none may appear in the package source.  No module imports a
 name it never uses; `__init__.py` is exempt, since its imports are the
-package's exports.  Exact division by products of (1 - q^a) stays inside
-`qcore`: no other module names the general `poly_exact_div`.  Memos are
-functools caches on the functions they memoize: no module binds an empty
-dict at module level, except `qcore._GAUSS_CACHE`, which the benchmark's
-tracer reads to count Gaussian-binomial misses.  Settings come from
+package's exports.  Exact division by products of (1 - q^a) is
+`qcore.q_divide`; the general long division `poly_exact_div` is only the
+tests' reference for it, so no package module defines or names it.  Memos
+are functools caches on the functions they memoize: no module binds an
+empty dict at module level, except `qcore._GAUSS_CACHE`, which the
+benchmark's tracer reads to count Gaussian-binomial misses.  Settings come from
 arguments and flags only: no module reads `os.environ` or `os.getenv`.
 numpy serves the finite-field oracle only: no module but `_kernels` and
 `fq_oracle` imports it, and the package loads `fq_oracle` on first use.
@@ -53,8 +54,6 @@ def test_no_unused_imports_in_library():
 def test_general_division_only_in_qcore():
     found = []
     for path in SOURCES:
-        if path.name == "qcore.py":
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             name = (getattr(node, "id", None) or getattr(node, "attr", None)
