@@ -89,12 +89,10 @@ _COMPUTE = {
 
 def cmd_compute(args) -> int:
     names, function = _COMPUTE[args.target]
-    params = {}
-    for name in names:
-        value = getattr(args, name)
+    params = {name: getattr(args, name) for name in names}
+    for name, value in params.items():
         if value is None:
             raise RangeError(f"compute {args.target} requires --{name}")
-        params[name] = value
     start = time.perf_counter()
     value = function(*params.values())
     elapsed_ms = int((time.perf_counter() - start) * 1000)
@@ -158,12 +156,14 @@ def cmd_oracle(args) -> int:
     if args.target == "rank-stratum":
         params = {"p": p, "n": n, "rank": args.rank}
         count = fq_oracle.count_rank_stratum(p, n, args.rank, args.max_enum)
-        symbolic = (0 if args.rank == 0
-                    else rank_stratum_E(args.rank // 2, n)(p))
+        symbolic = 0 if args.rank == 0 else rank_stratum_E(args.rank // 2, n)(p)
     elif args.target == "isotropic":
         params = {"p": p, "n": n, "dim": args.dim, "alpha_rank": args.alpha_rank}
         if args.alpha_rank % 2:
             raise RangeError("--alpha-rank must be even")
+        # refuse an oversized sweep before its O(n^2) form is built
+        fq_oracle.SkewFormFp.check_standard(n, args.alpha_rank // 2)
+        fq_oracle.subspace_guard(p, n, args.dim, args.max_enum)
         alpha = fq_oracle.SkewFormFp.standard(p, n, args.alpha_rank // 2)
         count = fq_oracle.count_isotropic(p, n, args.dim, alpha, args.max_enum)
         symbolic = isotropic_subspaces_E(args.dim, args.alpha_rank // 2, n)(p)
@@ -172,6 +172,7 @@ def cmd_oracle(args) -> int:
         if args.alpha_rank % 2 or args.alpha_rank < 2:
             raise RangeError("--alpha-rank must be even and positive")
         cut = CutParams(n, args.rank // 2, args.alpha_rank // 2)
+        fq_oracle.census_guard(p, n, args.rank, args.max_enum)
         alpha = fq_oracle.SkewFormFp.standard(p, n, args.alpha_rank // 2)
         count = fq_oracle.count_cut_stratum(p, n, args.rank, alpha, args.max_enum)
         symbolic = f_circ(cut)(p)
@@ -190,6 +191,11 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _int_flags(parser, names) -> None:
+    for name in sorted(names):  # --max-n sets max_n, None when not given
+        parser.add_argument("--" + name.replace("_", "-"), type=int)
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -201,18 +207,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     comp = sub.add_parser("compute", help="print one exact value")
     comp.add_argument("target", choices=sorted(_COMPUTE))
-    for flag in ("n", "k", "i", "j", "p"):
-        comp.add_argument(f"--{flag}", type=int, default=None)
+    _int_flags(comp, {name for names, _ in _COMPUTE.values() for name in names})
     comp.add_argument("--format", choices=("plain", "latex", "json"),
                       default="plain")
     comp.set_defaults(handler=cmd_compute)
 
     ver = sub.add_parser("verify", help="run an identity suite over its grid")
     ver.add_argument("suite", choices=sorted(suites.SUITES) + ["all"])
-    ver.add_argument("--max-n", dest="max_n", type=int, default=None)
-    ver.add_argument("--max-r", dest="max_r", type=int, default=None)
-    ver.add_argument("--max-b", dest="max_b", type=int, default=None)
-    ver.add_argument("--max-k", dest="max_k", type=int, default=None)
+    _int_flags(ver, {bound for run in suites.SUITES.values()
+                     for bound in run.__kwdefaults__ or {}})
     ver.add_argument("--format", choices=("plain", "json"), default="plain")
     ver.set_defaults(handler=cmd_verify)
 
@@ -224,8 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--rank", type=int, default=0)
     orc.add_argument("--dim", type=int, default=0)
     orc.add_argument("--alpha-rank", dest="alpha_rank", type=int, default=0)
-    orc.add_argument("--max-enum", dest="max_enum", type=int, default=None,
-                     help="override the enumeration guard")
+    orc.add_argument("--max-enum", type=int, help="override the enumeration guard")
     orc.add_argument("--format", choices=("plain", "json"), default="plain")
     orc.set_defaults(handler=cmd_oracle)
 

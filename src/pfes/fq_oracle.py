@@ -14,20 +14,20 @@ TooLarge rather than truncating silently.  One rule serves the census of
 p^m forms and the sweep of [n, d]_p subspaces: a sweep whose lower bound
 2^b, b = (bitlen(p) - 1) m or (bitlen(p) - 1) d(n - d), is too long to
 print in decimal is held against 2^b first, and named "at least 2^b",
-before its exact size or any form is built; any other sweep is held
-against, and named by, its exact size, an integer product at q = p, not a
-Gaussian binomial polynomial.  The guard runs on every call, ahead of the
-census memo `_census_counts`, a functools.cache keyed by (p, n, alpha).
-It also bounds memory: the numpy kernels in
-`_kernels` keep n // 2 bits per form of the last (p, n) swept, and sweep
-subspaces through batches of at most 2^12 words (p = 2) or max(2^16, p)
-bases (odd p), whatever the number of pivot patterns.  TooLarge is defined
-in `efun`, next to RangeError, so the CLI catches it without loading this
-module; it is re-exported here.
+before its exact size is computed; any other sweep is held against, and
+named by, its exact size, an integer product at q = p, not a Gaussian
+binomial polynomial.  census_guard and subspace_guard check a count's
+parameters and run the guard: every count runs one first, ahead of the
+census memo `_census_counts`, a functools.cache keyed by (p, n, alpha),
+and the CLI runs one before it builds alpha.  The guard also bounds
+memory: the numpy kernels in `_kernels` keep n // 2 bits per form of the
+last (p, n) swept, and sweep subspaces through batches of at most 2^12
+words (p = 2) or max(2^16, p) bases (odd p), whatever the number of pivot
+patterns.  TooLarge is defined in `efun`, next to RangeError, so the CLI
+catches it without loading this module; it is re-exported here.
 
-This module and `_kernels` are the only ones that import numpy.  The
-package loads this one on first use, so the symbolic commands never load
-numpy.
+Only `_kernels` imports numpy, and the package loads this module, and with
+it `_kernels`, on first use: the symbolic commands never load numpy.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import isqrt
-
-import numpy as np
 
 from .efun import TooLarge, _require
 from . import _kernels
@@ -111,10 +109,14 @@ class SkewFormFp:
     def zero(cls, p: int, n: int) -> "SkewFormFp":
         return cls(p, n, (0,) * (n * (n - 1) // 2))
 
+    @staticmethod
+    def check_standard(n: int, i: int):
+        _require(0 <= 2 * i <= n, f"need 0 <= 2i <= n, got i={i}, n={n}")
+
     @classmethod
     def standard(cls, p: int, n: int, i: int) -> "SkewFormFp":
         """Block form e_0^e_1 + e_2^e_3 + ... of rank 2i."""
-        _require(0 <= 2 * i <= n, f"need 0 <= 2i <= n, got i={i}, n={n}")
+        cls.check_standard(n, i)
         entries = [0] * (n * (n - 1) // 2)
         index = {rc: e for e, rc in enumerate(pair_index(n))}
         for t in range(i):
@@ -185,9 +187,13 @@ def pairing(w: SkewFormFp, alpha: SkewFormFp) -> int:
     return sum(a * b for a, b in zip(w.entries, alpha.entries)) % w.p
 
 
-def _census_guard(p: int, n: int, max_enum):
-    """Hold the sweep of all p^m >= 2^((bitlen(p) - 1) m) skew forms on
-    F_p^n against the guard."""
+def census_guard(p: int, n: int, rank: int, max_enum: int | None):
+    """Check the parameters of a rank-`rank` count on F_p^n, then hold the
+    sweep of all p^m >= 2^((bitlen(p) - 1) m) skew forms against the guard."""
+    _require_prime(p)
+    _require(n >= 1, f"need n >= 1, got {n}")
+    _require(rank % 2 == 0 and 0 <= rank <= n,
+             f"rank must be even with 0 <= rank <= n, got {rank}")
     m = n * (n - 1) // 2
     _sweep_guard(f"sweep of all skew forms on F_{p}^{n}",
                  (p.bit_length() - 1) * m, lambda: _forms(p, m), max_enum)
@@ -199,7 +205,7 @@ def _forms(p: int, m: int) -> int:
 
 
 @cache
-def _census_counts(p: int, n: int, alpha: tuple[int, ...]) -> np.ndarray:
+def _census_counts(p: int, n: int, alpha: tuple[int, ...]):
     return _kernels.census(p, n, alpha)
 
 
@@ -217,11 +223,7 @@ def count_rank_stratum(p: int, n: int, rank: int,
                        max_enum: int | None = None) -> int:
     """Number of rank-`rank` points of the projectivized space of skew forms
     on F_p^n (nonzero forms up to scaling)."""
-    _require_prime(p)
-    _require(n >= 1, f"need n >= 1, got {n}")
-    _require(rank % 2 == 0 and 0 <= rank <= n,
-             f"rank must be even with 0 <= rank <= n, got {rank}")
-    _census_guard(p, n, max_enum)
+    census_guard(p, n, rank, max_enum)
     census = _census_counts(p, n, SkewFormFp.zero(p, n).entries)
     return _projective_points(int(census[rank].sum()), p, rank)
 
@@ -229,12 +231,9 @@ def count_rank_stratum(p: int, n: int, rank: int,
 def count_cut_stratum(p: int, n: int, rank_w: int, alpha: SkewFormFp,
                       max_enum: int | None = None) -> int:
     """Number of projectivized rank-`rank_w` forms w with <w, alpha> = 0."""
-    _require_prime(p)
+    census_guard(p, n, rank_w, max_enum)
     _require(alpha.p == p and alpha.n == n,
              f"got alpha over F_{alpha.p}^{alpha.n}, need F_{p}^{n}")
-    _require(rank_w % 2 == 0 and 0 <= rank_w <= n,
-             f"rank must be even with 0 <= rank <= n, got {rank_w}")
-    _census_guard(p, n, max_enum)
     census = _census_counts(p, n, alpha.entries)
     return _projective_points(int(census[rank_w, 1]), p, rank_w)
 
@@ -249,19 +248,25 @@ def _subspaces(p: int, n: int, d: int) -> int:
     return count
 
 
+def subspace_guard(p: int, n: int, d: int, max_enum: int | None):
+    """Check the parameters of a d-subspace count on F_p^n, then hold the sweep
+    of all [n, d]_p >= 2^((bitlen(p) - 1) d(n-d)) of them against the guard."""
+    _require_prime(p)
+    _require(n >= 1, f"need n >= 1, got {n}")
+    _require(0 <= d <= n, f"need 0 <= dim_sub <= n, got {d}")
+    _sweep_guard(f"sweep of {d}-subspaces of F_{p}^{n}",
+                 (p.bit_length() - 1) * d * (n - d),
+                 lambda: _subspaces(p, n, d), max_enum)
+
+
 def count_isotropic(p: int, n: int, dim_sub: int, alpha: SkewFormFp,
                     max_enum: int | None = None) -> int:
     """Number of dim_sub-dimensional subspaces of F_p^n on which alpha
     restricts to zero, by sweeping canonical echelon bases, for every
     dim_sub, 0 and 1 included."""
-    _require_prime(p)
-    _require(0 <= dim_sub <= n, f"need 0 <= dim_sub <= n, got {dim_sub}")
+    subspace_guard(p, n, dim_sub, max_enum)
     _require(alpha.p == p and alpha.n == n,
              f"got alpha over F_{alpha.p}^{alpha.n}, need F_{p}^{n}")
-    # [n, d]_p >= p^(d(n-d)) >= 2^((bitlen(p) - 1) d(n-d))
-    _sweep_guard(f"sweep of {dim_sub}-subspaces of F_{p}^{n}",
-                 (p.bit_length() - 1) * dim_sub * (n - dim_sub),
-                 lambda: _subspaces(p, n, dim_sub), max_enum)
     return _kernels.isotropic(p, n, dim_sub, alpha.matrix())
 
 

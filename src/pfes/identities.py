@@ -17,16 +17,14 @@ cross-multiplication.  Points where a hypergeometric reduction degenerates
 
 Each value is computed once per key it depends on, with functools.cache,
 and a part that does not depend on i is cached apart, once per (k, n):
-isotropic_E (isotropic_subspaces_E at d = 2k, which the recursion reads),
-dual_local_weight, _cut_lhs_sum, _f_circ_dual and the triangular solve
-_newcor per (k, i, n); _closed_smooth, _f_circ_smooth, _newrec_smooth,
-_smooth_rhs, _smooth_lhs_sum and the two smooth-part rows per (k, n); the
-recursion coefficients _recursion_terms per (k, n, start, stop).  f_closed
-and f_circ are not cached: each adds its cached smooth half to its
-i-dependent half.  Nor is isotropic_subspaces_E: past isotropic_E, only
-the oracle asks for it; nor _cut_rhs, one shift of isotropic_E.
-Values are immutable, and rows are never modified, so the memos are
-invisible in the results.
+isotropic_subspaces_E per (d, i, n), shared by the recursion (d = 2k) and
+the fiber suite (d = 2); dual_local_weight, _cut_lhs_sum, _f_circ_dual and
+the triangular solve _newcor per (k, i, n); _closed_smooth,
+_f_circ_smooth, _newrec_smooth, _smooth_rhs, _smooth_lhs_sum and the two
+smooth-part rows per (k, n); _recursion_terms per (k, n, start, stop).
+f_closed, f_circ, isotropic_E and _cut_rhs are sums, checks and shifts of
+these memos, and are not cached.  Values are immutable and rows are never
+modified, so the memos are invisible in the results.
 """
 
 from __future__ import annotations
@@ -61,6 +59,7 @@ def row(name: str, passed: bool, skipped: bool = False, note: str = "") -> dict:
             "note": note}
 
 
+@cache
 def isotropic_subspaces_E(d: int, i: int, n: int) -> QPoly:
     """E-polynomial of the d-dimensional subspaces isotropic for a skew form
     of rank 2i on n-space, for every d >= 0 and 2i <= n.
@@ -83,7 +82,6 @@ def isotropic_subspaces_E(d: int, i: int, n: int) -> QPoly:
     return total
 
 
-@cache
 def isotropic_E(k: int, i: int, n: int) -> QPoly:
     """isotropic_subspaces_E at d = 2k, for k, i >= 1: the isotropic
     correction of the cut recursion."""
@@ -207,7 +205,7 @@ def _recursion_terms(k: int, n: int, start: int, stop: int):
              *range(2 * k - 2 * j + 1, top + 1),
              *(n + 1 - 2 * jp for jp in js if jp != j)],
             (), f"recursion coefficient (k={k}, j={j}, n={n})")
-        if not coefficient.is_zero:
+        if coefficient:
             terms.append((j, 2 * (k - j) ** 2 - (k - j), coefficient))
     return tuple(terms), den
 

@@ -98,9 +98,8 @@ def even_anomaly_check() -> dict:
     4-space and discrepancy 3, so its local weight is
     E(G(2,4)) (q-1)/(q^4-1) = (q^2+q+1)/(q+1), not a polynomial.  Had the
     discrepancy been 2 the weight would be q^2+1, which is exactly the
-    (q^4-1)/(q^2-1) the stratified count requires; the check also records
-    that the general discrepancies 2k^2-2k-1 and the wished-for 2k^2-3k
-    disagree at k=2.
+    (q^4-1)/(q^2-1) the stratified count requires.  (The general
+    discrepancy 2k^2-2k-1 and the wished-for 2k^2-3k are 3 and 2 at k=2.)
     """
     weighted = grassmannian_E(2, 4) * (1 - monomial(1))
     try:
@@ -113,8 +112,7 @@ def even_anomaly_check() -> dict:
     required = QPoly([1, 0, 1])
     passed = (not actual_is_polynomial
               and weighted * stated_den == stated_num * (1 - monomial(4))
-              and weighted == required * (1 - monomial(3))
-              and 2 * 2 * 2 - 2 * 2 - 1 != 2 * 2 * 2 - 3 * 2)
+              and weighted == required * (1 - monomial(3)))
     return row("even-anomaly", passed,
                note=f"actual corank-4 weight ({stated_num})/({stated_den}) is "
                     f"not a polynomial (expected); discrepancy-2 weight "

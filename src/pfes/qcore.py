@@ -76,10 +76,6 @@ class QPoly:
         """Degree, with the convention degree(0) = -1."""
         return len(self.coeffs) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -161,7 +157,7 @@ class QPoly:
     def render(self, var: str = "q") -> str:
         """The terms from the top degree down, with q spelled var and q**e
         spelled var^e, or (var)^e when var is more than one letter."""
-        if self.is_zero:
+        if not self:
             return "0"
         power = "{}^{}" if len(var) == 1 else "({})^{}"
         parts = []
@@ -420,7 +416,7 @@ def phi_eval(upper: Sequence[PowerParam], lower: Sequence[PowerParam],
     num = den = ONE
     for m in reversed(range(max_terms)):
         up_shift, up = _factors(a.shifted(base_exp * m) for a in upper)
-        if up.is_zero:  # the series ends at term m
+        if not up:  # the series ends at term m
             num = den = ONE
             continue
         down_shift, down = _factors(b.shifted(base_exp * m)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import pfes
-from pfes import cli, fq_oracle, suites
+from pfes import cli, fq_oracle, identities, suites
 from pfes.efun import (
     PfaffianParams, discrepancy, grassmannian_E, local_contribution,
     nondeg_skew_E, pf_stringy_closed, rank_stratum_E,
@@ -224,10 +224,10 @@ class TestOneParser:
         assert after == before
 
 
-def _verify_parser():
+def _subparser(name):
     (subparsers,) = [action for action in cli.build_parser()._actions
                      if isinstance(action, argparse._SubParsersAction)]
-    return subparsers.choices["verify"]
+    return subparsers.choices[name]
 
 
 class TestRegistry:
@@ -235,7 +235,7 @@ class TestRegistry:
         bounds = set()
         for run in suites.SUITES.values():
             bounds |= set(run.__kwdefaults__ or {})
-        flags = {action.dest for action in _verify_parser()._actions
+        flags = {action.dest for action in _subparser("verify")._actions
                  if any(s.startswith("--max-") for s in action.option_strings)}
         assert bounds == flags
 
@@ -254,7 +254,7 @@ class TestRegistry:
         }
 
     def test_suite_choices_are_the_registry(self):
-        (suite,) = [action for action in _verify_parser()._actions
+        (suite,) = [action for action in _subparser("verify")._actions
                     if action.dest == "suite"]
         assert list(suite.choices) == sorted(suites.SUITES) + ["all"]
 
@@ -266,6 +266,86 @@ class TestRegistry:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         listed = re.search(re.escape(label) + r"(.*?)\.\s", readme, re.S)
         assert sorted(re.findall(r"`([^`]+)`", listed.group(1))) == sorted(names)
+
+
+
+def _option_strings(name=None):
+    parser = cli.build_parser() if name is None else _subparser(name)
+    return {s for action in parser._actions for s in action.option_strings}
+
+
+class TestFlagsFromTheirTables:
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        # the parser is cached per process; rebuild it around each change
+        cli.build_parser.cache_clear()
+        yield
+        cli.build_parser.cache_clear()
+
+    def test_option_strings(self):
+        common = {"-h", "--help", "--format"}
+        assert _option_strings() == {"-h", "--help"}
+        assert _option_strings("compute") == common | {
+            "--n", "--k", "--i", "--j", "--p"}
+        assert _option_strings("verify") == common | {
+            "--max-n", "--max-r", "--max-b", "--max-k"}
+        assert _option_strings("oracle") == common | {
+            "--p", "--n", "--rank", "--dim", "--alpha-rank", "--max-enum"}
+
+    def test_a_new_suite_bound_gets_its_flag(self, capsys, monkeypatch):
+        def dummy(*, max_z=1):
+            yield row(f"dummy(z={max_z})", True)
+
+        monkeypatch.setitem(suites.SUITES, "dummy", dummy)
+        cli.build_parser.cache_clear()
+        code, out, _ = run_cli(capsys, "verify", "dummy", "--max-z", "3")
+        assert code == 0
+        assert out.startswith("dummy(z=3) PASS\n")
+        code, out, _ = run_cli(capsys, "verify", "dummy")
+        assert out.startswith("dummy(z=1) PASS\n")
+
+    def test_a_new_compute_parameter_gets_its_flag(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._COMPUTE, "dummy",
+                            (("z", "n"), lambda z, n: z * n))
+        cli.build_parser.cache_clear()
+        code, out, _ = run_cli(capsys, "compute", "dummy", "--z", "3",
+                               "--n", "7")
+        assert (code, out) == (0, "21\n")
+        code, _, err = run_cli(capsys, "compute", "dummy", "--n", "7")
+        assert code == 2
+        assert err == "error: compute dummy requires --z\n"
+
+
+class TestOneIsotropicMemo:
+    def test_fiber_reads_the_counts_the_cut_suites_cached(self, capsys):
+        memo = identities.isotropic_subspaces_E
+        memo.cache_clear()
+        assert run_cli(capsys, "verify", "newrec")[0] == 0
+        before = memo.cache_info()
+        assert before.hits == 0  # newrec asks for each (2k, i, n) once
+        assert run_cli(capsys, "verify", "fiber")[0] == 0
+        assert memo.cache_info().hits > 0
+
+
+class TestOracleRefusesBeforeItBuilds:
+    @pytest.mark.parametrize("argv, message", [
+        (("cut-stratum", "--rank", "2", "--alpha-rank", "2"),
+         r"sweep of all skew forms on F_2\^2001 needs at least 2\^2001000 "),
+        (("isotropic", "--dim", "1", "--alpha-rank", "2"),
+         r"sweep of 1-subspaces of F_2\^2001 needs \d{603} "),
+    ])
+    def test_no_form_for_a_refused_sweep(self, capsys, monkeypatch, argv,
+                                         message):
+        def no_form(*args):
+            raise AssertionError("built the form of a refused sweep")
+
+        monkeypatch.setattr(fq_oracle.SkewFormFp, "standard", no_form)
+        code, out, err = run_cli(capsys, "oracle", *argv, "--p", "2",
+                                 "--n", "2001")
+        assert (code, out) == (3, "")
+        assert re.fullmatch("error: " + message + r"candidates, guard is "
+                            r"16777216 \(override with --max-enum or "
+                            r"max_enum\)\n", err)
 
 
 class TestOracle:

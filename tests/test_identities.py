@@ -214,7 +214,7 @@ class TestSolveNewcorMemo:
             solve_newcor(*args)
 
 
-CUT_MEMOS = ("isotropic_E", "_cut_lhs_sum", "_smooth_lhs_sum",
+CUT_MEMOS = ("isotropic_subspaces_E", "_cut_lhs_sum", "_smooth_lhs_sum",
              "_smooth_recursion_row", "_phi_smooth_row", "_closed_smooth",
              "_f_circ_smooth", "_f_circ_dual", "_newrec_smooth",
              "_recursion_terms", "_newcor", "_smooth_rhs",
@@ -257,8 +257,9 @@ class TestCutMemos:
         pairs = {(params.k, params.n) for params in SMALL_CUT_GRID}
         misses = {name: getattr(identities, name).cache_info().misses
                   for name in CUT_MEMOS}
-        per_point = ("isotropic_E", "_cut_lhs_sum", "_f_circ_dual", "_newcor",
-                     "dual_local_weight")
+        # isotropic_subspaces_E is keyed by (2k, i, n), one key per point
+        per_point = ("isotropic_subspaces_E", "_cut_lhs_sum", "_f_circ_dual",
+                     "_newcor", "dual_local_weight")
         per_pair = ("_smooth_lhs_sum", "_smooth_recursion_row",
                     "_phi_smooth_row", "_closed_smooth", "_f_circ_smooth",
                     "_newrec_smooth", "_smooth_rhs")
@@ -360,7 +361,7 @@ def recursion_sum_by_pochhammer(k, n, js, value):
         # (q^(n+3-4k+2j); q^2)_{2k-2j}
         pich = product_by_factors(n + 3 - 4 * k + 2 * j + 2 * t
                                   for t in range(2 * k - 2 * j))
-        if pich.is_zero:
+        if not pich:
             continue
         rest = q_product([n + 1 - 2 * k, *range(2 * k - 2 * j + 1, top + 1),
                           *(n + 1 - 2 * jp for jp in js if jp != j)])
