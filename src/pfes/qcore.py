@@ -1,6 +1,6 @@
 """Exact arithmetic in a single variable q.
 
-Provides dense integer-coefficient polynomials (QPoly), signed q-powers
+Provides integer-coefficient polynomials (QPoly), signed q-powers
 (PowerParam), Gaussian binomial coefficients and a terminating basic
 hypergeometric summator.  QPoly is the only value type: a quotient that need
 not be a polynomial, such as a partial sum from phi_eval, is a pair
@@ -8,20 +8,33 @@ not be a polynomial, such as a partial sum from phi_eval, is a pair
 a_num * b_den == b_num * a_den, which is exact since Z[q] has no zero
 divisors.
 
+A QPoly P is held packed, as the one integer v = P(X) at X = 2**w
+(Kronecker substitution; Schoenhage 1982; Harvey, J. Symbolic Comput. 44,
+2009).  The digit width w is a multiple of 64 bits, and beside v sits a
+bound m >= max|c| on the coefficients with m < 2**(w-2), so the symmetric
+base-X digits of v are exactly the coefficients.  Every sum, difference,
+negation, shift and product (by a QPoly or an int) is then one big-integer
+operation on v, and the bound follows it: m_a + m_b for a sum, |c| * m for
+a scaling, and m_a * m_b * t for a product whose shorter operand has t
+terms.  Where a bound would reach 2**(w-2), or two widths differ, the
+operands are decoded to their exact bounds and repacked at the smallest
+width that holds the result, so coefficients of any size stay exact; at
+the suites' bounds every value keeps w = 64.  Decoding is the slow path:
+``coeffs`` decodes on each read, and only that fallback, printing,
+evaluation, hashing, comparison across widths and the spread of a Gaussian
+binomial to base b read it.
+
 Every product or quotient of factors (1 - s*q**e), s = +-1, is built here
 from lists of exponents; other modules pass only the exponents.  q_quotient
-multiplies the tops (1 - q**a) in place and q_divide divides by the bottoms
-(1 - q**b).  Any other factor is first rewritten into that form:
+multiplies in each top (1 - q**a) as v - v*X**a, and q_divide divides by
+each bottom (1 - q**b) by prefix doubling.  Any other factor is first
+rewritten into that form:
 1 - s*q**e = -s*q**e * (1 - s*q**-e) for e < 0, and
 1 + q**e = (1 - q**2e) / (1 - q**e) for e > 0.
 
-A constant factor scales the coefficients; every other product is one
-big-integer multiply, by Kronecker substitution (Schoenhage 1982; Harvey,
-J. Symbolic Comput. 44, 2009).
-
-All values are immutable after construction and every operation is a pure
-function, so concurrent use requires no locking.  Coefficients are Python
-integers, hence arbitrary precision; nothing here ever rounds.
+Values are immutable (only a bound is ever tightened in place, which leaves
+the value as it was) and every operation is a pure function.  Coefficients
+are Python integers, hence arbitrary precision; nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -29,8 +42,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import add, neg, sub
+from operator import add
 from typing import Iterable, Sequence
 
 
@@ -57,49 +69,59 @@ class LowerParamPole(Exception):
 
 
 class QPoly:
-    """Dense polynomial in q with integer coefficients.
+    """Polynomial in q with integer coefficients, held as the integer
+    P(2**w) with a coefficient bound (see the module docstring).
 
-    ``coeffs[i]`` holds the coefficient of ``q**i``.  Canonical form: no
-    trailing zeros, the zero polynomial is the empty tuple.
+    ``coeffs[i]`` is the coefficient of ``q**i``, decoded on each read,
+    with no trailing zeros; the zero polynomial has none.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_v", "_w", "_m")
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self._m = max(max(cs, default=0), -min(cs, default=0))
+        self._w = _width(self._m)
+        self._v = _pack(cs, self._w)
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return tuple(_unpack(self._v, self._w, self.degree + 1))
 
     @property
     def degree(self) -> int:
         """Degree, with the convention degree(0) = -1."""
-        return len(self.coeffs) - 1
+        return self._v.bit_length() // self._w if self._v else -1
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._v)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = QPoly([other])
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        if isinstance(other, QPoly):
+            if self._w == other._w:
+                return self._v == other._v
+            return self.coeffs == other.coeffs
+        if isinstance(other, int):  # only a constant's value is below 2**w
+            return self._v == other and self._v.bit_length() < self._w
+        return NotImplemented
 
     def __hash__(self):
-        if len(self.coeffs) <= 1:  # a constant hashes like the int it equals
-            return hash(self.coeffs[0] if self.coeffs else 0)
+        if self._v.bit_length() < self._w:  # a constant hashes like its int
+            return hash(self._v)
         return hash(self.coeffs)
 
     def __neg__(self) -> "QPoly":
-        return QPoly([-c for c in self.coeffs])
+        return _make(-self._v, self._w, self._m)
 
     def __add__(self, other) -> "QPoly":
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        return QPoly([*map(add, a, b), *a[len(b):], *b[len(a):]])
+        w, m = self._w, self._m + other._m
+        if w != other._w or m >> (w - 2):
+            w, m, (a, b) = _refit(add, self, other)
+            return _make(a + b, w, m)
+        return _make(self._v + other._v, w, m)
 
     __radd__ = __add__
 
@@ -107,8 +129,11 @@ class QPoly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        return QPoly([*map(sub, a, b), *a[len(b):], *map(neg, b[len(a):])])
+        w, m = self._w, self._m + other._m
+        if w != other._w or m >> (w - 2):
+            w, m, (a, b) = _refit(add, self, other)
+            return _make(a - b, w, m)
+        return _make(self._v - other._v, w, m)
 
     def __rsub__(self, other) -> "QPoly":
         other = _coerce_poly(other)
@@ -118,19 +143,19 @@ class QPoly:
 
     def __mul__(self, other) -> "QPoly":
         if isinstance(other, QPoly):
-            a, b = self.coeffs, other.coeffs
-            if len(a) <= 1:
-                return _scaled(other, a[0] if a else 0)
-            if len(b) <= 1:
-                return _scaled(self, b[0] if b else 0)
-            # Kronecker substitution: 2**(8*width) > 2 * max|a| * max|b| * terms
-            terms = min(len(a) - a.count(0), len(b) - b.count(0))
-            width = (max(max(a), -min(a)).bit_length() + terms.bit_length()
-                     + max(max(b), -min(b)).bit_length()) // 8 + 1
-            if width <= 8:  # an array item size
-                width = 1 << (width - 1).bit_length()
-            return QPoly(_unpack(_pack(a, width) * _pack(b, width),
-                                 width, len(a) + len(b) - 1))
+            a, b = self._v, other._v
+            if a.bit_length() < self._w:  # a constant factor scales
+                return _scaled(other, a)
+            if b.bit_length() < other._w:
+                return _scaled(self, b)
+            # a product coefficient sums one product of two coefficients
+            # per term of the shorter operand, at most
+            terms = min(a.bit_length() // self._w,
+                        b.bit_length() // other._w) + 1
+            w, m = self._w, self._m * other._m * terms
+            if w != other._w or m >> (w - 2):
+                w, m, (a, b) = _refit(lambda x, y: x * y * terms, self, other)
+            return _make(a * b, w, m)
         if isinstance(other, int):
             return _scaled(self, other)
         return NotImplemented
@@ -148,11 +173,12 @@ class QPoly:
         """Multiply by q**m (m >= 0)."""
         if m < 0:
             raise ValueError("negative shifts are not polynomials")
-        return QPoly((0,) * m + self.coeffs)
+        return _make(self._v << (self._w * m), self._w, self._m)
 
     @property
     def is_palindromic(self) -> bool:
-        return self.coeffs == tuple(reversed(self.coeffs))
+        cs = self.coeffs
+        return cs == cs[::-1]
 
     def render(self, var: str = "q") -> str:
         """The terms from the top degree down, with q spelled var and q**e
@@ -161,8 +187,7 @@ class QPoly:
             return "0"
         power = "{}^{}" if len(var) == 1 else "({})^{}"
         parts = []
-        for e in range(self.degree, -1, -1):
-            c = self.coeffs[e]
+        for e, c in reversed(list(enumerate(self.coeffs))):
             if c == 0:
                 continue
             sign = "-" if c < 0 else ("+" if parts else "")
@@ -181,56 +206,86 @@ class QPoly:
         return f"QPoly({self.coeffs!r})"
 
 
-# Digits of 1, 2, 4 or 8 bytes go through an array of this signed typecode.
-_TYPECODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+def _make(v: int, w: int, m: int) -> QPoly:
+    """The QPoly whose value at 2**w is v, with coefficient bound m."""
+    p = object.__new__(QPoly)
+    p._v, p._w, p._m = v, w, m
+    return p
 
 
-def _halves(width: int, count: int) -> int:
-    # 2**(8*width-1) in each of count base-2**(8*width) digits
-    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+def _width(m: int) -> int:
+    """The smallest multiple w of 64 with m < 2**(w-2)."""
+    return (m.bit_length() + 65) // 64 * 64
 
 
-def _pack(coeffs: Sequence[int], width: int) -> int:
-    """The polynomial's value at 2**(8*width); needs |c| < 2**(8*width-1).
-    Flipping the top bit of a two's complement digit adds 2**(8*width-1)."""
-    if width <= 8:
-        digits = array(_TYPECODES[width], coeffs)
+def _tighten(p: QPoly) -> int:
+    """Decodes p, sets its bound to max|c| and returns that bound."""
+    cs = p.coeffs
+    p._m = max(max(cs, default=0), -min(cs, default=0))
+    return p._m
+
+
+def _refit(bound, *polys: QPoly) -> tuple[int, int, list[int]]:
+    """The slow path of an operation on polys whose result's coefficients
+    are at most bound(m, ...) for operand bounds m, ...: tightens each
+    operand's bound, and returns the smallest width w that holds the
+    result's bound, that bound, and the operands' values at width w."""
+    m = bound(*map(_tighten, polys))
+    w = _width(m)
+    return w, m, [p._v if p._w == w else _pack(p.coeffs, w) for p in polys]
+
+
+def _halves(w: int, count: int) -> int:
+    # 2**(w-1) in each of count base-2**w digits
+    return int.from_bytes((bytes(w // 8 - 1) + b"\x80") * count, "little")
+
+
+def _pack(coeffs: Sequence[int], w: int) -> int:
+    """The polynomial's value at 2**w; needs |c| < 2**(w-1).  Flipping the
+    top bit of a two's complement digit adds 2**(w-1)."""
+    if w == 64:
+        digits = array("q", coeffs)
         if sys.byteorder == "big":
             digits.byteswap()
         raw = digits.tobytes()
     else:
-        raw = b"".join(c.to_bytes(width, "little", signed=True) for c in coeffs)
-    halves = _halves(width, len(coeffs))
+        raw = b"".join(c.to_bytes(w // 8, "little", signed=True)
+                       for c in coeffs)
+    halves = _halves(w, len(coeffs))
     return (int.from_bytes(raw, "little") ^ halves) - halves
 
 
-def _unpack(value: int, width: int, count: int) -> list[int]:
-    """The count symmetric base-2**(8*width) digits of value, lowest first."""
-    halves = _halves(width, count)
-    raw = ((value + halves) ^ halves).to_bytes(width * count, "little")
-    if width <= 8:
-        digits = array(_TYPECODES[width], raw)
+def _unpack(value: int, w: int, count: int) -> list[int]:
+    """The count symmetric base-2**w digits of value, lowest first."""
+    size = w // 8
+    halves = _halves(w, count)
+    raw = ((value + halves) ^ halves).to_bytes(size * count, "little")
+    if w == 64:
+        digits = array("q", raw)
         if sys.byteorder == "big":
             digits.byteswap()
         return digits.tolist()
-    return [int.from_bytes(raw[t:t + width], "little", signed=True)
-            for t in range(0, width * count, width)]
+    return [int.from_bytes(raw[t:t + size], "little", signed=True)
+            for t in range(0, size * count, size)]
 
 
 def _scaled(p: QPoly, c: int) -> QPoly:
-    """c * p, coefficient by coefficient."""
+    """c * p, one multiply of the packed value."""
     if c == 0:
         return ZERO
     if c == 1:
         return p
-    return QPoly([x * c for x in p.coeffs])
+    w, m, v = p._w, p._m * abs(c), p._v
+    if m >> (w - 2):
+        w, m, (v,) = _refit(lambda x: x * abs(c), p)
+    return _make(v * c, w, m)
 
 
 def _coerce_poly(value):
     if isinstance(value, QPoly):
         return value
     if isinstance(value, int):
-        return QPoly([value])
+        return _make(value, _width(abs(value)), abs(value))
     return NotImplemented
 
 
@@ -270,49 +325,70 @@ def q_quotient(tops: Iterable[int], bottoms: Iterable[int],
     such tops may run on into negative exponents.  Raises NotPolynomial,
     labelled with context, when the division leaves a remainder.
 
-    In place on one coefficient list: a factor (1 - q**a) subtracts a
-    shifted copy, smallest a first; q_divide then divides by the bottoms.
+    A top (1 - q**a) turns the value v into v - v*X**a, which at most
+    doubles the coefficients; q_divide then divides by the bottoms.
     """
-    tops = sorted(tops)
+    tops = list(tops)
     if 0 in tops:
         return ZERO
-    if tops and tops[0] < 0:
+    if min(tops, default=1) < 0:
         raise ValueError("QPoly exponents must be non-negative")
-    cs = [1] + [0] * sum(tops)
-    for a, deg in zip(tops, accumulate(tops)):
-        cs[a:deg + 1] = map(sub, cs[a:deg + 1], cs)
-    return q_divide(QPoly(cs), bottoms, context)
+    p = ONE
+    for a in tops:
+        w, m, v = p._w, 2 * p._m, p._v
+        if m >> (w - 2):
+            w, m, (v,) = _refit(lambda x: 2 * x, p)
+        p = _make(v - (v << (w * a)), w, m)
+    return q_divide(p, bottoms, context)
 
 
 def q_divide(num: QPoly, bottoms: Iterable[int], context: str) -> QPoly:
     """Exact quotient num / q_product(bottoms).
 
-    A divisor (1 - q**b) is a running sum per residue class mod b, exact
-    iff the top b sums vanish.  Raises NotPolynomial, labelled with
-    context, when the division leaves a remainder.
+    Dividing by (1 - q**b) a polynomial of size coefficients takes the
+    running sums of its coefficients along each residue class mod b, which
+    are the low size digits of v * (1 + X**b + X**2b + ...); prefix doubling
+    builds them, v += v * X**s for s = b, 2b, 4b, ... below size.  The
+    division is exact iff the top b sums vanish, that is iff the balanced
+    residue of v mod X**size is below X**(size-b) / 2 in absolute value.
+    Raises NotPolynomial, labelled with context, when it is not.
     """
     bottoms = list(bottoms)
     if min(bottoms, default=1) < 0:
         raise ValueError("QPoly exponents must be non-negative")
     if 0 in bottoms:
         raise ZeroDenominator("division by the zero polynomial")
-    cs = list(num.coeffs)
-    for b in bottoms:
-        for r in range(b):
-            cs[r::b] = accumulate(cs[r::b])
-        if any(cs[-b:]):
+    if not num:
+        return ZERO
+    p = num
+    # the largest b first, so the many-term sums of small b run on fewer digits
+    for b in sorted(bottoms, reverse=True):
+        size = p.degree + 1
+        if size <= b:
             raise NotPolynomial(num, q_product(bottoms), context)
-        del cs[-b:]
-    return QPoly(cs)
+        terms = (size - 1) // b + 1  # the longest running sum
+        w, m, v = p._w, p._m * terms, p._v
+        if m >> (w - 2):
+            w, m, (v,) = _refit(lambda x: x * terms, p)
+        span = b
+        while span < size:
+            v += v << (w * span)
+            span *= 2
+        low = v & ((1 << (w * size)) - 1)
+        if low >> (w * size - 1):
+            low -= 1 << (w * size)
+        if abs(low) >> (w * (size - b) - 1):
+            raise NotPolynomial(num, q_product(bottoms), context)
+        p = _make(low, w, m)
+    return p
 
 
-def _factors(powers: Iterable[PowerParam]) -> tuple[int, QPoly]:
-    """The product of the factors (1 - a) over the signed powers a, as
+def _factors(powers: Iterable[tuple[int, int]]) -> tuple[int, QPoly]:
+    """The product of the factors (1 - s*q**e) over the pairs (s, e), as
     (shift, p): the product is q**shift * p, with p exact and ZERO when
-    some a is q**0."""
+    some pair is (1, 0)."""
     coef, shift, tops, bottoms = 1, 0, [], []
-    for a in powers:
-        s, e = a.sign, a.exponent
+    for s, e in powers:
         if e < 0:  # 1 - s*q**e = -s*q**e * (1 - s*q**-e)
             coef, shift, e = -s * coef, shift + e, -e
         if s == 1:
@@ -407,21 +483,24 @@ def phi_eval(upper: Sequence[PowerParam], lower: Sequence[PowerParam],
     if max_terms < 0:
         raise ValueError("max_terms must be non-negative")
     for b in lower:
-        if qpow(0) in (b.shifted(base_exp * m) for m in range(max_terms)):
+        e = b.exponent
+        if (b.sign == 1 and e <= 0 and e % base_exp == 0
+                and -e // base_exp < max_terms):
             raise LowerParamPole(f"lower parameter {b} vanishes a denominator "
                                  f"factor within {max_terms} terms")
     excess = 1 + len(lower) - len(upper)
     sign = (-1) ** (excess % 2) * z.sign
-    big_q = qpow(base_exp)
+    ups = [(a.sign, a.exponent) for a in upper]
+    downs = [(1, base_exp), *((b.sign, b.exponent) for b in lower)]
     num = den = ONE
     for m in reversed(range(max_terms)):
-        up_shift, up = _factors(a.shifted(base_exp * m) for a in upper)
+        offset = base_exp * m
+        up_shift, up = _factors((s, e + offset) for s, e in ups)
         if not up:  # the series ends at term m
             num = den = ONE
             continue
-        down_shift, down = _factors(b.shifted(base_exp * m)
-                                    for b in (big_q, *lower))
-        s = excess * base_exp * m + z.exponent + up_shift - down_shift
+        down_shift, down = _factors((s, e + offset) for s, e in downs)
+        s = excess * offset + z.exponent + up_shift - down_shift
         den = down.shift(max(-s, 0)) * den
         step = up.shift(max(s, 0)) * num
         num = den + step if sign == 1 else den - step

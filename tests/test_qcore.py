@@ -4,7 +4,6 @@ series summator.  A quotient is a pair (num, den) of QPolys, compared by
 cross-multiplication."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -89,6 +88,22 @@ def schoolbook_mul(a, b):
         for j, cb in enumerate(b.coeffs):
             out[i + j] += ca * cb
     return QPoly(out)
+
+
+def plain(p):
+    """The coefficients of p as a list, lowest first."""
+    return list(p.coeffs)
+
+
+def plain_sum(xs, ys):
+    """Reference sum of two coefficient lists, without trailing zeros."""
+    out = [0] * max(len(xs), len(ys))
+    for cs in (xs, ys):
+        for i, c in enumerate(cs):
+            out[i] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def terms_of(data, min_terms, max_terms, max_degree=300, bound=2 ** 200):
@@ -184,61 +199,129 @@ class TestQPoly:
         alternating = QPoly([(-1) ** t * 2 ** 200 for t in range(300)])
         assert alternating * alternating == schoolbook_mul(alternating, alternating)
 
-    # (coefficient bound, nonzero terms of the sparser operand, digit width):
-    # 2 * bound.bit_length() + terms.bit_length() bits give width
-    # bits // 8 + 1 bytes, rounded up to 1, 2, 4 or 8; wider digits are
-    # packed one coefficient at a time
-    @pytest.mark.parametrize("bound, terms, width", [
-        (1, 20, 1), (31, 20, 2), (511, 20, 4), (2 ** 29 - 1, 20, 8),
-        (2 ** 40, 300, 12),
-    ], ids=["1-byte", "2-byte", "3-byte-as-4", "8-byte", "wide"])
-    def test_each_digit_width_matches_schoolbook(self, monkeypatch, bound,
-                                                 terms, width):
-        widths = []
-        pack = qcore._pack
-        monkeypatch.setattr(qcore, "_pack",
-                            lambda cs, w: widths.append(w) or pack(cs, w))
-        rng = random.Random(bound)
+    # (coefficient bound, digit width): a QPoly is held at the smallest
+    # multiple w of 64 bits with max|c| < 2**(w-2), so 2**62 - 1 is the
+    # largest coefficient of the 64-bit fast path.  The byte-named cases
+    # are bounds whose products fit in 1, 2, 4 or 8 bytes; each is held at
+    # 64 bits all the same
+    @pytest.mark.parametrize("bound, width", [
+        (1, 64), (31, 64), (511, 64), (2 ** 29 - 1, 64),
+        (2 ** 62 - 1, 64), (2 ** 62, 128), (2 ** 126 - 1, 128), (2 ** 126, 192),
+    ], ids=["1-byte", "2-byte", "3-byte-as-4", "8-byte",
+            "64-bit", "128-bit", "128-bit-top", "192-bit"])
+    def test_each_digit_width_matches_schoolbook(self, bound, width):
+        a = QPoly([-bound, 0, bound, 3, -bound])
+        b = QPoly([bound, bound, -1, -bound])
+        assert a._w == b._w == width
+        for x, y in ((a, b), (b, a)):
+            xs, ys = plain(x), plain(y)
+            assert plain(x * y) == plain(schoolbook_mul(x, y))
+            assert plain(x + y) == plain_sum(xs, ys)
+            assert plain(x - y) == plain_sum(xs, [-c for c in ys])
+            assert plain(x + x + x) == [3 * c for c in xs]
+            assert plain(-x) == [-c for c in xs]
+            assert plain(x.shift(3)) == [0, 0, 0, *xs]
+            assert plain(x * -7) == plain(-7 * x) == [-7 * c for c in xs]
+            assert x.degree == len(xs) - 1
 
-        def operand(count):
-            # both extreme coefficients, and zeros between the terms
-            cs = [rng.randint(-bound, bound) or bound for _ in range(count)]
-            cs[0], cs[-1] = -bound, bound
-            return QPoly([x for c in cs for x in (c, 0)])
+    def test_bounds_that_cross_the_width_match_schoolbook(self):
+        doubled = QPoly([1, -1, 2])
+        for _ in range(130):
+            doubled = doubled + doubled
+        assert plain(doubled) == [2 ** 130, -(2 ** 130), 2 ** 131]
+        assert plain(doubled - doubled.shift(1)) == [
+            2 ** 130, -(2 ** 131), 3 * 2 ** 130, -(2 ** 131)]
+        # each coefficient of the square is 300 products of 2**30 - 1 or fewer
+        dense = QPoly([2 ** 30 - 1] * 300)
+        assert plain(dense * dense) == plain(schoolbook_mul(dense, dense))
+        cube = dense * dense * dense
+        assert plain(cube) == plain(schoolbook_mul(schoolbook_mul(dense, dense),
+                                                   dense))
+        # 70 tops (1 - q): each may double the bound, and the coefficients
+        # of (1 - q)**70 pass 2**63
+        binomials = [(-1) ** k * math.comb(70, k) for k in range(71)]
+        assert plain(q_quotient([1] * 70, [], "")) == binomials
+        assert plain(q_product([1] * 70)) == binomials
+        assert q_quotient([1] * 70, [1] * 69, "") == ONE - Q
+        tops, bottoms = list(range(1, 71)), list(range(1, 64))
+        assert q_quotient(tops, bottoms, "") == schoolbook_product(range(64, 71))
 
-        pairs = [(operand(terms), operand(terms + 7)),
-                 # every product coefficient at its largest magnitude
-                 (QPoly([-bound] * terms), QPoly([bound] * terms)),
-                 (QPoly([bound] * terms), QPoly([bound] * (terms + 3)))]
-        for a, b in pairs:
-            expected = schoolbook_mul(a, b)
-            assert a * b == expected
-            assert b * a == expected
-        assert set(widths) == {width}
+    def test_division_whose_running_sums_cross_the_width(self):
+        # the running sums of a division by (1 - q) reach 30 * 2**60 > 2**62
+        flat = QPoly([2 ** 60] * 30)
+        assert plain(q_divide(flat * (ONE - Q), [1], "")) == [2 ** 60] * 30
+        with pytest.raises(NotPolynomial):
+            q_divide(flat, [1], "")
+        # steps of +-2**58 whose running sums climb to 2**63, which no
+        # 64-bit digit holds
+        steps = QPoly([2 ** 58] * 32 + [-(2 ** 58)] * 32)
+        peak = [k * 2 ** 58 for k in (*range(1, 33), *range(31, 0, -1))]
+        assert plain(q_divide(steps, [1], "")) == peak
+        ramp = QPoly([(k + 1) * 2 ** 55 for k in range(100)])
+        num = ramp * (ONE - Q) * (ONE - monomial(3))
+        assert plain(q_divide(num, [1, 3], "")) == plain(ramp)
+        assert plain(q_divide(num, [3], "")) == plain(
+            poly_exact_div(num, ONE - monomial(3)))
+        with pytest.raises(NotPolynomial):
+            q_divide(num + 1, [1, 3], "")
+        # a top running sum of 1 is a remainder, whatever the digits below
+        for b in (1, 2, 3):
+            with pytest.raises(NotPolynomial):
+                q_divide(ONE - monomial(b) + monomial(2 * b), [b], "")
+
+    def test_equal_values_at_two_widths_compare_and_hash_equal(self):
+        wide = QPoly([7, 2 ** 62, 5])
+        held_wide = wide - QPoly([0, 2 ** 62])
+        narrow = QPoly([7, 0, 5])
+        assert held_wide._w > narrow._w
+        assert held_wide == narrow and narrow == held_wide
+        assert hash(held_wide) == hash(narrow)
+        assert len({held_wide, narrow}) == 1
+        assert held_wide != narrow + Q and narrow + Q != held_wide
+        constant = wide - QPoly([0, 2 ** 62, 5])
+        assert constant._w > ONE._w
+        assert constant == 7 and constant == QPoly([7])
+        assert hash(constant) == hash(7)
+        assert wide - wide == ZERO and wide - wide == 0
+        assert not wide - wide
 
     @pytest.mark.parametrize("terms", [1, 2, 16, 17])
     def test_every_nonconstant_product_is_packed(self, monkeypatch, terms):
-        packed = []
-        pack = qcore._pack
-        monkeypatch.setattr(qcore, "_pack",
-                            lambda cs, w: packed.append(w) or pack(cs, w))
+        # the operands are packed when built; their product multiplies the
+        # packed values and neither packs nor decodes
         sparse = QPoly([0, 0, 0, -5] * terms)  # terms nonzero, zeros between
         dense = QPoly(range(1, 60))
-        for a, b in ((sparse, dense), (dense, sparse)):
-            packed.clear()
-            assert a * b == schoolbook_mul(a, b)
-            assert len(packed) == 2
+        expected = schoolbook_mul(sparse, dense)
+
+        def no_repack(*args):
+            raise AssertionError("repacked an operand")
+
+        monkeypatch.setattr(qcore, "_pack", no_repack)
+        monkeypatch.setattr(qcore, "_unpack", no_repack)
+        products = (sparse * dense, dense * sparse)
+        monkeypatch.undo()
+        for product in products:
+            assert product == expected
 
     def test_constant_factors_scale_without_packing(self, monkeypatch):
-        def no_pack(*args):
-            raise AssertionError("packed a constant factor")
-
-        monkeypatch.setattr(qcore, "_pack", no_pack)
         dense = QPoly(range(-5, 60))
-        for c in (0, 1, -1, 7, -(2 ** 70)):
-            expected = schoolbook_mul(dense, QPoly([c]))
-            assert dense * c == c * dense == expected
-            assert dense * QPoly([c]) == QPoly([c]) * dense == expected
+        small = {c: (schoolbook_mul(dense, QPoly([c])), QPoly([c]))
+                 for c in (0, 1, -1, 7)}
+
+        def no_repack(*args):
+            raise AssertionError("repacked a constant factor")
+
+        monkeypatch.setattr(qcore, "_pack", no_repack)
+        monkeypatch.setattr(qcore, "_unpack", no_repack)
+        products = {c: (dense * c, c * dense, dense * const, const * dense)
+                    for c, (_, const) in small.items()}
+        monkeypatch.undo()
+        for c, (expected, _) in small.items():
+            assert all(product == expected for product in products[c])
+        huge = -(2 ** 70)  # past the bound: the product is repacked wider
+        expected = schoolbook_mul(dense, QPoly([huge]))
+        assert dense * huge == huge * dense == expected
+        assert dense * QPoly([huge]) == QPoly([huge]) * dense == expected
         assert dense * ZERO is ZERO and 0 * dense is ZERO
         assert dense * ONE is dense and 1 * dense is dense
 
@@ -307,7 +390,7 @@ def same(a, b):
 def pochhammer(a, b, k):
     """(a; q^b)_k as the pair (p, q**-shift) from qcore._factors, which
     builds the factors of phi_eval's ratios; shift <= 0 always."""
-    shift, product = _factors(a.shifted(b * j) for j in range(k))
+    shift, product = _factors((a.sign, a.exponent + b * j) for j in range(k))
     return product, monomial(-shift)
 
 

@@ -12,7 +12,9 @@ benchmark's tracer reads to count Gaussian-binomial misses.  Settings come from
 arguments and flags only: no module reads `os.environ` or `os.getenv`.
 numpy serves the finite-field oracle only: no module but `_kernels`
 imports it, and the package loads `fq_oracle`, which loads `_kernels`, on
-first use.
+first use.  A QPoly is held packed and `QPoly.coeffs` decodes it on each
+read, so no module outside `qcore` reads `.coeffs` except `cli.poly_json`,
+which prints them.
 """
 
 import ast
@@ -122,4 +124,21 @@ def test_only_the_oracle_modules_import_numpy():
                 continue
             found += [f"{path.name}:{node.lineno} {module}" for module in modules
                       if module.split(".")[0] == "numpy"]
+    assert not found, found
+
+
+def test_only_qcore_and_poly_json_decode_coefficients():
+    found = []
+    for path in SOURCES:
+        if path.name == "qcore.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if (path.name == "cli.py" and isinstance(node, ast.FunctionDef)
+                    and node.name == "poly_json"):
+                allowed |= {id(inner) for inner in ast.walk(node)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "coeffs"
+                  and id(node) not in allowed]
     assert not found, found
