@@ -269,8 +269,3 @@ def count_isotropic(p: int, n: int, dim_sub: int, alpha: SkewFormFp,
              f"got alpha over F_{alpha.p}^{alpha.n}, need F_{p}^{n}")
     return _kernels.isotropic(p, n, dim_sub, alpha.matrix())
 
-
-def census_totals(p: int, n: int, max_enum: int | None = None) -> dict[int, int]:
-    """Projectivized stratum sizes by rank; they partition projective space."""
-    return {rank: count_rank_stratum(p, n, rank, max_enum)
-            for rank in range(0, n + 1, 2)}

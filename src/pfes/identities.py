@@ -22,9 +22,13 @@ the fiber suite (d = 2); dual_local_weight, _cut_lhs_sum, _f_circ_dual and
 the triangular solve _newcor per (k, i, n); _closed_smooth,
 _f_circ_smooth, _newrec_smooth, _smooth_rhs, _smooth_lhs_sum and the two
 smooth-part rows per (k, n); _recursion_terms per (k, n, start, stop).
-f_closed, f_circ, isotropic_E and _cut_rhs are sums, checks and shifts of
-these memos, and are not cached.  Values are immutable and rows are never
-modified, so the memos are invisible in the results.
+The recursion's coefficients and denominators are never built: the memos
+of _recursion_terms, _smooth_lhs_sum and _cut_lhs_sum hold them as tuples
+of (sign, exponent) factor pairs, which qcore.q_times applies to a value
+in place.  f_closed, f_circ, isotropic_E and _cut_rhs are sums, checks and
+shifts of these memos, and are not cached.  Values and tuples are
+immutable and rows are never modified, so the memos are invisible in the
+results.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from functools import cache
 
 from .qcore import (
     ONE, ZERO, QPoly, LowerParamPole,
-    gauss_binomial, geometric_series, monomial, neg_qpow, phi_eval,
-    q_divide, q_product, q_quotient, qpow,
+    gauss_binomial, geometric_series, neg_qpow, phi_eval,
+    q_divide, q_quotient, q_times, qpow,
 )
 from .efun import PfaffianParams, _require, grassmannian_E
 
@@ -74,9 +78,9 @@ def isotropic_subspaces_E(d: int, i: int, n: int) -> QPoly:
     total = ZERO
     for r in range(max(d - i, 0), min(d, n - 2 * i) + 1):
         m = d - r
-        cell = q_quotient((2 * j for j in range(i - m + 1, i + 1)),
-                          range(1, m + 1),
-                          f"isotropic cell (d={d}, i={i}, n={n}, r={r})")
+        # [i, m]_{q^2} (-q; q)_m
+        cell = q_times(gauss_binomial(i, m, 2),
+                       [(-1, t) for t in range(1, m + 1)])
         total = total + (gauss_binomial(n - 2 * i, r, 1)
                          * cell).shift(m * (n - 2 * i - r))
     return total
@@ -176,8 +180,8 @@ def _recursion_sum(k: int, n: int, js: range, value) -> tuple[QPoly, tuple[int, 
     triangular recursion at k, as (numerator, denominator exponents); value
     is called only for the j whose coefficient does not vanish."""
     terms, den = _recursion_terms(k, n, js.start, js.stop)
-    return sum((value(j).shift(shift) * coefficient
-                for j, shift, coefficient in terms), ZERO), den
+    return sum((q_times(value(j), factors).shift(shift)
+                for j, shift, factors in terms), ZERO), den
 
 
 @cache
@@ -189,8 +193,9 @@ def _recursion_terms(k: int, n: int, start: int, stop: int):
         / ((1 - q^(n+1-2j)) (q;q)_{2k-2j}),
 
     over the common denominator (q;q)_top * prod_j (1 - q^(n+1-2j)),
-    top = 2k - 2*start: the nonzero terms (j, s, c), the coefficient being
-    q^s * c over it, and the exponent list of the denominator.
+    top = 2k - 2*start: the nonzero terms (j, s, factors), the coefficient
+    being q^s times the factors, as q_times takes them, over it, and the
+    exponent list of the denominator.
     """
     js = range(start, stop)
     top = 2 * (k - start)
@@ -198,15 +203,15 @@ def _recursion_terms(k: int, n: int, start: int, stop: int):
     terms = []
     for j in js:
         # (1 - q^(n+1-2k)), (q^(n+3-4k+2j); q^2)_{2k-2j} (zero when it
-        # reaches 1 - q^0), (q;q)_top/(q;q)_{2k-2j} and the other j's linear
-        # factors of the common denominator
-        coefficient = q_quotient(
-            [n + 1 - 2 * k, *range(n + 3 - 4 * k + 2 * j, n + 2 - 2 * j, 2),
-             *range(2 * k - 2 * j + 1, top + 1),
-             *(n + 1 - 2 * jp for jp in js if jp != j)],
-            (), f"recursion coefficient (k={k}, j={j}, n={n})")
-        if coefficient:
-            terms.append((j, 2 * (k - j) ** 2 - (k - j), coefficient))
+        # reaches 1 - q^0, before which it runs through negative exponents),
+        # (q;q)_top/(q;q)_{2k-2j} and the other j's linear factors of the
+        # common denominator
+        tops = [n + 1 - 2 * k, *range(n + 3 - 4 * k + 2 * j, n + 2 - 2 * j, 2),
+                *range(2 * k - 2 * j + 1, top + 1),
+                *(n + 1 - 2 * jp for jp in js if jp != j)]
+        if 0 not in tops:
+            terms.append((j, 2 * (k - j) ** 2 - (k - j),
+                          tuple((1, a) for a in tops)))
     return tuple(terms), den
 
 
@@ -247,15 +252,16 @@ def verify_hj(a: int, b: int) -> dict:
     closed_num = q_quotient(
         [*range(2 * b - 4 * a + 4, 2 * b + 3, 2), 2 * b - 2 * a + 2], (),
         "").shift(2 * a * a - a)
-    closed_den = q_product([2 * b + 2, *range(1, 2 * a + 1)])
-    return row(f"hj({a},{b})", lhs * closed_den == closed_num)
+    closed_den = [(1, e) for e in (2 * b + 2, *range(1, 2 * a + 1))]
+    return row(f"hj({a},{b})", q_times(lhs, closed_den) == closed_num)
 
 
 @cache
-def _smooth_lhs_sum(k: int, n: int) -> tuple[QPoly, QPoly]:
+def _smooth_lhs_sum(k: int, n: int) -> tuple[QPoly, tuple]:
     """Recursion left side fed with the smooth (first) summands of the
     closed cut formula, extended to the vanishing index-zero value, as
-    (numerator, denominator)."""
+    (numerator, denominator factors); the denominator is q times the
+    factors, as q_times takes them."""
     half = (n - 1) // 2
 
     def value(j):
@@ -264,18 +270,18 @@ def _smooth_lhs_sum(k: int, n: int) -> tuple[QPoly, QPoly]:
         return lead * gauss_binomial(half, j, 2)
 
     total, den = _recursion_sum(k, n, range(0, k + 1), value)
-    return total, q_product(den).shift(1)
+    return total, tuple((1, e) for e in den)
 
 
 @cache
-def _cut_lhs_sum(k: int, i: int, n: int) -> tuple[QPoly, QPoly]:
+def _cut_lhs_sum(k: int, i: int, n: int) -> tuple[QPoly, tuple]:
     """Recursion left side fed with the dual-weight (second) summands, as
-    (numerator, denominator)."""
+    (numerator, denominator factors), the denominator as _smooth_lhs_sum's."""
     half = (n - 1) // 2
     total, den = _recursion_sum(
         k, n, range(0, k + 1),
         lambda j: gauss_binomial(half - i, j, 2).shift(n * j))
-    return total, q_product(den).shift(1)
+    return total, tuple((1, e) for e in den)
 
 
 @cache
@@ -283,7 +289,7 @@ def _smooth_recursion_row(k: int, n: int) -> dict:
     """The smooth half of the triangular recursion."""
     num, den = _smooth_lhs_sum(k, n)
     return row(f"cut-recursion-smooth-part({k},{n})",
-               num == _smooth_rhs(k, n) * den)
+               num == q_times(_smooth_rhs(k, n), den).shift(1))
 
 
 def verify_AC_BD(params: CutParams) -> list[dict]:
@@ -294,7 +300,7 @@ def verify_AC_BD(params: CutParams) -> list[dict]:
     n, k, i = params.n, params.k, params.i
     num, den = _cut_lhs_sum(k, i, n)
     cut = row(f"cut-recursion-isotropic-part({k},{i},{n})",
-              num == _cut_rhs(k, i, n) * den)
+              num == q_times(_cut_rhs(k, i, n), den).shift(1))
     return [_smooth_recursion_row(k, n), cut]
 
 
@@ -308,8 +314,9 @@ def _phi_smooth_row(k: int, n: int) -> dict:
     # (1 - q) num/den == (big - q^(nk-1) small) [(n-1)/2, k]_{q^2}
     phi_num = big_num * small_den - (small_num * big_den).shift(n * k - 1)
     return row(f"phi-2phi1-smooth-part({k},{n})",
-               (num * (ONE - monomial(1))) * (big_den * small_den)
-               == phi_num * gauss_binomial((n - 1) // 2, k, 2) * den)
+               q_times(num, [(1, 1)]) * (big_den * small_den)
+               == q_times(phi_num * gauss_binomial((n - 1) // 2, k, 2),
+                          den).shift(1))
 
 
 def verify_phi_reductions(params: CutParams) -> list[dict]:
@@ -335,9 +342,10 @@ def verify_phi_reductions(params: CutParams) -> list[dict]:
         # the Pochhammer reaches 1 - q^0, over (1 - q^(n+1)) (q;q)_{2k}
         pre_num = q_quotient([*range(n + 3 - 4 * k, n + 3, 2), n + 1 - 2 * k],
                              (), "").shift(2 * k * k - k - 1)
-        pre_den = q_product([n + 1, *range(1, 2 * k + 1)])
+        pre_den = [(1, e) for e in (n + 1, *range(1, 2 * k + 1))]
         num, den = _cut_lhs_sum(k, i, n)
-        rows.append(row(name, num * pre_den * phi_den == pre_num * phi_num * den))
+        rows.append(row(name, q_times(num * phi_den, pre_den)
+                        == q_times(pre_num * phi_num, den).shift(1)))
 
     name = f"phi-3phi1-isotropic({k},{i},{n})"
     try:

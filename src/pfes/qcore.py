@@ -24,13 +24,13 @@ the suites' bounds every value keeps w = 64.  Decoding is the slow path:
 evaluation, hashing, comparison across widths and the spread of a Gaussian
 binomial to base b read it.
 
-Every product or quotient of factors (1 - s*q**e), s = +-1, is built here
-from lists of exponents; other modules pass only the exponents.  q_quotient
-multiplies in each top (1 - q**a) as v - v*X**a, and q_divide divides by
-each bottom (1 - q**b) by prefix doubling.  Any other factor is first
-rewritten into that form:
-1 - s*q**e = -s*q**e * (1 - s*q**-e) for e < 0, and
-1 + q**e = (1 - q**2e) / (1 - q**e) for e > 0.
+Factors (1 - s*q**e), s = +-1 and e >= 0, are applied to a packed value in
+place, not built into a product that is then multiplied in: q_times turns
+v into v - s*v*X**e per factor, which at most doubles the coefficients;
+q_product and q_quotient apply their tops to ONE, and q_divide divides by
+each bottom (1 - q**b) by prefix doubling.  Other modules pass only the
+signs and exponents.  The summator first rewrites a factor with e < 0 as
+1 - s*q**e = -s*q**e * (1 - s*q**-e).
 
 Values are immutable (only a bound is ever tightened in place, which leaves
 the value as it was) and every operation is a pure function.  Coefficients
@@ -325,21 +325,31 @@ def q_quotient(tops: Iterable[int], bottoms: Iterable[int],
     such tops may run on into negative exponents.  Raises NotPolynomial,
     labelled with context, when the division leaves a remainder.
 
-    A top (1 - q**a) turns the value v into v - v*X**a, which at most
-    doubles the coefficients; q_divide then divides by the bottoms.
+    q_times multiplies in the tops and q_divide divides by the bottoms.
     """
     tops = list(tops)
     if 0 in tops:
         return ZERO
     if min(tops, default=1) < 0:
         raise ValueError("QPoly exponents must be non-negative")
-    p = ONE
-    for a in tops:
-        w, m, v = p._w, 2 * p._m, p._v
+    return q_divide(q_times(ONE, [(1, a) for a in tops]), bottoms, context)
+
+
+def q_times(p: QPoly, pairs: Iterable[tuple[int, int]]) -> QPoly:
+    """p times the factors (1 - s*q**e) over the pairs (s, e), s = +-1 and
+    e >= 0 (a negative e raises ValueError, as a negative shift).
+
+    Each factor is one shift and one add or subtract of the packed value
+    and at most doubles the coefficients, so the bound doubles per factor;
+    only a doubled bound that would reach 2**(w-2) refits.
+    """
+    w, m, v = p._w, p._m, p._v
+    for s, e in pairs:
+        m *= 2
         if m >> (w - 2):
-            w, m, (v,) = _refit(lambda x: 2 * x, p)
-        p = _make(v - (v << (w * a)), w, m)
-    return q_divide(p, bottoms, context)
+            w, m, (v,) = _refit(lambda x: 2 * x, _make(v, w, m // 2))
+        v = v - (v << (w * e)) if s == 1 else v + (v << (w * e))
+    return _make(v, w, m)
 
 
 def q_divide(num: QPoly, bottoms: Iterable[int], context: str) -> QPoly:
@@ -383,22 +393,17 @@ def q_divide(num: QPoly, bottoms: Iterable[int], context: str) -> QPoly:
     return p
 
 
-def _factors(powers: Iterable[tuple[int, int]]) -> tuple[int, QPoly]:
+def _reduced(pairs: Iterable[tuple[int, int]]) -> tuple[int, int, list]:
     """The product of the factors (1 - s*q**e) over the pairs (s, e), as
-    (shift, p): the product is q**shift * p, with p exact and ZERO when
-    some pair is (1, 0)."""
-    coef, shift, tops, bottoms = 1, 0, [], []
-    for s, e in powers:
-        if e < 0:  # 1 - s*q**e = -s*q**e * (1 - s*q**-e)
-            coef, shift, e = -s * coef, shift + e, -e
-        if s == 1:
-            tops.append(e)
-        elif e == 0:  # 1 + q**0
-            coef *= 2
-        else:  # 1 + q**e = (1 - q**2e) / (1 - q**e)
-            tops.append(2 * e)
-            bottoms.append(e)
-    return shift, coef * q_quotient(tops, bottoms, "")
+    (shift, sign, pairs) with every e >= 0 in the pairs returned: the
+    product is sign * q**shift times theirs, since
+    1 - s*q**e = -s*q**e * (1 - s*q**-e)."""
+    sign, shift, out = 1, 0, []
+    for s, e in pairs:
+        if e < 0:
+            sign, shift, e = -s * sign, shift + e, -e
+        out.append((s, e))
+    return shift, sign, out
 
 
 @dataclass(frozen=True)
@@ -495,13 +500,14 @@ def phi_eval(upper: Sequence[PowerParam], lower: Sequence[PowerParam],
     num = den = ONE
     for m in reversed(range(max_terms)):
         offset = base_exp * m
-        up_shift, up = _factors((s, e + offset) for s, e in ups)
-        if not up:  # the series ends at term m
+        up_shift, up_sign, up = _reduced((s, e + offset) for s, e in ups)
+        if (1, 0) in up:  # a zero factor: the series ends at term m
             num = den = ONE
             continue
-        down_shift, down = _factors((s, e + offset) for s, e in downs)
+        down_shift, down_sign, down = _reduced((s, e + offset)
+                                               for s, e in downs)
         s = excess * offset + z.exponent + up_shift - down_shift
-        den = down.shift(max(-s, 0)) * den
-        step = up.shift(max(s, 0)) * num
-        num = den + step if sign == 1 else den - step
+        den = q_times(den, down).shift(max(-s, 0))
+        step = q_times(num, up).shift(max(s, 0))
+        num = den + step if sign * up_sign * down_sign == 1 else den - step
     return num, den

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import pfes
-from pfes import cli, fq_oracle, identities, suites
+from pfes import cli, efun, fq_oracle, identities, qcore, suites
 from pfes.efun import (
     PfaffianParams, discrepancy, grassmannian_E, local_contribution,
     nondeg_skew_E, pf_stringy_closed, rank_stratum_E,
@@ -154,6 +154,29 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "b80154686df6e27d9d0c78cd034bd7a7309cad1ff4c74cd145325530266cc852")
+
+    def test_all_at_default_bounds_keeps_every_value_at_64_bits(
+            self, capsys, monkeypatch):
+        # the README's claim: at the suites' bounds no refit widens a value
+        # past 64-bit digits.  The memos start empty, so every value is
+        # built in this run
+        for module in (efun, identities):
+            for memo in vars(module).values():
+                if hasattr(memo, "cache_clear"):
+                    memo.cache_clear()
+        qcore._GAUSS_CACHE.clear()
+        widths = []
+        real = qcore._refit
+
+        def spy(*args):
+            result = real(*args)
+            widths.append(result[0])
+            return result
+
+        monkeypatch.setattr(qcore, "_refit", spy)
+        code, _, _ = run_cli(capsys, "verify", "all", "--format", "json")
+        assert code == 0
+        assert widths and max(widths) == 64
 
     def test_json_report_is_untimed(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "oddeven", "--max-r", "3",

@@ -13,9 +13,9 @@ from pfes import qcore
 from pfes.qcore import (
     ONE, ZERO, Q, QPoly, PowerParam,
     LowerParamPole, NotPolynomial, ZeroDenominator,
-    _factors,
+    _reduced,
     gauss_binomial, geometric_series, monomial, neg_qpow, phi_eval,
-    q_divide, q_product, q_quotient, qpow,
+    q_divide, q_product, q_quotient, q_times, qpow,
 )
 
 
@@ -388,10 +388,11 @@ def same(a, b):
 
 
 def pochhammer(a, b, k):
-    """(a; q^b)_k as the pair (p, q**-shift) from qcore._factors, which
-    builds the factors of phi_eval's ratios; shift <= 0 always."""
-    shift, product = _factors((a.sign, a.exponent + b * j) for j in range(k))
-    return product, monomial(-shift)
+    """(a; q^b)_k as the pair (p, q**-shift), reduced by qcore._reduced and
+    applied by q_times, as phi_eval applies its ratios; shift <= 0 always."""
+    shift, sign, pairs = _reduced((a.sign, a.exponent + b * j)
+                                  for j in range(k))
+    return sign * q_times(ONE, pairs), monomial(-shift)
 
 
 def pochhammer_by_definition(a, b, k, x):
@@ -674,6 +675,67 @@ class TestQProducts:
     @pytest.mark.parametrize("m", range(0, 7))
     def test_geometric_series_is_a_binomial(self, m, b):
         assert geometric_series(m, b) == gauss_binomial(m, 1, b)
+
+
+def times_by_coefficients(cs, pairs):
+    """Reference for q_times on a plain list of Python integers: each factor
+    (1 - s*q**e) in turn, without trailing zeros."""
+    out = list(cs)
+    for s, e in pairs:
+        grown = out + [0] * e
+        for t, c in enumerate(out):
+            grown[t + e] -= s * c
+        out = grown
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+factor_pairs = st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(0, 40)),
+                        max_size=12)
+
+
+class TestQTimes:
+    """q_times against a plain-integer reference, at and across the bound
+    of the 64-bit digit width."""
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None, phases=NO_SHRINK)
+    def test_matches_plain_integer_reference(self, data):
+        # e = 0 is drawn with either sign: 1 - q**0 is zero, 1 + q**0 is 2;
+        # the operand is a constant or dense, its coefficients often +-bound
+        bound = data.draw(st.sampled_from([1, 2 ** 20, 2 ** 61, 2 ** 62 - 1,
+                                           2 ** 200]))
+        coefficient = st.one_of(st.sampled_from([bound, -bound]),
+                                st.integers(-bound, bound))
+        size = data.draw(st.sampled_from([1, 60]))
+        p = QPoly(data.draw(st.lists(coefficient, min_size=size,
+                                     max_size=size)))
+        pairs = data.draw(factor_pairs)
+        assert plain(q_times(p, pairs)) == times_by_coefficients(plain(p), pairs)
+
+    def test_zero_and_doubling_factors(self):
+        p = QPoly([3, -1, 4])
+        assert q_times(p, [(1, 0)]) == ZERO
+        assert q_times(p, [(-1, 0), (-1, 0)]) == 4 * p
+        assert q_times(p, []) == p
+        assert q_times(ZERO, [(1, 2), (-1, 0)]) == ZERO
+        with pytest.raises(ValueError):
+            q_times(p, [(1, 2), (1, -1)])
+
+    def test_bound_that_crosses_two_to_the_62(self):
+        # 30 factors with the distinct exponents 1..30 double the bound 2**40
+        # past 2**62, yet the product of their factors has coefficients of at
+        # most 34, so the result is exact and still held at 64 bits
+        p = QPoly([2 ** 40, -3, 0, 5])
+        pairs = [((-1) ** t, t) for t in range(1, 31)]
+        got = q_times(p, pairs)
+        assert plain(got) == times_by_coefficients(plain(p), pairs)
+        assert got._w == 64
+        # a coefficient 2**61 doubled twice is 2**63, which needs 128 bits
+        top = q_times(QPoly([2 ** 61, -1]), [(-1, 0), (-1, 0)])
+        assert plain(top) == [2 ** 63, -4]
+        assert top._w == 128
 
 
 class TestPhiEval:
