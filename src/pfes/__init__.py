@@ -10,9 +10,7 @@ __version__ = "0.1.0"
 import importlib
 
 from .qcore import (
-    QPoly, PowerParam,
-    NotPolynomial, ZeroDenominator, LowerParamPole,
-    gauss_binomial, phi_eval, qpow, neg_qpow,
+    QPoly, NotPolynomial, ZeroDenominator, gauss_binomial, phi_eval,
 )
 from .efun import (
     PfaffianParams, RangeError, TooLarge,

@@ -23,7 +23,7 @@ import time
 from functools import cache
 
 from . import __version__, suites
-from .qcore import QPoly, LowerParamPole, NotPolynomial, ZeroDenominator
+from .qcore import QPoly, NotPolynomial, ZeroDenominator
 from .efun import (
     PfaffianParams, RangeError, TooLarge, discrepancy, grassmannian_E,
     local_contribution, nondeg_skew_E, pf_stringy_closed, rank_stratum_E,
@@ -248,7 +248,7 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         _emit_error(fmt, str(exc), args.command)
         return EXIT_RESOURCE
-    except (NotPolynomial, ZeroDenominator, LowerParamPole) as exc:
+    except (NotPolynomial, ZeroDenominator) as exc:
         _emit_error(fmt, str(exc), args.command)
         return EXIT_FAIL
 

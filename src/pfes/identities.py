@@ -37,9 +37,9 @@ from dataclasses import dataclass
 from functools import cache
 
 from .qcore import (
-    ONE, ZERO, QPoly, LowerParamPole,
-    gauss_binomial, geometric_series, neg_qpow, phi_eval,
-    q_divide, q_quotient, q_times, qpow,
+    ONE, ZERO, QPoly, ZeroDenominator,
+    gauss_binomial, geometric_series, phi_eval,
+    q_divide, q_quotient, q_times,
 )
 from .efun import PfaffianParams, _require, grassmannian_E
 
@@ -308,9 +308,9 @@ def verify_AC_BD(params: CutParams) -> list[dict]:
 def _phi_smooth_row(k: int, n: int) -> dict:
     """The 2phi1 rewrite of the smooth recursion sum."""
     num, den = _smooth_lhs_sum(k, n)
-    upper = [qpow(-2 * k), qpow(-n - 1 + 2 * k)]
-    big_num, big_den = phi_eval(upper, [qpow(1)], 2, qpow(n + 2), k)
-    small_num, small_den = phi_eval(upper, [qpow(1)], 2, qpow(2), k)
+    upper = [(1, -2 * k), (1, -n - 1 + 2 * k)]
+    big_num, big_den = phi_eval(upper, [(1, 1)], 2, (1, n + 2), k)
+    small_num, small_den = phi_eval(upper, [(1, 1)], 2, (1, 2), k)
     # (1 - q) num/den == (big - q^(nk-1) small) [(n-1)/2, k]_{q^2}
     phi_num = big_num * small_den - (small_num * big_den).shift(n * k - 1)
     return row(f"phi-2phi1-smooth-part({k},{n})",
@@ -333,9 +333,9 @@ def verify_phi_reductions(params: CutParams) -> list[dict]:
     name = f"phi-3phi2-cut-part({k},{i},{n})"
     try:
         phi_num, phi_den = phi_eval(
-            [qpow(-2 * k), qpow(1 - n + 2 * i), qpow(1 - 2 * k)],
-            [qpow(1 - n), qpow(n + 3 - 4 * k)], 2, qpow(n + 2 - 2 * i), k)
-    except LowerParamPole as pole:
+            [(1, -2 * k), (1, 1 - n + 2 * i), (1, 1 - 2 * k)],
+            [(1, 1 - n), (1, n + 3 - 4 * k)], 2, (1, n + 2 - 2 * i), k)
+    except ZeroDenominator as pole:
         rows.append(row(name, True, True, str(pole)))
     else:
         # (q^(n+3-4k); q^2)_{2k} (1 - q^(n+1-2k)) q^(2k^2-k-1), zero when
@@ -349,10 +349,10 @@ def verify_phi_reductions(params: CutParams) -> list[dict]:
 
     name = f"phi-3phi1-isotropic({k},{i},{n})"
     try:
-        phi_num, phi_den = phi_eval([qpow(-2 * k), qpow(-i), neg_qpow(-i)],
-                                    [qpow(n + 1 - 2 * i - 2 * k)],
-                                    1, neg_qpow(n + 1), 2 * k)
-    except LowerParamPole as pole:
+        phi_num, phi_den = phi_eval([(1, -2 * k), (1, -i), (-1, -i)],
+                                    [(1, n + 1 - 2 * i - 2 * k)],
+                                    1, (-1, n + 1), 2 * k)
+    except ZeroDenominator as pole:
         rows.append(row(name, True, True, str(pole)))
     else:
         pre = gauss_binomial(n - 2 * i, 2 * k, 1).shift(2 * k * k - k - 1)

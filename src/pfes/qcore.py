@@ -1,12 +1,11 @@
 """Exact arithmetic in a single variable q.
 
-Provides integer-coefficient polynomials (QPoly), signed q-powers
-(PowerParam), Gaussian binomial coefficients and a terminating basic
-hypergeometric summator.  QPoly is the only value type: a quotient that need
-not be a polynomial, such as a partial sum from phi_eval, is a pair
-(num, den) of QPolys, and two pairs compare by cross-multiplication,
-a_num * b_den == b_num * a_den, which is exact since Z[q] has no zero
-divisors.
+Provides integer-coefficient polynomials (QPoly), Gaussian binomial
+coefficients and a terminating basic hypergeometric summator.  QPoly is the
+only value type: a quotient that need not be a polynomial, such as a
+partial sum from phi_eval, is a pair (num, den) of QPolys, and two pairs
+compare by cross-multiplication, a_num * b_den == b_num * a_den, which is
+exact since Z[q] has no zero divisors.
 
 A QPoly P is held packed, as the one integer v = P(X) at X = 2**w
 (Kronecker substitution; Schoenhage 1982; Harvey, J. Symbolic Comput. 44,
@@ -29,7 +28,8 @@ place, not built into a product that is then multiplied in: q_times turns
 v into v - s*v*X**e per factor, which at most doubles the coefficients;
 q_product and q_quotient apply their tops to ONE, and q_divide divides by
 each bottom (1 - q**b) by prefix doubling.  Other modules pass only the
-signs and exponents.  The summator first rewrites a factor with e < 0 as
+signs and exponents.  The summator takes each series parameter as such a
+pair (s, e), meaning s*q**e, and first rewrites a factor with e < 0 as
 1 - s*q**e = -s*q**e * (1 - s*q**-e).
 
 Values are immutable (only a bound is ever tightened in place, which leaves
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Sequence
 
@@ -62,10 +61,6 @@ class NotPolynomial(Exception):
 
 class ZeroDenominator(Exception):
     """A division by the zero polynomial, or by a factor (1 - q**0)."""
-
-
-class LowerParamPole(Exception):
-    """A lower series parameter makes a denominator Pochhammer vanish."""
 
 
 class QPoly:
@@ -129,11 +124,7 @@ class QPoly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        w, m = self._w, self._m + other._m
-        if w != other._w or m >> (w - 2):
-            w, m, (a, b) = _refit(add, self, other)
-            return _make(a - b, w, m)
-        return _make(self._v - other._v, w, m)
+        return self + -other
 
     def __rsub__(self, other) -> "QPoly":
         other = _coerce_poly(other)
@@ -406,33 +397,6 @@ def _reduced(pairs: Iterable[tuple[int, int]]) -> tuple[int, int, list]:
     return shift, sign, out
 
 
-@dataclass(frozen=True)
-class PowerParam:
-    """A signed symbolic power of q: sign * q**exponent, exponent in Z."""
-
-    sign: int
-    exponent: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-    def shifted(self, delta: int) -> "PowerParam":
-        return PowerParam(self.sign, self.exponent + delta)
-
-    def __str__(self) -> str:
-        s = "-" if self.sign < 0 else ""
-        return f"{s}q^{self.exponent}"
-
-
-def qpow(exponent: int) -> PowerParam:
-    return PowerParam(1, exponent)
-
-
-def neg_qpow(exponent: int) -> PowerParam:
-    return PowerParam(-1, exponent)
-
-
 _GAUSS_CACHE: dict[tuple[int, int, int], QPoly] = {}
 
 
@@ -464,11 +428,13 @@ def gauss_binomial(m: int, r: int, base_exp: int = 1) -> QPoly:
     return value
 
 
-def phi_eval(upper: Sequence[PowerParam], lower: Sequence[PowerParam],
-             base_exp: int, z: PowerParam,
-             max_terms: int) -> tuple[QPoly, QPoly]:
+def phi_eval(upper: Sequence[tuple[int, int]],
+             lower: Sequence[tuple[int, int]], base_exp: int,
+             z: tuple[int, int], max_terms: int) -> tuple[QPoly, QPoly]:
     """Exact partial sum (terms 0..max_terms) of a basic hypergeometric
-    series, as a pair (num, den) of QPolys whose quotient it is.
+    series, as a pair (num, den) of QPolys whose quotient it is.  Each
+    parameter, z included, is a pair (s, e) meaning s*q**e, s = +-1 and e
+    any integer (another s raises ValueError).
 
     Term m is prod(a;Q)_m / ((Q;Q)_m prod(b;Q)_m) * ((-1)^m Q^(m(m-1)/2))^(1+s-r) * z^m
     with Q = q**base_exp.  For a terminating series whose upper-parameter
@@ -480,33 +446,35 @@ def phi_eval(upper: Sequence[PowerParam], lower: Sequence[PowerParam],
     is built inside out as one fraction (Gasper-Rahman, Basic
     Hypergeometric Series, 1.2).  A zero ratio ends the series there.
 
-    Raises LowerParamPole when a lower parameter equals Q**(-m) for some
+    Raises ZeroDenominator when a lower parameter equals Q**(-m) for some
     0 <= m < max_terms, which would zero a denominator factor.
     """
     if base_exp < 1:
         raise ValueError("base_exp must be a positive integer")
     if max_terms < 0:
         raise ValueError("max_terms must be non-negative")
-    for b in lower:
-        e = b.exponent
-        if (b.sign == 1 and e <= 0 and e % base_exp == 0
+    if any(s not in (1, -1) for s, _ in (*upper, *lower, z)):
+        raise ValueError("sign must be +1 or -1")
+    for s, e in lower:
+        if (s == 1 and e <= 0 and e % base_exp == 0
                 and -e // base_exp < max_terms):
-            raise LowerParamPole(f"lower parameter {b} vanishes a denominator "
-                                 f"factor within {max_terms} terms")
+            raise ZeroDenominator(f"lower parameter q^{e} vanishes a "
+                                  f"denominator factor within "
+                                  f"{max_terms} terms")
     excess = 1 + len(lower) - len(upper)
-    sign = (-1) ** (excess % 2) * z.sign
-    ups = [(a.sign, a.exponent) for a in upper]
-    downs = [(1, base_exp), *((b.sign, b.exponent) for b in lower)]
+    z_sign, z_exp = z
+    sign = (-1) ** (excess % 2) * z_sign
+    downs = [(1, base_exp), *lower]
     num = den = ONE
     for m in reversed(range(max_terms)):
         offset = base_exp * m
-        up_shift, up_sign, up = _reduced((s, e + offset) for s, e in ups)
+        up_shift, up_sign, up = _reduced((s, e + offset) for s, e in upper)
         if (1, 0) in up:  # a zero factor: the series ends at term m
             num = den = ONE
             continue
         down_shift, down_sign, down = _reduced((s, e + offset)
                                                for s, e in downs)
-        s = excess * offset + z.exponent + up_shift - down_shift
+        s = excess * offset + z_exp + up_shift - down_shift
         den = q_times(den, down).shift(max(-s, 0))
         step = q_times(num, up).shift(max(s, 0))
         num = den + step if sign * up_sign * down_sign == 1 else den - step

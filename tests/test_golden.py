@@ -2,7 +2,8 @@
 default bounds is byte-identical to the one pinned in bench/golden.json, and
 so is every report at `--max-n 17`, whose high-degree products take the
 Kronecker multiply.  The pinned bytes include the exact set of skipped `phi`
-points, so a pass that turns into a skip is caught too."""
+points, so a pass that turns into a skip is caught too.  The oracle workload
+runs here too, so every pfes name it calls stays importable and right."""
 
 import contextlib
 import hashlib
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import pfes
 from pfes import cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -44,3 +46,12 @@ def test_verify_reports_match_golden(workload):
         if code != 0 or digest != GOLDEN[workload][suite]["sha256"]:
             mismatched.append(suite)
     assert not mismatched
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_oracle_workload_passes_every_check(seed):
+    def span(label):
+        return contextlib.nullcontext({})
+
+    alphas = WORKLOADS.oracle_inputs(pfes, seed)
+    assert WORKLOADS.run_oracle(pfes, alphas, span) == (26, 0)

@@ -5,7 +5,7 @@ binomial identity and the hypergeometric rewrites."""
 import pytest
 
 from pfes.qcore import (
-    ONE, QPoly, ZERO, gauss_binomial, monomial, q_product, qpow,
+    ONE, QPoly, ZERO, gauss_binomial, monomial, q_product,
 )
 from pfes import identities
 from pfes.efun import RangeError
@@ -404,7 +404,21 @@ class TestPhiReductions:
                           reports["phi-3phi1-isotropic(2,2,5)"])
         assert cut["passed"] and cut["skipped"]
         assert isotropic["passed"] and isotropic["skipped"]
-        assert isotropic["note"]
+        assert cut["note"] == ("lower parameter q^0 vanishes a denominator "
+                               "factor within 2 terms")
+        assert isotropic["note"] == ("lower parameter q^-2 vanishes a "
+                                     "denominator factor within 4 terms")
+
+    @pytest.mark.parametrize("n,k,i,name,note", [
+        (7, 3, 1, "phi-3phi2-cut-part(3,1,7)",
+         "lower parameter q^-2 vanishes a denominator factor within 3 terms"),
+        (5, 2, 1, "phi-3phi1-isotropic(2,1,5)",
+         "lower parameter q^0 vanishes a denominator factor within 4 terms"),
+    ])
+    def test_skip_note_names_the_vanishing_parameter(self, n, k, i, name,
+                                                     note):
+        reports = {r["name"]: r for r in verify_phi_reductions(CutParams(n, k, i))}
+        assert reports[name] == row(name, True, True, note)
 
     def test_smooth_part_shift_off_by_one_fails(self, monkeypatch):
         # multiplying the z = q^2 series by q puts the q^(nk-1) in front of
@@ -413,7 +427,7 @@ class TestPhiReductions:
 
         def shifted_small(upper, lower, base, z, terms):
             num, den = real(upper, lower, base, z, terms)
-            return (num.shift(1), den) if z == qpow(2) else (num, den)
+            return (num.shift(1), den) if z == (1, 2) else (num, den)
 
         identities._phi_smooth_row.cache_clear()
         monkeypatch.setattr(identities, "phi_eval", shifted_small)

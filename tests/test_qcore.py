@@ -9,13 +9,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from pfes import qcore
+from pfes import identities, qcore
+from pfes.identities import CutParams, verify_phi_reductions
 from pfes.qcore import (
-    ONE, ZERO, Q, QPoly, PowerParam,
-    LowerParamPole, NotPolynomial, ZeroDenominator,
+    ONE, ZERO, Q, QPoly,
+    NotPolynomial, ZeroDenominator,
     _reduced,
-    gauss_binomial, geometric_series, monomial, neg_qpow, phi_eval,
-    q_divide, q_product, q_quotient, q_times, qpow,
+    gauss_binomial, geometric_series, monomial, phi_eval,
+    q_divide, q_product, q_quotient, q_times,
 )
 
 
@@ -373,7 +374,8 @@ class TestExactDivision:
             assert quotient * b == a
 
 
-power_params = st.builds(PowerParam, st.sampled_from([1, -1]), st.integers(-6, 6))
+# a series parameter s*q**e as the pair (s, e)
+power_params = st.tuples(st.sampled_from([1, -1]), st.integers(-6, 6))
 
 
 def value_at(pair, x):
@@ -390,16 +392,17 @@ def same(a, b):
 def pochhammer(a, b, k):
     """(a; q^b)_k as the pair (p, q**-shift), reduced by qcore._reduced and
     applied by q_times, as phi_eval applies its ratios; shift <= 0 always."""
-    shift, sign, pairs = _reduced((a.sign, a.exponent + b * j)
-                                  for j in range(k))
+    s, e = a
+    shift, sign, pairs = _reduced((s, e + b * j) for j in range(k))
     return sign * q_times(ONE, pairs), monomial(-shift)
 
 
 def pochhammer_by_definition(a, b, k, x):
     """(a; q^b)_k at q = x, one factor (1 - a*q^(b*j)) at a time."""
+    s, e = a
     out = Fraction(1)
     for j in range(k):
-        out *= 1 - a.sign * Fraction(x) ** (a.exponent + b * j)
+        out *= 1 - s * Fraction(x) ** (e + b * j)
     return out
 
 
@@ -407,53 +410,67 @@ def phi_by_definition(upper, lower, b, z, max_terms, x):
     """Terms 0..max_terms of the basic hypergeometric series at q = x, each
     summed as its own ratio of Pochhammer values."""
     big_q = Fraction(x) ** b
+    z_sign, z_exp = z
     excess = 1 + len(lower) - len(upper)
     total = Fraction(0)
     for m in range(max_terms + 1):
-        term = pochhammer_by_definition(qpow(b), b, m, x) ** -1
+        term = pochhammer_by_definition((1, b), b, m, x) ** -1
         for a in upper:
             term *= pochhammer_by_definition(a, b, m, x)
         for c in lower:
             term /= pochhammer_by_definition(c, b, m, x)
         term *= ((-1) ** m * big_q ** (m * (m - 1) // 2)) ** excess
-        total += term * (z.sign * Fraction(x) ** z.exponent) ** m
+        total += term * (z_sign * Fraction(x) ** z_exp) ** m
     return total
 
 
-# The phi_eval calls of identities.verify_phi_reductions at CutParams(n, k, i)
-PHI_SUITE_CALLS = {
-    "2phi1-big": lambda k, i, n: (
-        [qpow(-2 * k), qpow(-n - 1 + 2 * k)], [qpow(1)], 2, qpow(n + 2), k),
-    "2phi1-small": lambda k, i, n: (
-        [qpow(-2 * k), qpow(-n - 1 + 2 * k)], [qpow(1)], 2, qpow(2), k),
-    "3phi2": lambda k, i, n: (
-        [qpow(-2 * k), qpow(1 - n + 2 * i), qpow(1 - 2 * k)],
-        [qpow(1 - n), qpow(n + 3 - 4 * k)], 2, qpow(n + 2 - 2 * i), k),
-    "3phi1": lambda k, i, n: (
-        [qpow(-2 * k), qpow(-i), neg_qpow(-i)],
-        [qpow(n + 1 - 2 * i - 2 * k)], 1, neg_qpow(n + 1), 2 * k),
-}
+def phi_suite_calls(monkeypatch, n):
+    """The argument tuples of every phi_eval call that
+    identities.verify_phi_reductions makes at each (k, i) for n, recorded
+    from the suite itself, each keyed by its rewrite."""
+    calls = []
+    real = identities.phi_eval
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(identities, "phi_eval", record)
+    identities._phi_smooth_row.cache_clear()
+    try:
+        for k in range(1, (n + 1) // 2):
+            for i in range(1, (n + 1) // 2):
+                verify_phi_reductions(CutParams(n, k, i))
+    finally:
+        identities._phi_smooth_row.cache_clear()
+    return [(phi_shape(*args), args) for args in calls]
+
+
+def phi_shape(upper, lower, base, z, max_terms):
+    if len(upper) == 2:
+        return "2phi1-small" if z == (1, 2) else "2phi1-big"
+    return "3phi2" if len(lower) == 2 else "3phi1"
 
 
 class TestPochhammer:
     def test_two_factor_product(self):
-        got = pochhammer(qpow(1), 1, 2)
+        got = pochhammer((1, 1), 1, 2)
         assert got == ((1 - Q) * (1 - monomial(2)), ONE)
         assert got[0] == QPoly([1, -1, -1, 1])
 
     def test_unit_argument_kills_product(self):
-        assert not pochhammer(qpow(0), 2, 1)[0]
-        assert not pochhammer(qpow(0), 2, 3)[0]
+        assert not pochhammer((1, 0), 2, 1)[0]
+        assert not pochhammer((1, 0), 2, 3)[0]
 
     def test_negated_argument(self):
-        assert pochhammer(neg_qpow(1), 1, 2) == ((1 + Q) * (1 + monomial(2)), ONE)
+        assert pochhammer((-1, 1), 1, 2) == ((1 + Q) * (1 + monomial(2)), ONE)
 
     def test_empty_product_is_one(self):
-        assert pochhammer(qpow(7), 3, 0) == (ONE, ONE)
+        assert pochhammer((1, 7), 3, 0) == (ONE, ONE)
 
     def test_negative_exponent_gets_laurent_shift(self):
         # 1 - q^-2 = (q^2 - 1) / q^2
-        assert pochhammer(qpow(-2), 2, 1) == (monomial(2) - 1, monomial(2))
+        assert pochhammer((1, -2), 2, 1) == (monomial(2) - 1, monomial(2))
 
     @given(power_params, st.integers(1, 3), st.integers(0, 5))
     @settings(max_examples=150, deadline=None)
@@ -465,10 +482,9 @@ class TestPochhammer:
     @given(st.integers(-4, 4), st.integers(1, 3), st.integers(0, 4), st.integers(0, 4))
     @settings(max_examples=40, deadline=None)
     def test_splitting(self, e, b, k1, k2):
-        a = qpow(e)
-        whole = pochhammer(a, b, k1 + k2)
+        whole = pochhammer((1, e), b, k1 + k2)
         (head_num, head_den), (tail_num, tail_den) = (
-            pochhammer(a, b, k1), pochhammer(a.shifted(b * k1), b, k2))
+            pochhammer((1, e), b, k1), pochhammer((1, e + b * k1), b, k2))
         assert same(whole, (head_num * tail_num, head_den * tail_den))
 
 
@@ -740,24 +756,25 @@ class TestQTimes:
 
 class TestPhiEval:
     def test_unit_upper_parameter_truncates_to_one(self):
-        got = phi_eval([qpow(0), qpow(5)], [qpow(3)], 1, qpow(2), 6)
+        got = phi_eval([(1, 0), (1, 5)], [(1, 3)], 1, (1, 2), 6)
         assert same(got, (ONE, ONE))
 
     def test_zero_terms_is_one(self):
-        assert same(phi_eval([qpow(-4)], [qpow(3)], 2, qpow(1), 0), (ONE, ONE))
+        assert same(phi_eval([(1, -4)], [(1, 3)], 2, (1, 1), 0), (ONE, ONE))
 
     def test_two_term_series_matches_hand_expansion(self):
         # [3 choose 2]_q * 2phi1(q^-2, q^-1; q^-3; base q^2, z=1) = q^2 + q
-        num, den = phi_eval([qpow(-2), qpow(-1)], [qpow(-3)], 2, qpow(0), 1)
+        num, den = phi_eval([(1, -2), (1, -1)], [(1, -3)], 2, (1, 0), 1)
         assert same((gauss_binomial(3, 2, 1) * num, den), (QPoly([0, 1, 1]), ONE))
 
     def test_lower_pole_detected(self):
-        with pytest.raises(LowerParamPole):
-            phi_eval([qpow(-6)], [qpow(-2)], 1, qpow(1), 3)
+        with pytest.raises(ZeroDenominator, match=r"^lower parameter q\^-2 "
+                           r"vanishes a denominator factor within 3 terms$"):
+            phi_eval([(1, -6)], [(1, -2)], 1, (1, 1), 3)
 
     def test_pole_outside_term_range_is_fine(self):
         # lower q^-2 with base 1 only degenerates from term 3 onward
-        phi_eval([qpow(-6)], [qpow(-2)], 1, qpow(1), 2)
+        phi_eval([(1, -6)], [(1, -2)], 1, (1, 1), 2)
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -766,9 +783,9 @@ class TestPhiEval:
         upper = data.draw(st.lists(power_params, max_size=3))
         lower = data.draw(st.lists(power_params, max_size=2))
         z = data.draw(power_params)
-        if any(b.sign == 1 and b.exponent in range(-base * (max_terms - 1), 1, base)
-               for b in lower):
-            with pytest.raises(LowerParamPole):
+        if any(s == 1 and e in range(-base * (max_terms - 1), 1, base)
+               for s, e in lower):
+            with pytest.raises(ZeroDenominator):
                 phi_eval(upper, lower, base, z, max_terms)
             return
         got = phi_eval(upper, lower, base, z, max_terms)
@@ -779,30 +796,46 @@ class TestPhiEval:
     def test_negative_series_excess_matches_definition(self):
         # two upper parameters and no lower one: excess -1, so the ratio's
         # power of q is negative and goes into the denominator
-        args = ([qpow(-2), neg_qpow(-2)], [], 1, qpow(1), 2)
+        args = ([(1, -2), (-1, -2)], [], 1, (1, 1), 2)
         got = phi_eval(*args)
         for x in (2, 3):
             assert value_at(got, x) == phi_by_definition(*args, x)
 
     def test_upper_factor_vanishing_mid_series_matches_definition(self):
         # (q^-2; q)_m is zero from m = 3 on, well inside the 6 terms asked for
-        args = ([qpow(-2)], [qpow(3)], 1, qpow(1), 6)
+        args = ([(1, -2)], [(1, 3)], 1, (1, 1), 6)
         got = phi_eval(*args)
         for x in (2, 3):
             assert value_at(got, x) == phi_by_definition(*args, x)
 
     @pytest.mark.parametrize("n", range(5, 14, 2))
-    @pytest.mark.parametrize("shape", sorted(PHI_SUITE_CALLS))
-    def test_matches_definition_on_the_phi_suite_calls(self, shape, n):
+    @pytest.mark.parametrize(
+        "shape", ["2phi1-big", "2phi1-small", "3phi1", "3phi2"])
+    def test_matches_definition_on_the_phi_suite_calls(self, shape, n,
+                                                        monkeypatch):
         checked = 0
-        for k in range(1, (n + 1) // 2):
-            for i in range(1, (n + 1) // 2):
-                args = PHI_SUITE_CALLS[shape](k, i, n)
-                try:
-                    got = phi_eval(*args)
-                except LowerParamPole:
-                    continue
-                checked += 1
-                for x in (2, 3):
-                    assert value_at(got, x) == phi_by_definition(*args, x)
+        for call_shape, args in phi_suite_calls(monkeypatch, n):
+            if call_shape != shape:
+                continue
+            try:
+                got = phi_eval(*args)
+            except ZeroDenominator:
+                # a pole of phi_eval is a zero denominator of the definition
+                with pytest.raises(ZeroDivisionError):
+                    phi_by_definition(*args, 2)
+                continue
+            checked += 1
+            for x in (2, 3):
+                assert value_at(got, x) == phi_by_definition(*args, x)
         assert checked
+
+    @pytest.mark.parametrize("sign", [0, 2])
+    @pytest.mark.parametrize("place", ["upper", "lower", "z"])
+    def test_sign_other_than_plus_or_minus_one_is_rejected(self, place, sign):
+        args = {"upper": [(1, -2)], "lower": [(1, 3)], "z": (1, 1)}
+        if place == "z":
+            args["z"] = (sign, 1)
+        else:
+            args[place].append((sign, 1))
+        with pytest.raises(ValueError, match="sign must be"):
+            phi_eval(args["upper"], args["lower"], 1, args["z"], 2)
