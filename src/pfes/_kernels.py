@@ -165,13 +165,13 @@ _BATCH = 1 << 16
 _WORDS = 1 << 12
 
 
-def _batches(p: int, n: int, batch: int):
-    """All forms on F_p^n in index order, in batches of up to `batch` forms,
-    as `rank` lanes: words for p = 2, `kernel_dtype` digits for odd p."""
+def _batches(p: int, n: int):
+    """All forms on F_p^n in index order, in the census's batches, as `rank`
+    lanes: words for p = 2, `kernel_dtype` digits for odd p."""
     m = n * (n - 1) // 2
     if p == 2:
-        return _word_batches(m, batch // 64)
-    return digit_batches(p, m, batch, kernel_dtype(p, n))
+        return _word_batches(m, _WORDS)
+    return digit_batches(p, m, _BATCH, kernel_dtype(p, n))
 
 
 def _packed(lanes: np.ndarray, p: int) -> np.ndarray:
@@ -192,9 +192,8 @@ def _popcount(bits: np.ndarray, size: int) -> int:
 def _ranked(p: int, n: int) -> tuple[list[np.ndarray], ...]:
     """For each census batch of the last (p, n) swept, in index order, the
     packed masks of its forms of rank >= 2, 4, ...: n // 2 bits a form."""
-    batch = 64 * _WORDS if p == 2 else _BATCH
     return tuple([_packed(seen, p) for seen in _levels(lanes, p, n)]
-                 for lanes in _batches(p, n, batch))
+                 for lanes in _batches(p, n))
 
 
 def census(p: int, n: int, alpha: tuple[int, ...]) -> np.ndarray:
@@ -204,7 +203,7 @@ def census(p: int, n: int, alpha: tuple[int, ...]) -> np.ndarray:
     # form t of batch b has index b * size + t: its pairing with alpha is
     # that of form t of the first batch plus that of the index b * size
     size = p ** (n * (n - 1) // 2) // len(masks)
-    first = next(_batches(p, n, size))
+    first = next(_batches(p, n))
     pairing = np.zeros(first.shape[1], first.dtype)
     for a, row in zip(alpha, first):
         if a:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .qcore import (
-    ZERO, QPoly, gauss_binomial, geometric_series, q_product, q_quotient,
+    ZERO, QPoly, gauss_binomial, geometric_series, q_quotient,
 )
 
 
@@ -76,7 +76,8 @@ def nondeg_skew_E(i: int) -> QPoly:
     forms on C^(2i), which the oddeven suite checks.
     """
     _require(i >= 1, f"need i >= 1, got {i}")
-    return (-1) ** (i - 1) * q_product(range(3, 2 * i, 2)).shift(i * (i - 1))
+    return ((-1) ** (i - 1)
+            * q_quotient(range(3, 2 * i, 2), (), "").shift(i * (i - 1)))
 
 
 @cache

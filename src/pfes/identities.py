@@ -96,11 +96,10 @@ def isotropic_E(k: int, i: int, n: int) -> QPoly:
 @cache
 def dual_local_weight(k: int, i: int, n: int) -> QPoly:
     """Stringy weight of the rank-2i stratum on the complementary-rank side,
-    as it appears in the second summand of the closed cut formula; zero once
-    i exceeds (n-1)/2 - k."""
+    as it appears in the second summand of the closed cut formula, for
+    i <= (n-1)/2; zero once i exceeds (n-1)/2 - k."""
     half = (n - 1) // 2
-    if i > half - k:
-        return ZERO
+    # for i > half - k the tops include 2j = 0, and q_quotient returns ZERO
     js = range(half - k - i + 1, half - i + 1)
     return q_quotient((2 * j for j in js),
                       (2 * j - n + 1 + 2 * k + 2 * i for j in js),
@@ -262,14 +261,10 @@ def _smooth_lhs_sum(k: int, n: int) -> tuple[QPoly, tuple]:
     closed cut formula, extended to the vanishing index-zero value, as
     (numerator, denominator factors); the denominator is q times the
     factors, as q_times takes them."""
-    half = (n - 1) // 2
-
-    def value(j):
-        # q * (q^(nj-1) - 1)/(q - 1): the index-zero value collapses to -1
-        lead = -ONE if j == 0 else geometric_series(n * j - 1).shift(1)
-        return lead * gauss_binomial(half, j, 2)
-
-    total, den = _recursion_sum(k, n, range(0, k + 1), value)
+    # q times _closed_smooth(j, n), which collapses to -1 at j = 0
+    total, den = _recursion_sum(
+        k, n, range(0, k + 1),
+        lambda j: _closed_smooth(j, n).shift(1) if j else -ONE)
     return total, tuple((1, e) for e in den)
 
 
@@ -338,14 +333,16 @@ def verify_phi_reductions(params: CutParams) -> list[dict]:
     except ZeroDenominator as pole:
         rows.append(row(name, True, True, str(pole)))
     else:
-        # (q^(n+3-4k); q^2)_{2k} (1 - q^(n+1-2k)) q^(2k^2-k-1), zero when
-        # the Pochhammer reaches 1 - q^0, over (1 - q^(n+1)) (q;q)_{2k}
-        pre_num = q_quotient([*range(n + 3 - 4 * k, n + 3, 2), n + 1 - 2 * k],
-                             (), "").shift(2 * k * k - k - 1)
+        # the prefactor (q^(n+3-4k); q^2)_{2k} (1 - q^(n+1-2k)) q^(2k^2-k-1)
+        # over (1 - q^(n+1)) (q;q)_{2k}, its top factors applied in place:
+        # off the pole, 4k < n + 3, every top exponent is positive, so none
+        # is 1 - q^0 and no zero-top rule is needed
+        tops = (*range(n + 3 - 4 * k, n + 3, 2), n + 1 - 2 * k)
         pre_den = [(1, e) for e in (n + 1, *range(1, 2 * k + 1))]
         num, den = _cut_lhs_sum(k, i, n)
+        rhs = q_times(phi_num, [*((1, e) for e in tops), *den])
         rows.append(row(name, q_times(num * phi_den, pre_den)
-                        == q_times(pre_num * phi_num, den).shift(1)))
+                        == rhs.shift(2 * k * k - k)))
 
     name = f"phi-3phi1-isotropic({k},{i},{n})"
     try:

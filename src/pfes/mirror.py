@@ -31,7 +31,9 @@ from .efun import (
     PfaffianParams, _require, grassmannian_E, local_contribution,
     pf_stringy_recursive, pf_stringy_rodland,
 )
-from .identities import _closed_smooth, dual_local_weight, row, solve_newcor
+from .identities import (
+    CutParams, dual_local_weight, f_closed, row, solve_newcor,
+)
 
 
 def fiber_E_odd(k: int, n: int) -> QPoly:
@@ -66,26 +68,25 @@ def main_coefficient_check(k: int) -> dict:
 def main_main_check(n: int, k: int) -> dict:
     """Stratum-by-stratum form of the general mirror equality at (n, k).
 
-    For each cutting rank 2i, the closed-route value
+    For each cutting rank 2i, the closed-route value f_closed =
     (q^(nk-1)-1)/(q-1) * W + q^(nk-1) * S_i  (W the closed stringy product,
-    S_i the local weight of the rank-2i stratum on the complementary side)
-    must equal the weighted cut E-function obtained from the triangular
-    recursion.  Strata with i beyond (n-1)/2 - k carry weight zero on both
-    routes.  The same S_i arise as the stratum weights of the
-    k' = (n-1)/2-k companion locus, and each stratum also checks the two
-    transcriptions against each other (dual_local_weight at k against
+    S_i = dual_local_weight the local weight of the rank-2i stratum on the
+    complementary side) must equal the weighted cut E-function obtained
+    from the triangular recursion.  Strata with i beyond (n-1)/2 - k carry
+    weight zero on both routes.  The same S_i arise as the stratum weights
+    of the k' = (n-1)/2-k companion locus, and each stratum first checks the
+    two transcriptions against each other (dual_local_weight at k against
     local_contribution at k'): the relabeling symmetry of the construction.
     """
     _require(n >= 5 and n % 2 == 1, f"n must be odd and >= 5, got {n}")
     half = (n - 1) // 2
     _require(1 <= k <= half - 1, f"need 1 <= k <= (n-3)/2, got k={k}, n={n}")
     k_dual = half - k
-    first = _closed_smooth(k, n)
 
     def stratum_ok(i):
         s_i = local_contribution(i, k_dual, n) if i <= k_dual else ZERO
-        return (solve_newcor(k, i, n)[-1] == first + s_i.shift(n * k - 1)
-                and dual_local_weight(k, i, n) == s_i)
+        return (dual_local_weight(k, i, n) == s_i
+                and solve_newcor(k, i, n)[-1] == f_closed(CutParams(n, k, i)))
 
     return row(f"main-main(n={n},k={k})",
                all(stratum_ok(i) for i in range(1, half + 1)))

@@ -26,10 +26,10 @@ binomial to base b read it.
 Factors (1 - s*q**e), s = +-1 and e >= 0, are applied to a packed value in
 place, not built into a product that is then multiplied in: q_times turns
 v into v - s*v*X**e per factor, which at most doubles the coefficients;
-q_product and q_quotient apply their tops to ONE, and q_divide divides by
-each bottom (1 - q**b) by prefix doubling.  Other modules pass only the
-signs and exponents.  The summator takes each series parameter as such a
-pair (s, e), meaning s*q**e, and first rewrites a factor with e < 0 as
+q_quotient applies its tops to ONE, and q_divide divides by each bottom
+(1 - q**b) by prefix doubling.  Other modules pass only the signs and
+exponents.  The summator takes each series parameter as such a pair
+(s, e), meaning s*q**e, and first rewrites a factor with e < 0 as
 1 - s*q**e = -s*q**e * (1 - s*q**-e).
 
 Values are immutable (only a bound is ever tightened in place, which leaves
@@ -300,17 +300,11 @@ def geometric_series(m: int, base_exp: int = 1) -> QPoly:
     return QPoly(([1] + [0] * (base_exp - 1)) * m)
 
 
-def q_product(exponents: Iterable[int]) -> QPoly:
-    """Product of the factors (1 - q**a) over the exponents a; ONE for none."""
-    exponents = list(exponents)
-    if min(exponents, default=0) < 0:
-        raise ValueError("QPoly exponents must be non-negative")
-    return q_quotient(exponents, (), "")
-
-
 def q_quotient(tops: Iterable[int], bottoms: Iterable[int],
                context: str) -> QPoly:
-    """Exact quotient q_product(tops) / q_product(bottoms).
+    """Exact quotient of the product of the factors (1 - q**a) over the
+    tops by that over the bottoms; ONE for neither, and with no bottoms the
+    one builder of such a product.
 
     ZERO when 0 is among the tops, decided before any factor is built, so
     such tops may run on into negative exponents.  Raises NotPolynomial,
@@ -344,7 +338,8 @@ def q_times(p: QPoly, pairs: Iterable[tuple[int, int]]) -> QPoly:
 
 
 def q_divide(num: QPoly, bottoms: Iterable[int], context: str) -> QPoly:
-    """Exact quotient num / q_product(bottoms).
+    """Exact quotient of num by the product of the factors (1 - q**b) over
+    the bottoms.
 
     Dividing by (1 - q**b) a polynomial of size coefficients takes the
     running sums of its coefficients along each residue class mod b, which
@@ -366,7 +361,7 @@ def q_divide(num: QPoly, bottoms: Iterable[int], context: str) -> QPoly:
     for b in sorted(bottoms, reverse=True):
         size = p.degree + 1
         if size <= b:
-            raise NotPolynomial(num, q_product(bottoms), context)
+            raise NotPolynomial(num, q_quotient(bottoms, (), ""), context)
         terms = (size - 1) // b + 1  # the longest running sum
         w, m, v = p._w, p._m * terms, p._v
         if m >> (w - 2):
@@ -379,7 +374,7 @@ def q_divide(num: QPoly, bottoms: Iterable[int], context: str) -> QPoly:
         if low >> (w * size - 1):
             low -= 1 << (w * size)
         if abs(low) >> (w * (size - b) - 1):
-            raise NotPolynomial(num, q_product(bottoms), context)
+            raise NotPolynomial(num, q_quotient(bottoms, (), ""), context)
         p = _make(low, w, m)
     return p
 
@@ -455,6 +450,8 @@ def phi_eval(upper: Sequence[tuple[int, int]],
         raise ValueError("max_terms must be non-negative")
     if any(s not in (1, -1) for s, _ in (*upper, *lower, z)):
         raise ValueError("sign must be +1 or -1")
+    # scanned before any term is built, so a pole at a term that an upper
+    # zero cuts off still raises, and a skipped point builds no term
     for s, e in lower:
         if (s == 1 and e <= 0 and e % base_exp == 0
                 and -e // base_exp < max_terms):

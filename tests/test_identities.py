@@ -5,7 +5,7 @@ binomial identity and the hypergeometric rewrites."""
 import pytest
 
 from pfes.qcore import (
-    ONE, QPoly, ZERO, gauss_binomial, monomial, q_product,
+    ONE, QPoly, ZERO, gauss_binomial, monomial, q_quotient,
 )
 from pfes import identities
 from pfes.efun import RangeError
@@ -99,6 +99,18 @@ class TestFClosed:
             for k in range(1, half + 1):
                 for i in range(half - k + 1, half + 1):
                     assert dual_local_weight(k, i, n) == ZERO
+
+    def test_dual_weight_is_the_complementary_gaussian_binomial(self):
+        # [(n-1)/2 - i, k]_{q^2}, zero once k > (n-1)/2 - i: 384 points
+        points = 0
+        for n in range(5, 22, 2):
+            half = (n - 1) // 2
+            for k in range(1, half + 1):
+                for i in range(1, half + 1):
+                    assert (dual_local_weight(k, i, n)
+                            == gauss_binomial(half - i, k, 2)), (n, k, i)
+                    points += 1
+        assert points == 384
 
     def test_rank_one_bound_equals_isotropic_count(self):
         for n in (5, 7, 9, 11):
@@ -355,7 +367,8 @@ def recursion_sum_by_pochhammer(k, n, js, value):
     """Reference: each coefficient as a Pochhammer in q^2 times a separate
     product of the remaining (1 - q^a) factors."""
     top = 2 * (k - js.start)
-    den = q_product([*range(1, top + 1), *(n + 1 - 2 * j for j in js)])
+    den = q_quotient([*range(1, top + 1), *(n + 1 - 2 * j for j in js)], (),
+                     "")
     total = ZERO
     for j in js:
         # (q^(n+3-4k+2j); q^2)_{2k-2j}
@@ -363,8 +376,9 @@ def recursion_sum_by_pochhammer(k, n, js, value):
                                   for t in range(2 * k - 2 * j))
         if not pich:
             continue
-        rest = q_product([n + 1 - 2 * k, *range(2 * k - 2 * j + 1, top + 1),
-                          *(n + 1 - 2 * jp for jp in js if jp != j)])
+        rest = q_quotient([n + 1 - 2 * k, *range(2 * k - 2 * j + 1, top + 1),
+                           *(n + 1 - 2 * jp for jp in js if jp != j)],
+                          (), "")
         total = total + value(j).shift(2 * (k - j) ** 2 - (k - j)) * rest * pich
     return total, den
 
@@ -384,7 +398,7 @@ class TestRecursionSum:
                     k, n, js, lambda j: value(j, calls))
                 want = recursion_sum_by_pochhammer(
                     k, n, js, lambda j: value(j, reference_calls))
-                assert (total, q_product(den)) == want, (n, k, js)
+                assert (total, q_quotient(den, (), "")) == want, (n, k, js)
                 assert calls == reference_calls, (n, k, js)
 
 
@@ -437,6 +451,26 @@ class TestPhiReductions:
                     smooth = verify_phi_reductions(CutParams(n, k, 1))[0]
                     assert smooth == row(f"phi-2phi1-smooth-part({k},{n})",
                                          False)
+        finally:
+            identities._phi_smooth_row.cache_clear()
+
+    def test_3phi2_prefactor_off_by_q_fails(self, monkeypatch):
+        # the 3phi2 numerator (the only call with two lower parameters) times
+        # q breaks the prefactor it is multiplied with, and nothing else
+        real = identities.phi_eval
+
+        def shifted_3phi2(upper, lower, base, z, terms):
+            num, den = real(upper, lower, base, z, terms)
+            return (num.shift(1), den) if len(lower) == 2 else (num, den)
+
+        identities._phi_smooth_row.cache_clear()
+        monkeypatch.setattr(identities, "phi_eval", shifted_3phi2)
+        try:
+            for n, k, i in [(7, 2, 1), (9, 2, 2), (11, 3, 2)]:
+                assert verify_phi_reductions(CutParams(n, k, i)) == [
+                    row(f"phi-2phi1-smooth-part({k},{n})", True),
+                    row(f"phi-3phi2-cut-part({k},{i},{n})", False),
+                    row(f"phi-3phi1-isotropic({k},{i},{n})", True)]
         finally:
             identities._phi_smooth_row.cache_clear()
 

@@ -16,7 +16,7 @@ from pfes.qcore import (
     NotPolynomial, ZeroDenominator,
     _reduced,
     gauss_binomial, geometric_series, monomial, phi_eval,
-    q_divide, q_product, q_quotient, q_times,
+    q_divide, q_quotient, q_times,
 )
 
 
@@ -125,7 +125,7 @@ def planted(data):
     part, times two cofactors, each possibly with an integer content."""
     exps = data.draw(st.lists(st.integers(1, 30), max_size=8))
     dense = terms_of(data, 1, 40, max_degree=60, bound=2 ** 20)
-    common = q_product(exps) * dense * data.draw(st.integers(1, 6))
+    common = q_quotient(exps, (), "") * dense * data.draw(st.integers(1, 6))
     u = terms_of(data, 1, 30, max_degree=60, bound=2 ** 12)
     v = terms_of(data, 1, 30, max_degree=60, bound=2 ** 12)
     return common * u, common * v
@@ -241,8 +241,7 @@ class TestQPoly:
         # 70 tops (1 - q): each may double the bound, and the coefficients
         # of (1 - q)**70 pass 2**63
         binomials = [(-1) ** k * math.comb(70, k) for k in range(71)]
-        assert plain(q_quotient([1] * 70, [], "")) == binomials
-        assert plain(q_product([1] * 70)) == binomials
+        assert plain(q_quotient([1] * 70, (), "")) == binomials
         assert q_quotient([1] * 70, [1] * 69, "") == ONE - Q
         tops, bottoms = list(range(1, 71)), list(range(1, 64))
         assert q_quotient(tops, bottoms, "") == schoolbook_product(range(64, 71))
@@ -613,12 +612,12 @@ exponent_lists = st.lists(st.integers(1, 9), max_size=5)
 
 
 class TestQProducts:
-    """q_product, q_quotient and q_divide against an explicit (1 - q^a)
-    loop and poly_exact_div."""
+    """q_quotient, as a product (no bottoms) and as a quotient, and q_divide
+    against an explicit (1 - q^a) loop and poly_exact_div."""
 
     @given(exponent_lists)
     def test_product_matches_schoolbook(self, exponents):
-        assert q_product(exponents) == schoolbook_product(exponents)
+        assert q_quotient(exponents, (), "") == schoolbook_product(exponents)
 
     @given(exponent_lists, exponent_lists)
     def test_quotient_matches_schoolbook(self, tops, bottoms):
@@ -637,13 +636,12 @@ class TestQProducts:
         assert q_quotient(tops, bottoms, "") == schoolbook_product(extra)
 
     def test_empty_lists_give_one(self):
-        assert q_product([]) == ONE
-        assert q_quotient([], [], "") == ONE
+        assert q_quotient([], (), "") == ONE
 
     def test_product_exponent_zero_and_negative(self):
-        assert q_product([3, 0, 2]) == ZERO
+        assert q_quotient([3, 0, 2], (), "") == ZERO
         with pytest.raises(ValueError):
-            q_product([2, -1])
+            q_quotient([2, -1], (), "")
 
     def test_quotient_by_a_higher_degree_divisor_raises(self):
         with pytest.raises(NotPolynomial) as info:
@@ -670,7 +668,7 @@ class TestQProducts:
 
     @given(small_polys, exponent_lists)
     def test_divide_inverts_product(self, a, bottoms):
-        assert q_divide(a * q_product(bottoms), bottoms, "") == a
+        assert q_divide(a * q_quotient(bottoms, (), ""), bottoms, "") == a
 
     def test_divide_by_a_non_factor_raises_with_context(self):
         num = ONE - monomial(3)
@@ -771,6 +769,13 @@ class TestPhiEval:
         with pytest.raises(ZeroDenominator, match=r"^lower parameter q\^-2 "
                            r"vanishes a denominator factor within 3 terms$"):
             phi_eval([(1, -6)], [(1, -2)], 1, (1, 1), 3)
+
+    def test_lower_pole_at_an_upper_zero_term_raises(self):
+        # the upper q^-2 ends the series at term 2, where the lower q^-2
+        # zeroes a denominator factor: the pole is still reported
+        with pytest.raises(ZeroDenominator, match=r"^lower parameter q\^-2 "
+                           r"vanishes a denominator factor within 3 terms$"):
+            phi_eval([(1, -2)], [(1, -2)], 1, (1, 1), 3)
 
     def test_pole_outside_term_range_is_fine(self):
         # lower q^-2 with base 1 only degenerates from term 3 onward

@@ -14,7 +14,9 @@ numpy serves the finite-field oracle only: no module but `_kernels`
 imports it, and the package loads `fq_oracle`, which loads `_kernels`, on
 first use.  A QPoly is held packed and `QPoly.coeffs` decodes it on each
 read, so no module outside `qcore` reads `.coeffs` except `cli.poly_json`,
-which prints them.
+which prints them.  A module's underscore-prefixed names are its own: no
+module imports one from another pfes module, except `efun._require`, the
+shared range check, and the `_kernels` module itself.
 """
 
 import ast
@@ -141,4 +143,20 @@ def test_only_qcore_and_poly_json_decode_coefficients():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr == "coeffs"
                   and id(node) not in allowed]
+    assert not found, found
+
+
+def test_no_private_names_imported_across_modules():
+    allowed = {("efun", "_require"), (None, "_kernels")}
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            found += [f"{path.name}:{node.lineno} {alias.name}"
+                      for alias in node.names
+                      if alias.name.startswith("_")
+                      and not alias.name.endswith("__")
+                      and (node.module, alias.name) not in allowed]
     assert not found, found
