@@ -22,13 +22,13 @@ the fiber suite (d = 2); dual_local_weight, _cut_lhs_sum, _f_circ_dual and
 the triangular solve _newcor per (k, i, n); _closed_smooth,
 _f_circ_smooth, _newrec_smooth, _smooth_rhs, _smooth_lhs_sum and the two
 smooth-part rows per (k, n); _recursion_terms per (k, n, start, stop).
-The recursion's coefficients and denominators are never built: the memos
-of _recursion_terms, _smooth_lhs_sum and _cut_lhs_sum hold them as tuples
-of (sign, exponent) factor pairs, which qcore.q_times applies to a value
-in place.  f_closed, f_circ, isotropic_E and _cut_rhs are sums, checks and
-shifts of these memos, and are not cached.  Values and tuples are
-immutable and rows are never modified, so the memos are invisible in the
-results.
+The memos of _recursion_terms, _smooth_lhs_sum and _cut_lhs_sum hold the
+recursion's coefficients as a Gaussian binomial in q^2 times (sign,
+exponent) factor pairs, which qcore.q_times applies to a value in place,
+and its denominators as linear factors (1 - q^(n+1-2j)) only.  f_closed,
+f_circ, isotropic_E and _cut_rhs are sums, checks and shifts of these
+memos, and are not cached.  Values and tuples are immutable and rows are
+never modified, so the memos are invisible in the results.
 """
 
 from __future__ import annotations
@@ -97,8 +97,10 @@ def isotropic_E(k: int, i: int, n: int) -> QPoly:
 def dual_local_weight(k: int, i: int, n: int) -> QPoly:
     """Stringy weight of the rank-2i stratum on the complementary-rank side,
     as it appears in the second summand of the closed cut formula, for
-    i <= (n-1)/2; zero once i exceeds (n-1)/2 - k."""
+    1 <= k, i <= (n-1)/2; zero once i exceeds (n-1)/2 - k."""
     half = (n - 1) // 2
+    _require(1 <= k <= half and 1 <= i <= half,
+             f"need 1 <= k, i <= (n-1)/2, got k={k}, i={i}, n={n}")
     # for i > half - k the tops include 2j = 0, and q_quotient returns ZERO
     js = range(half - k - i + 1, half - i + 1)
     return q_quotient((2 * j for j in js),
@@ -179,8 +181,8 @@ def _recursion_sum(k: int, n: int, js: range, value) -> tuple[QPoly, tuple[int, 
     triangular recursion at k, as (numerator, denominator exponents); value
     is called only for the j whose coefficient does not vanish."""
     terms, den = _recursion_terms(k, n, js.start, js.stop)
-    return sum((q_times(value(j), factors).shift(shift)
-                for j, shift, factors in terms), ZERO), den
+    return sum((q_times(value(j) * binomial, pairs).shift(shift)
+                for j, shift, binomial, pairs in terms), ZERO), den
 
 
 @cache
@@ -191,27 +193,25 @@ def _recursion_terms(k: int, n: int, start: int, stop: int):
         q^(2(k-j)^2-(k-j)) (1 - q^(n+1-2k)) (q^(n+3-4k+2j); q^2)_{2k-2j}
         / ((1 - q^(n+1-2j)) (q;q)_{2k-2j}),
 
-    over the common denominator (q;q)_top * prod_j (1 - q^(n+1-2j)),
-    top = 2k - 2*start: the nonzero terms (j, s, factors), the coefficient
-    being q^s times the factors, as q_times takes them, over it, and the
-    exponent list of the denominator.
+    over the common denominator prod_j (1 - q^(n+1-2j)): the nonzero terms
+    (j, s, binomial, pairs), each q^s binomial times the factors of the
+    pairs as q_times takes them, and the denominator's exponents.  With
+    m = 2k-2j and 2c = n+3-4k+2j, (q^(2c); q^2)_m / (q;q)_m = [c+m-1,
+    m]_{q^2} (-q;q)_m, as (q^2;q^2)_m = (q;q)_m (-q;q)_m; the Pochhammer's
+    top exponent n+1-2j is positive, so it reaches 1 - q^0 (and the term
+    vanishes) exactly when m > 0 and c <= 0.
     """
     js = range(start, stop)
-    top = 2 * (k - start)
-    den = (*range(1, top + 1), *(n + 1 - 2 * j for j in js))
     terms = []
     for j in js:
-        # (1 - q^(n+1-2k)), (q^(n+3-4k+2j); q^2)_{2k-2j} (zero when it
-        # reaches 1 - q^0, before which it runs through negative exponents),
-        # (q;q)_top/(q;q)_{2k-2j} and the other j's linear factors of the
-        # common denominator
-        tops = [n + 1 - 2 * k, *range(n + 3 - 4 * k + 2 * j, n + 2 - 2 * j, 2),
-                *range(2 * k - 2 * j + 1, top + 1),
-                *(n + 1 - 2 * jp for jp in js if jp != j)]
-        if 0 not in tops:
+        m, c = 2 * (k - j), (n + 3 - 4 * k + 2 * j) // 2
+        if c > 0 or not m:
+            # (1 - q^(n+1-2k)), (-q;q)_m and the other j's linear factors
+            pairs = ((1, n + 1 - 2 * k), *((-1, t) for t in range(1, m + 1)),
+                     *((1, n + 1 - 2 * jp) for jp in js if jp != j))
             terms.append((j, 2 * (k - j) ** 2 - (k - j),
-                          tuple((1, a) for a in tops)))
-    return tuple(terms), den
+                          gauss_binomial(c + m - 1, m, 2), pairs))
+    return tuple(terms), tuple(n + 1 - 2 * j for j in js)
 
 
 def solve_newcor(k_max: int, i: int, n: int) -> list[QPoly]:

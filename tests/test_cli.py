@@ -155,6 +155,15 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "b80154686df6e27d9d0c78cd034bd7a7309cad1ff4c74cd145325530266cc852")
 
+    def test_all_at_max_n_25_report_is_pinned(self, capsys):
+        # k runs to 12 here, so this guards the recursion's vanishing
+        # coefficients (a q^2-Pochhammer reaching 1 - q^0) further out
+        code, out, _ = run_cli(capsys, "verify", "all", "--format", "json",
+                               "--max-n", "25")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3a1c62a6d77707a0580445ded52b071fc341735532fc7b419fa3249c69227c7d")
+
     def test_all_at_default_bounds_keeps_every_value_at_64_bits(
             self, capsys, monkeypatch):
         # the README's claim: at the suites' bounds no refit widens a value

@@ -112,6 +112,12 @@ class TestFClosed:
                     points += 1
         assert points == 384
 
+    @pytest.mark.parametrize("k,i,n", [(1, 4, 7), (0, 1, 7), (1, 0, 7),
+                                       (4, 1, 7)])
+    def test_dual_weight_rejects_points_off_its_domain(self, k, i, n):
+        with pytest.raises(RangeError):
+            dual_local_weight(k, i, n)
+
     def test_rank_one_bound_equals_isotropic_count(self):
         for n in (5, 7, 9, 11):
             for i in range(1, (n - 1) // 2 + 1):
@@ -384,8 +390,11 @@ def recursion_sum_by_pochhammer(k, n, js, value):
 
 
 class TestRecursionSum:
-    @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
+    @pytest.mark.parametrize("n", [5, 7, 9, 11, 13, 15, 17])
     def test_matches_pochhammer_reference(self, n):
+        # the library cancels (q;q)_{2k-2j} out of its denominator and the
+        # reference does not, so the values are compared by
+        # cross-multiplication
         for k in range(1, (n - 1) // 2 + 1):
             for js in (range(0, k + 1), range(1, k)):
                 calls, reference_calls = [], []
@@ -396,10 +405,30 @@ class TestRecursionSum:
 
                 total, den = identities._recursion_sum(
                     k, n, js, lambda j: value(j, calls))
-                want = recursion_sum_by_pochhammer(
+                ref_total, ref_den = recursion_sum_by_pochhammer(
                     k, n, js, lambda j: value(j, reference_calls))
-                assert (total, q_quotient(den, (), "")) == want, (n, k, js)
+                assert (total * ref_den
+                        == ref_total * q_quotient(den, (), "")), (n, k, js)
                 assert calls == reference_calls, (n, k, js)
+
+    def test_q2_pochhammer_is_a_binomial_times_two_q_pochhammers(self):
+        # (q^(2c); q^2)_m = [c+m-1, m]_{q^2} (q;q)_m (-q;q)_m, the cell each
+        # recursion coefficient is held in
+        for c in range(1, 9):
+            for m in range(0, 13):
+                minus = ONE
+                for t in range(1, m + 1):
+                    minus = minus * (ONE + monomial(t))
+                assert (q_quotient(range(2 * c, 2 * (c + m), 2), (), "")
+                        == gauss_binomial(c + m - 1, m, 2)
+                        * q_quotient(range(1, m + 1), (), "") * minus), (c, m)
+
+    def test_denominator_is_the_linear_factors_only(self):
+        for n in range(5, 18, 2):
+            for k in range(1, (n - 1) // 2 + 1):
+                for a, b in ((0, k + 1), (1, k)):
+                    assert identities._recursion_terms(k, n, a, b)[1] == tuple(
+                        n + 1 - 2 * j for j in range(a, b)), (n, k, a, b)
 
 
 class TestPhiReductions:
