@@ -20,7 +20,8 @@ from .efun import (
 )
 from .identities import (
     CutParams, isotropic_E, isotropic_subspaces_E, f_closed, f_circ,
-    solve_newcor, verify_newrec, verify_hj, verify_AC_BD, verify_phi_reductions,
+    recursion_holds, verify_newrec, verify_hj, verify_AC_BD,
+    verify_phi_reductions,
 )
 from .mirror import (
     fiber_E_odd, even_fiber_E,

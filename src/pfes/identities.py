@@ -5,9 +5,9 @@ The central objects: isotropic_subspaces_E counts the isotropic subspaces
 of every dimension for a fixed-rank skew form; f_closed is the weighted
 E-function of the rank <= 2k locus cut by a rank-2i hyperplane, in closed
 form; f_circ is its single-stratum (rank exactly 2p) counterpart; and
-solve_newcor recomputes the same values through a triangular recursion
-that never touches the closed form, so agreement between the two routes
-is a genuine cross-validation rather than a tautology.
+recursion_holds checks f_closed, summand by summand, against the
+triangular recursion that determines it from Grassmannian and isotropic
+E-polynomials alone.
 
 Verifiers return report rows instead of raising, so grid runs can
 aggregate failures: a row is a plain dict with keys name, passed, skipped
@@ -18,17 +18,17 @@ cross-multiplication.  Points where a hypergeometric reduction degenerates
 Each value is computed once per key it depends on, with functools.cache,
 and a part that does not depend on i is cached apart, once per (k, n):
 isotropic_subspaces_E per (d, i, n), shared by the recursion (d = 2k) and
-the fiber suite (d = 2); dual_local_weight, _cut_lhs_sum, _f_circ_dual and
-the triangular solve _newcor per (k, i, n); _closed_smooth,
-_f_circ_smooth, _newrec_smooth, _smooth_rhs, _smooth_lhs_sum and the two
-smooth-part rows per (k, n); _recursion_terms per (k, n, start, stop).
-The memos of _recursion_terms, _smooth_lhs_sum and _cut_lhs_sum hold the
-recursion's coefficients as a Gaussian binomial in q^2 times (sign,
-exponent) factor pairs, which qcore.q_times applies to a value in place,
-and its denominators as linear factors (1 - q^(n+1-2j)) only.  f_closed,
-f_circ, isotropic_E and _cut_rhs are sums, checks and shifts of these
-memos, and are not cached.  Values and tuples are immutable and rows are
-never modified, so the memos are invisible in the results.
+the fiber suite (d = 2); dual_local_weight, _cut_lhs_sum and _f_circ_dual
+per (k, i, n); _closed_smooth, _f_circ_smooth, _newrec_smooth, _smooth_rhs,
+_smooth_lhs_sum and the two smooth-part rows per (k, n); _recursion_terms
+per (k, n, start, stop).  The memos of _recursion_terms, _smooth_lhs_sum and
+_cut_lhs_sum hold the recursion's coefficients as a Gaussian binomial in
+q^2 times (sign, exponent) factor pairs, which qcore.q_times applies to a
+value in place, and its denominators as linear factors (1 - q^(n+1-2j))
+only.  f_closed, f_circ, _closed_dual, isotropic_E, _cut_rhs and
+recursion_holds are sums, checks and shifts of these memos, and are not
+cached.  Values and tuples are immutable and rows are never modified, so
+the memos are invisible in the results.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from functools import cache
 from .qcore import (
     ONE, ZERO, QPoly, ZeroDenominator,
     gauss_binomial, geometric_series, phi_eval,
-    q_divide, q_quotient, q_times,
+    q_quotient, q_times,
 )
 from .efun import PfaffianParams, _require, grassmannian_E
 
@@ -118,7 +118,12 @@ def f_closed(params: CutParams) -> QPoly:
     """Closed form of the weighted E-function of the rank <= 2k locus cut by
     a hyperplane pairing against a rank-2i form."""
     n, k, i = params.n, params.k, params.i
-    return _closed_smooth(k, n) + dual_local_weight(k, i, n).shift(n * k - 1)
+    return _closed_smooth(k, n) + _closed_dual(k, i, n)
+
+
+def _closed_dual(k: int, i: int, n: int) -> QPoly:
+    """The dual-weight (second) summand of the closed cut formula."""
+    return dual_local_weight(k, i, n).shift(n * k - 1)
 
 
 def _inversion(k: int, n: int, js: range, value) -> QPoly:
@@ -146,7 +151,7 @@ def _f_circ_smooth(k: int, n: int) -> QPoly:
 def _f_circ_dual(k: int, i: int, n: int) -> QPoly:
     """Inversion of the dual summands of f_closed, zero for j > (n-1)/2 - i."""
     return _inversion(k, n, range(1, min(k, (n - 1) // 2 - i) + 1),
-                      lambda j: dual_local_weight(j, i, n).shift(n * j - 1))
+                      lambda j: _closed_dual(j, i, n))
 
 
 def verify_newrec(params: CutParams) -> dict:
@@ -214,29 +219,6 @@ def _recursion_terms(k: int, n: int, start: int, stop: int):
     return tuple(terms), tuple(n + 1 - 2 * j for j in js)
 
 
-def solve_newcor(k_max: int, i: int, n: int) -> list[QPoly]:
-    """Solve the triangular recursion for the weighted cut E-functions at
-    k = 1..k_max, using only Grassmannian and isotropic E-polynomials and
-    the recursion coefficients.
-
-    This path is independent of f_closed, so termwise agreement with it is a
-    genuine verification of the closed formula.  Each call gets a fresh list.
-    """
-    half = (n - 1) // 2
-    _require(n >= 5 and n % 2 == 1, f"n must be odd and >= 5, got {n}")
-    _require(1 <= k_max <= half, f"need 1 <= k_max <= (n-1)/2, got {k_max}")
-    _require(1 <= i <= half, f"need 1 <= i <= (n-1)/2, got {i}")
-    return [_newcor(k, i, n) for k in range(1, k_max + 1)]
-
-
-@cache
-def _newcor(k: int, i: int, n: int) -> QPoly:
-    """The triangular solve at k, fed with its own values at j < k."""
-    rhs = _smooth_rhs(k, n) + _cut_rhs(k, i, n)
-    acc, den = _recursion_sum(k, n, range(1, k), lambda j: _newcor(j, i, n))
-    return rhs - q_divide(acc, den, f"triangular solve (k={k}, i={i}, n={n})")
-
-
 def verify_hj(a: int, b: int) -> dict:
     """Check the alternating double-binomial sum against its summed
     Pochhammer-quotient closed form, exactly, for 0 <= a <= b."""
@@ -270,13 +252,29 @@ def _smooth_lhs_sum(k: int, n: int) -> tuple[QPoly, tuple]:
 
 @cache
 def _cut_lhs_sum(k: int, i: int, n: int) -> tuple[QPoly, tuple]:
-    """Recursion left side fed with the dual-weight (second) summands, as
-    (numerator, denominator factors), the denominator as _smooth_lhs_sum's."""
-    half = (n - 1) // 2
+    """Recursion left side fed with the dual-weight (second) summands of the
+    closed cut formula, extended to the index-zero value, as (numerator,
+    denominator factors), the denominator as _smooth_lhs_sum's."""
+    # q times _closed_dual(j, i, n), extended to j = 0 by 1, which cancels
+    # the smooth side's -1 there
     total, den = _recursion_sum(
         k, n, range(0, k + 1),
-        lambda j: gauss_binomial(half - i, j, 2).shift(n * j))
+        lambda j: _closed_dual(j, i, n).shift(1) if j else ONE)
     return total, tuple((1, e) for e in den)
+
+
+def recursion_holds(k: int, i: int, n: int) -> bool:
+    """Whether f_closed's summands, fed through the two left-side sums,
+    satisfy the triangular recursion at k.  The recursion is unitriangular,
+    so f_closed equals its solution at k = 1..K exactly when this holds at
+    every k <= K."""
+    half = (n - 1) // 2
+    _require(n >= 5 and n % 2 == 1 and 1 <= k <= half and 1 <= i <= half,
+             f"need odd n >= 5, 1 <= k, i <= (n-1)/2, got k={k}, i={i}, n={n}")
+    s_num, den = _smooth_lhs_sum(k, n)
+    c_num, _ = _cut_lhs_sum(k, i, n)
+    rhs = _smooth_rhs(k, n) + _cut_rhs(k, i, n)
+    return s_num + c_num == q_times(rhs, den).shift(1)
 
 
 @cache

@@ -5,8 +5,8 @@ half-rank k two Calabi-Yau complete intersections, one in the rank <= 2k
 locus on the dual space and one in the complementary rank <= n-1-2k locus.
 Their stringy E-functions agree stratum by stratum, and the checks here
 verify exactly that: identical polynomial weights attached to identical
-strata, with the weighted cut value supplied by the triangular recursion
-(the route independent of the closed formula).
+strata, with the closed weighted cut value checked against the triangular
+recursion that determines it.
 
 The even-dimensional analogue fails, and even_anomaly_check pins down how:
 the actual local weight of the corank-4 locus is not a polynomial, while
@@ -32,7 +32,7 @@ from .efun import (
     pf_stringy_recursive, pf_stringy_rodland,
 )
 from .identities import (
-    CutParams, dual_local_weight, f_closed, row, solve_newcor,
+    dual_local_weight, recursion_holds, row,
 )
 
 
@@ -68,15 +68,16 @@ def main_coefficient_check(k: int) -> dict:
 def main_main_check(n: int, k: int) -> dict:
     """Stratum-by-stratum form of the general mirror equality at (n, k).
 
-    For each cutting rank 2i, the closed-route value f_closed =
+    For each cutting rank 2i, the closed value f_closed =
     (q^(nk-1)-1)/(q-1) * W + q^(nk-1) * S_i  (W the closed stringy product,
     S_i = dual_local_weight the local weight of the rank-2i stratum on the
-    complementary side) must equal the weighted cut E-function obtained
-    from the triangular recursion.  Strata with i beyond (n-1)/2 - k carry
-    weight zero on both routes.  The same S_i arise as the stratum weights
-    of the k' = (n-1)/2-k companion locus, and each stratum first checks the
-    two transcriptions against each other (dual_local_weight at k against
-    local_contribution at k'): the relabeling symmetry of the construction.
+    complementary side) must satisfy the triangular recursion at every
+    j <= k, so that it is the weighted cut E-function the recursion
+    determines.  Strata with i beyond (n-1)/2 - k carry weight zero.  The
+    same S_i arise as the stratum weights of the k' = (n-1)/2-k companion
+    locus, and each stratum first checks the two transcriptions against
+    each other (dual_local_weight at k against local_contribution at k'):
+    the relabeling symmetry of the construction.
     """
     _require(n >= 5 and n % 2 == 1, f"n must be odd and >= 5, got {n}")
     half = (n - 1) // 2
@@ -86,7 +87,7 @@ def main_main_check(n: int, k: int) -> dict:
     def stratum_ok(i):
         s_i = local_contribution(i, k_dual, n) if i <= k_dual else ZERO
         return (dual_local_weight(k, i, n) == s_i
-                and solve_newcor(k, i, n)[-1] == f_closed(CutParams(n, k, i)))
+                and all(recursion_holds(j, i, n) for j in range(1, k + 1)))
 
     return row(f"main-main(n={n},k={k})",
                all(stratum_ok(i) for i in range(1, half + 1)))

@@ -17,8 +17,8 @@ from .efun import (
     projective_E, stringy_degree,
 )
 from .identities import (
-    CutParams, f_closed, isotropic_subspaces_E, row, solve_newcor,
-    verify_AC_BD, verify_hj, verify_newrec, verify_phi_reductions,
+    CutParams, isotropic_subspaces_E, recursion_holds, row, verify_AC_BD,
+    verify_hj, verify_newrec, verify_phi_reductions,
 )
 from .mirror import (
     even_anomaly_check, even_fiber_E, fiber_E_odd, main_coefficient_check,
@@ -112,10 +112,9 @@ def newcor(*, max_n=13):
     for n in _odd_range(max_n):
         half = (n - 1) // 2
         for i in range(1, half + 1):
-            solved = solve_newcor(half, i, n)
             for k in range(1, half + 1):
                 yield row(f"newcor(k={k},i={i},n={n})",
-                          solved[k - 1] == f_closed(CutParams(n, k, i)))
+                          recursion_holds(k, i, n))
 
 
 def hj(*, max_b=8):

@@ -66,7 +66,7 @@ def test_criterion_06_binomial_and_series_identities():
 
 def test_criterion_07_triangular_solve_matches_closed_form():
     _rows("newcor")
-    _verdict(7, "triangular recursion reproduces the closed cut formula "
+    _verdict(7, "the closed cut formula satisfies the triangular recursion "
                 "for odd n <= 13 and every (k, i)")
 
 

