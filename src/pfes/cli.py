@@ -21,6 +21,7 @@ import json
 import sys
 import time
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, suites
 from .qcore import QPoly, NotPolynomial, ZeroDenominator
@@ -46,8 +47,29 @@ def poly_json(p: QPoly) -> dict:
     return {"var": "q", "coeffs": list(p.coeffs)}
 
 
+# an identities.row result, as json.dumps(indent=2, sort_keys=True) lays it out
+_ROW_KEYS = {"name", "note", "passed", "skipped"}
+_ROW = ('    {{\n      "name": {},\n      "note": {},\n      "passed": {},'
+        '\n      "skipped": {}\n    }}')
+_BOOL = {True: "true", False: "false"}
+
+
 def render_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """json.dumps(report, indent=2, sort_keys=True) and a newline.  The
+    indenting encoder is pure Python, so when every result is an
+    identities.row, the results are filled into _ROW and the encoder lays
+    out only the rest, around a placeholder."""
+    results = report.get("results")
+    if not results or any(result.keys() != _ROW_KEYS for result in results):
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    head, _, tail = json.dumps({**report, "results": [None]}, indent=2,
+                               sort_keys=True).partition("\n    null\n")
+    rows = ",\n".join(_ROW.format(
+        encode_basestring_ascii(result["name"]),
+        encode_basestring_ascii(result["note"]),
+        _BOOL[result["passed"]], _BOOL[result["skipped"]])
+        for result in results)
+    return f"{head}\n{rows}\n{tail}\n"
 
 
 def _run_report(command: str, parameters: dict, results: list) -> dict:

@@ -16,19 +16,33 @@ cross-multiplication.  Points where a hypergeometric reduction degenerates
 (a denominator parameter hits a pole) are reported as skipped.
 
 Each value is computed once per key it depends on, with functools.cache,
-and a part that does not depend on i is cached apart, once per (k, n):
-isotropic_subspaces_E per (d, i, n), shared by the recursion (d = 2k) and
-the fiber suite (d = 2); dual_local_weight, _cut_lhs_sum and _f_circ_dual
-per (k, i, n); _closed_smooth, _f_circ_smooth, _newrec_smooth, _smooth_rhs,
-_smooth_lhs_sum and the two smooth-part rows per (k, n); _recursion_terms
-per (k, n, start, stop).  The memos of _recursion_terms, _smooth_lhs_sum and
-_cut_lhs_sum hold the recursion's coefficients as a Gaussian binomial in
-q^2 times (sign, exponent) factor pairs, which qcore.q_times applies to a
-value in place, and its denominators as linear factors (1 - q^(n+1-2j))
-only.  f_closed, f_circ, _closed_dual, isotropic_E, _cut_rhs and
-recursion_holds are sums, checks and shifts of these memos, and are not
-cached.  Values and tuples are immutable and rows are never modified, so
-the memos are invisible in the results.
+and a part that does not depend on i is cached apart, once per (k, n) or
+(k, j, n): isotropic_subspaces_E per (d, i, n), shared by the recursion
+(d = 2k) and the fiber suite (d = 2); dual_local_weight, _cut_lhs_sum,
+_f_circ_dual and recursion_holds per (k, i, n), the last because
+main_main_check asks again about the points the newcor suite checks;
+_closed_smooth, _f_circ_smooth, _newrec_smooth, _smooth_rhs,
+_smooth_lhs_sum and the two smooth-part rows per (k, n); _newrec_kernel
+per (k, j, n); _recursion_terms per (k, n, start, stop).  The memos of
+_recursion_terms, _smooth_lhs_sum and _cut_lhs_sum hold the recursion's
+coefficients as a Gaussian binomial in q^2 times (sign, exponent) factor
+pairs, which qcore.q_times applies to a value in place, and its
+denominators as linear factors (1 - q^(n+1-2j)) only.  f_closed, f_circ,
+_closed_dual, isotropic_E and _cut_rhs are sums and shifts of these memos,
+and are not cached.  Values and tuples are immutable and rows are never
+modified, so the memos are invisible in the results.
+
+verify_newrec takes the dual half of its left side, sum_p [n-2p, n-2k]_q
+f_circ(p), with the sums over p and j swapped: each dual summand of
+f_closed at j times the i-independent kernel
+
+    _newrec_kernel(k, j, n) = sum_{p=j..k} (-1)^(p-j) q^((p-j)(p-j-1))
+                              [h-j, p-j]_{q^2} [n-2p, n-2k]_q,  h = (n-1)/2.
+
+So no verify suite reads the dual inversion _f_circ_dual; only f_circ
+does, and f_circ is checked by the cut-stratum oracle, which compares it
+with point counts over F_p (`pfes oracle cut-stratum`, acceptance
+criterion 10).  The smooth half of newrec still reads _f_circ_smooth.
 """
 
 from __future__ import annotations
@@ -157,12 +171,32 @@ def _f_circ_dual(k: int, i: int, n: int) -> QPoly:
 def verify_newrec(params: CutParams) -> dict:
     """Check the two-projection count of the cut of the kernel-marked
     resolution: a Grassmannian-weighted sum of single-stratum cuts against
-    the projective-bundle count with its isotropic correction."""
+    the projective-bundle count with its isotropic correction.
+
+    The left side is sum_p [n-2p, n-2k]_q f_circ(p).  Its smooth half is
+    the memo _newrec_smooth; its dual half is summed over j instead of p:
+    each dual summand _closed_dual(j, i, n), zero for j > (n-1)/2 - i,
+    times _newrec_kernel(k, j, n), which is cached once per (k, j, n) and
+    serves every i."""
     n, k, i = params.n, params.k, params.i
-    lhs = sum((grassmannian_E(n - 2 * k, n - 2 * p) * _f_circ_dual(p, i, n)
-               for p in range(1, k + 1)), _newrec_smooth(k, n))
+    lhs = sum((_closed_dual(j, i, n) * _newrec_kernel(k, j, n)
+               for j in range(1, min(k, (n - 1) // 2 - i) + 1)),
+              _newrec_smooth(k, n))
     rhs = _smooth_rhs(k, n) + _cut_rhs(k, i, n)
     return row(f"newrec({k},{i},{n})", lhs == rhs)
+
+
+@cache
+def _newrec_kernel(k: int, j: int, n: int) -> QPoly:
+    """sum over p = j..k of (-1)^(p-j) q^((p-j)(p-j-1)) [(n-1)/2-j,
+    p-j]_{q^2} [n-2p, n-2k]_q: the weight of f_closed's summand at j in
+    verify_newrec's left side, _inversion's coefficient of j in f_circ(p)
+    summed against the Grassmannians."""
+    return sum(((-1) ** (p - j)
+                * (gauss_binomial((n - 1) // 2 - j, p - j, 2)
+                   * grassmannian_E(n - 2 * k, n - 2 * p)).shift(
+                       (p - j) * (p - j - 1))
+                for p in range(j, k + 1)), ZERO)
 
 
 @cache
@@ -263,6 +297,7 @@ def _cut_lhs_sum(k: int, i: int, n: int) -> tuple[QPoly, tuple]:
     return total, tuple((1, e) for e in den)
 
 
+@cache
 def recursion_holds(k: int, i: int, n: int) -> bool:
     """Whether f_closed's summands, fed through the two left-side sums,
     satisfy the triangular recursion at k.  The recursion is unitriangular,

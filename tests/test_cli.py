@@ -67,6 +67,14 @@ class TestCompute:
         assert report["results"][0]["poly"] == {"var": "q",
                                                 "coeffs": [1, 1, 2, 2, 1, 1]}
         assert cli.render_report(report) == out
+        # a verify report's rows are filled into the row template
+        code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "17",
+                               "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert len(report["results"]) > 1000
+        assert cli.render_report(report) == out
+        assert json.dumps(report, indent=2, sort_keys=True) + "\n" == out
 
     def test_json_report_is_untimed(self, capsys):
         argv = ["compute", "f-circ", "--k", "12", "--i", "3", "--n", "33",
@@ -241,6 +249,37 @@ class TestVerify:
         code, flagged, _ = run_cli(capsys, "verify", suite, flag, value)
         assert code == 0
         assert flagged == plain
+
+
+class TestRenderReport:
+    """render_report fills identities.row results into a template; the text
+    must be json.dumps(report, indent=2, sort_keys=True) and a newline."""
+
+    @pytest.mark.parametrize("rows", [
+        [row('quote"d', True)],
+        [row("back\\slash", False, note="a\\b")],
+        [row("new\nline", True, note="two\nlines\r\t")],
+        [row("café", True, note="é")],
+        [row("phi(q²)", False, note="q² and q^2")],
+        [row("", True, note="")],
+        [row("skip", True, True, "lower parameter q^0 vanishes"),
+         row("plain", True), row("fail", False)],
+        [row("ctrl\x00\x1f\u2028", True, True, "\U0001f600")],
+    ], ids=["quote", "backslash", "newline", "e-acute", "q-squared",
+            "empty", "skipped", "control"])
+    def test_rows_render_as_json_dumps(self, rows):
+        report = cli._run_report("verify", {"suite": "all"}, rows)
+        assert cli.render_report(report) == (
+            json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+    @pytest.mark.parametrize("results", [
+        [], [{"name": "f", "passed": None, "value": 3}],
+        [row("hj(0,0)", True), {"name": "x", "passed": True}],
+    ], ids=["no-rows", "compute-row", "mixed"])
+    def test_other_results_render_as_json_dumps(self, results):
+        report = cli._run_report("verify", {"suite": "hj"}, results)
+        assert cli.render_report(report) == (
+            json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 class TestOneParser:

@@ -11,7 +11,7 @@ from pfes.qcore import (
     ONE, QPoly, ZERO, gauss_binomial, monomial, q_divide, q_quotient,
 )
 from pfes import cli, identities
-from pfes.efun import RangeError
+from pfes.efun import RangeError, grassmannian_E
 from pfes.identities import (
     CutParams, row,
     dual_local_weight, f_circ, f_closed, isotropic_E, isotropic_subspaces_E,
@@ -224,10 +224,10 @@ class TestRecursionHolds:
             recursion_holds(k, i, n)
 
 
-CUT_MEMOS = ("isotropic_subspaces_E", "_cut_lhs_sum", "_smooth_lhs_sum",
-             "_smooth_recursion_row", "_phi_smooth_row", "_closed_smooth",
-             "_f_circ_smooth", "_f_circ_dual", "_newrec_smooth",
-             "_recursion_terms", "_smooth_rhs", "dual_local_weight")
+# every memo of the module, so that none can be left out and serve a test
+# values cached before a mutant was patched in
+CUT_MEMOS = tuple(sorted(name for name, value in vars(identities).items()
+                         if hasattr(value, "cache_clear")))
 
 SMALL_CUT_GRID = [CutParams(n, k, i) for n in (5, 7, 9, 11)
                   for k in range(1, (n - 1) // 2 + 1)
@@ -264,11 +264,15 @@ class TestCutMemos:
         for params in SMALL_CUT_GRID:
             cut_values(params)
         pairs = {(params.k, params.n) for params in SMALL_CUT_GRID}
+        # verify_newrec reads the kernel at each j with a nonzero dual summand
+        kernels = {(params.k, j, params.n) for params in SMALL_CUT_GRID
+                   for j in range(1, min(params.k, (params.n - 1) // 2
+                                         - params.i) + 1)}
         misses = {name: getattr(identities, name).cache_info().misses
                   for name in CUT_MEMOS}
         # isotropic_subspaces_E is keyed by (2k, i, n), one key per point
         per_point = ("isotropic_subspaces_E", "_cut_lhs_sum", "_f_circ_dual",
-                     "dual_local_weight")
+                     "dual_local_weight", "recursion_holds")
         per_pair = ("_smooth_lhs_sum", "_smooth_recursion_row",
                     "_phi_smooth_row", "_closed_smooth", "_f_circ_smooth",
                     "_newrec_smooth", "_smooth_rhs")
@@ -276,7 +280,8 @@ class TestCutMemos:
             **dict.fromkeys(per_point, len(SMALL_CUT_GRID)),
             **dict.fromkeys(per_pair, len(pairs)),
             # js = range(0, k+1), shared by the two recursion sums
-            "_recursion_terms": len(pairs)}
+            "_recursion_terms": len(pairs),
+            "_newrec_kernel": len(kernels)}
 
     def test_smooth_rows_do_not_depend_on_i(self):
         rows = {}
@@ -335,6 +340,84 @@ class TestRecursionMutants:
         for suite in ("newcor", "main-main", "ac-bd"):
             code, failed, _ = verify_report(capsys, suite)
             assert code == cli.EXIT_FAIL and failed, suite
+
+
+def newrec_dual_by_p(k, i, n):
+    """Reference: the dual half of verify_newrec's left side summed over p,
+    [n-2p, n-2k]_q times the dual half of f_circ at p, as it was before the
+    sum over j was taken outside."""
+    return sum((grassmannian_E(n - 2 * k, n - 2 * p)
+                * identities._f_circ_dual(p, i, n) for p in range(1, k + 1)),
+               ZERO)
+
+
+class TestNewrecKernel:
+    @pytest.fixture(autouse=True)
+    def empty_memos(self):
+        clear_cut_memos()
+        yield
+        clear_cut_memos()
+
+    @pytest.mark.parametrize("n", range(5, 18, 2))
+    def test_swapped_sum_matches_the_sum_over_p(self, n):
+        half = (n - 1) // 2
+        for k in range(1, half + 1):
+            assert identities._newrec_kernel(k, k, n) == ONE
+            for i in range(1, half + 1):
+                # the dual summands vanish past j = half - i
+                swapped = sum((identities._closed_dual(j, i, n)
+                               * identities._newrec_kernel(k, j, n)
+                               for j in range(1, k + 1)), ZERO)
+                assert swapped == newrec_dual_by_p(k, i, n), (n, k, i)
+
+    def test_kernel_sign_dropped_fails_newrec_rows(self, monkeypatch, capsys):
+        # without (-1)^(p-j) each kernel with a p = j+1 term changes by twice
+        # its odd terms; the dual summand at j = 1 carries that into every
+        # row with k >= 2 and a nonzero dual half (i < (n-1)/2)
+        def unsigned_kernel(k, j, n):
+            return sum(((gauss_binomial((n - 1) // 2 - j, p - j, 2)
+                         * grassmannian_E(n - 2 * k, n - 2 * p)).shift(
+                             (p - j) * (p - j - 1))
+                        for p in range(j, k + 1)), ZERO)
+
+        monkeypatch.setattr(identities, "_newrec_kernel", unsigned_kernel)
+        code, failed, rows = verify_report(capsys, "newrec")
+        expected = set()
+        for r in rows:
+            k, i, n = map(int, re.fullmatch(r"newrec\((\d+),(\d+),(\d+)\)",
+                                            r["name"]).groups())
+            if k >= 2 and i < (n - 1) // 2:
+                expected.add(r["name"])
+        assert code == cli.EXIT_FAIL
+        assert len(rows) == 90
+        assert failed == expected and len(failed) == 55
+
+    def test_dual_inversion_sign_dropped_fails_the_cut_oracle(self, monkeypatch,
+                                                             capsys):
+        # newrec no longer reads _f_circ_dual; f_circ does, and the
+        # cut-stratum oracle checks it against point counts over F_p on
+        # criterion 10's grid
+        def unsigned_dual(k, i, n):
+            half = (n - 1) // 2
+            return sum((identities._closed_dual(j, i, n).shift(
+                (k - j) * (k - j - 1)) * gauss_binomial(half - j, k - j, 2)
+                for j in range(1, min(k, half - i) + 1)), ZERO)
+
+        monkeypatch.setattr(identities, "_f_circ_dual", unsigned_dual)
+        mismatched = []
+        for p, n in ((2, 5), (3, 5), (2, 7)):
+            half = (n - 1) // 2
+            for i in range(1, half + 1):
+                for ph in range(1, half + 1):
+                    code = cli.main(["oracle", "cut-stratum", "--p", str(p),
+                                     "--n", str(n), "--rank", str(2 * ph),
+                                     "--alpha-rank", str(2 * i)])
+                    out = capsys.readouterr().out
+                    assert out.endswith("MATCH\n"), out
+                    if out.endswith("MISMATCH\n"):
+                        assert code == cli.EXIT_FAIL
+                        mismatched.append((p, n, i, ph))
+        assert mismatched
 
 
 class TestHj:
